@@ -11,6 +11,7 @@ chains M_0 > M_1 > ... > M_k > p M_0 with M_0 primitive at scale 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intlinalg import (
     complete_basis_modp,
@@ -77,6 +78,13 @@ class Lattice:
 
     def adj_data(self):
         """(adjugate-like N, det exponent k) with rows^{-1} = N / p^k."""
+        return self._adj_data
+
+    # Derived data is cached on the frozen instance itself, outside the
+    # dataclass fields, so equality, hashing and to_json do not see it and
+    # it lives exactly as long as the value.
+    @cached_property
+    def _adj_data(self):
         n, det = inv_scaled(self.rows)
         k = pval(det, self.p)
         assert det == self.p**k
@@ -204,6 +212,10 @@ class PointedSimplex:
     def chain_mod_p(self):
         """Images of the chain in M_0/pM_0, as reduced-echelon bases in
         M_0-coordinates (the basis of M_0 gives the coordinates)."""
+        return self._chain_mod_p
+
+    @cached_property
+    def _chain_mod_p(self):
         m0 = self.lattices[0]
         n, k0 = m0.adj_data()
         p = self.p
@@ -214,9 +226,8 @@ class PointedSimplex:
             assert exp >= 0
             denom = p**exp
             coords = [[c // denom for c in row] for row in num]
-            rref, piv = rref_modp(coords, p)
-            out.append((rref, piv))
-        return out
+            out.append(rref_modp(coords, p))
+        return tuple(out)
 
     def type_vector(self):
         """(e_0, ..., e_k) with e_i the jumps of the mod-p flag dimensions."""

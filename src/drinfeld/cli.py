@@ -19,7 +19,6 @@ import os
 import random
 import sys
 import time
-from math import isqrt
 
 try:
     import tomllib
@@ -42,7 +41,7 @@ from .covers import (
 )
 from .distributions import MassZeroVector, random_family, random_mass_zero
 from .intlinalg import gaussian_binomial, inv_scaled
-from .padic import FieldDesc, FieldElem, PrecisionError
+from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
 from .products import alpha_level, dlog_residue, evaluate_product
 from .projpoints import enumerate_points, point_count
 from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, pair_distribution, slope
@@ -71,10 +70,6 @@ def _cap(name):
         raise UsageError(f"{name} must be an integer, got {raw!r}")
 
 
-def _is_prime(n):
-    return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
-
-
 def _need(args, *names):
     for name in names:
         if getattr(args, name) is None:
@@ -82,7 +77,7 @@ def _need(args, *names):
 
 
 def _check_prime(p):
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UsageError(f"--p must be a prime number, got {p}")
 
 

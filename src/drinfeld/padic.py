@@ -29,7 +29,7 @@ class PrecisionError(ArithmeticError):
     """A comparison or valuation could not be resolved at working precision."""
 
 
-def _is_prime(p):
+def is_prime(p):
     if p < 2:
         return False
     q = 2
@@ -75,7 +75,7 @@ class FieldDesc:
     N: int = 24
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if not (1 <= self.e <= MAX_E):
             raise ValueError(f"ramification e = {self.e} outside [1, {MAX_E}]")
@@ -185,9 +185,12 @@ class FieldElem:
     @staticmethod
     def from_coeffs(desc, rows, shift=0):
         """rows: length e*f integer vector in basis pi^i omega^j."""
+        raw = [int(c) for c in rows]
         mod = desc.coeff_modulus
-        coeffs = tuple(int(c) % mod for c in rows)
-        if not any(coeffs):
+        coeffs = tuple(c % mod for c in raw)
+        # only an all-zero input is exact; digits that merely vanish modulo
+        # p^coeff_exponent leave an inexact zero, as in from_int
+        if not any(raw):
             return FieldElem.zero(desc) if shift == 0 else FieldElem(
                 desc, shift, coeffs, desc.work_prec, True
             )
@@ -238,15 +241,6 @@ class FieldElem:
             )
         return Fraction(self.shift + v, self.desc.e)
 
-    def pi_valuation(self):
-        """Valuation in pi-units (integer)."""
-        v = self.valuation()
-        if v == float("inf"):
-            raise ZeroDivisionError("pi_valuation of exact zero")
-        vv = v * self.desc.e
-        assert vv.denominator == 1
-        return int(vv)
-
     def valuation_at_least(self, q):
         """True if v(self) >= q can be certified (q a Fraction in p-units)."""
         if self.exact_zero:
@@ -254,39 +248,6 @@ class FieldElem:
         v = self._poly_valuation()
         bound = self.shift + (self.prec if v is None else v)
         return Fraction(bound, self.desc.e) >= Fraction(q)
-
-    def is_unit(self):
-        try:
-            return self.valuation() == 0
-        except PrecisionError:
-            return False
-
-    def residue_vector(self):
-        """Reduction of a valuation->=0 element modulo pi, as a length-f tuple."""
-        if self.exact_zero:
-            return (0,) * self.desc.f
-        if self.shift + (self._poly_valuation() or self.prec) < 0:
-            raise ValueError("residue of a negative-valuation element")
-        if self.shift == 0:
-            return tuple(c % self.desc.p for c in self._row(0))
-        return self._realize_shift()._row0_mod_p()
-
-    def _row0_mod_p(self):
-        return tuple(c % self.desc.p for c in self._row(0))
-
-    def _realize_shift(self):
-        """Fold a nonnegative shift into the coefficient vector."""
-        if self.shift == 0:
-            return self
-        if self.shift < 0:
-            raise ValueError("cannot realize a negative shift")
-        return FieldElem(
-            self.desc,
-            0,
-            _shift_poly(self.desc, self.coeffs, self.shift),
-            min(self.prec + self.shift, self.desc.work_prec),
-            self.exact_zero,
-        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -388,10 +349,6 @@ class FieldElem:
         return acc
 
     # -- comparisons ---------------------------------------------------------
-
-    def sub_valuation_at_least(self, other, q):
-        """Certify v(self - other) >= q (q in p-units)."""
-        return (self - other).valuation_at_least(q)
 
     def agrees_with(self, other, pi_prec=None):
         """True when self - other vanishes to the joint trusted precision
@@ -521,12 +478,22 @@ def _residue_inverse(desc, row0):
 
 def _newton_inverse(desc, unit_coeffs):
     """Inverse of a unit polynomial part modulo pi^work_prec."""
-    e, f = desc.e, desc.f
-    row0 = unit_coeffs[:f]
-    if not any(c % desc.p for c in row0):
+    if not any(c % desc.p for c in unit_coeffs[:desc.f]):
         raise PrecisionError("inverse of a non-unit")
+    if not any(unit_coeffs[1:]):
+        # a rational integer unit: its inverse modulo p^coeff_exponent is
+        # unique, so it is exactly what the Newton loop converges to
+        inv = pow(unit_coeffs[0], -1, desc.coeff_modulus)
+        return (inv,) + (0,) * (desc.e * desc.f - 1)
+    return _newton_lift(desc, unit_coeffs)
+
+
+def _newton_lift(desc, unit_coeffs):
+    """Newton iteration b <- b (2 - u b) from the residue-field inverse,
+    doubling the known pi-digits up to work_prec."""
+    e, f = desc.e, desc.f
     b = [0] * (e * f)
-    for j, c in enumerate(_residue_inverse(desc, row0)):
+    for j, c in enumerate(_residue_inverse(desc, unit_coeffs[:f])):
         b[j] = c
     b = tuple(b)
     two = FieldElem.from_int(desc, 2).coeffs
@@ -572,11 +539,7 @@ def normalize_unimodular(vec):
         raise ValueError("cannot normalize the zero vector")
     vmin = min(finite)
     idx = vals.index(vmin)
-    pivot = vec[idx]
-    out = []
-    for i, x in enumerate(vec):
-        if i == idx:
-            out.append(FieldElem.one(pivot.desc))
-        else:
-            out.append(x / pivot)
-    return tuple(out)
+    one = FieldElem.one(vec[idx].desc)
+    # x * (1 / pivot) has the shift, digits and prec of x / pivot
+    inv = one / vec[idx]
+    return tuple(one if i == idx else x * inv for i, x in enumerate(vec))

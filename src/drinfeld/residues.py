@@ -72,8 +72,8 @@ def _oracle_points(sigma, desc, rng):
     """Two interior tube samples at edge parameters 1/e and 2/e, built from
     the adapted frame with generic unramified-unit entries.
 
-    Returns (raw coordinate list, projective point) per sample: absolute
-    section valuations are only meaningful on the raw affine solve, because
+    Returns the raw coordinate list of each sample: absolute section
+    valuations are only meaningful on the raw affine solve, because
     projective normalization shifts them by a parameter-dependent constant."""
     d1 = sigma.boundary_indices()[1]
     size = sigma.dim + 1
@@ -99,7 +99,7 @@ def _oracle_points(sigma, desc, rng):
                 if inv[i][j]:
                     acc = acc + inv[i][j] * w[j]
             coords.append(acc / det_elem)
-        samples.append((coords, SymmetricSpacePoint(coords)))
+        samples.append(coords)
     return samples
 
 
@@ -112,10 +112,10 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
         raise ValueError("need at least two interior parameters: e_oracle >= 3")
     rng = rng if rng is not None else random.Random(2718)
     desc = _oracle_desc(sigma.p, sigma, e_oracle)
-    (raw1, z1), (raw2, z2) = _oracle_points(sigma, desc, rng)
+    raw1, raw2 = _oracle_points(sigma, desc, rng)
     if check_membership:
-        for z in (z1, z2):
-            if not member_tube(z, sigma, open_tube=True):
+        for raw in (raw1, raw2):
+            if not member_tube(SymmetricSpacePoint(raw), sigma, open_tube=True):
                 raise PrecisionError("oracle sample point failed the tube test")
     out = {}
     for a in covectors:

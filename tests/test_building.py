@@ -217,3 +217,40 @@ def test_lattice_json():
         [[1, 0], [0, 1]],
         [[2, 0], [0, 1]],
     ]
+
+
+def _is_nested_tuple(x):
+    return isinstance(x, tuple) and all(
+        _is_nested_tuple(y) for y in x if not isinstance(y, int)
+    )
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (5, 1)]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_cached_derived_data_is_invisible(pd, seed):
+    p, d = pd
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng)
+    chain = sigma.chain_mod_p()
+    assert sigma.chain_mod_p() is chain
+    assert _is_nested_tuple(chain)
+    # a fresh simplex on fresh lattices, with no chain cached yet
+    fresh = PointedSimplex(
+        tuple(Lattice(lat.p, lat.rows, lat.scale) for lat in sigma.lattices)
+    )
+    assert "_chain_mod_p" not in vars(fresh)
+    assert fresh == sigma and hash(fresh) == hash(sigma)
+    assert fresh.to_json() == sigma.to_json()
+    assert {sigma: 1}[fresh] == 1
+    assert fresh.chain_mod_p() == chain
+    for lat in sigma.lattices:
+        cached = lat.adj_data()
+        assert lat.adj_data() is cached
+        assert _is_nested_tuple(cached)
+        bare = Lattice(lat.p, lat.rows, lat.scale)
+        assert "_adj_data" not in vars(bare)
+        assert bare == lat and hash(bare) == hash(lat)
+        assert bare.to_json() == lat.to_json()
+        assert bare.adj_data() == cached

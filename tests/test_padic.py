@@ -10,6 +10,8 @@ from drinfeld.padic import (
     FieldDesc,
     FieldElem,
     PrecisionError,
+    _newton_inverse,
+    _newton_lift,
     linear_form,
     normalize_unimodular,
     unramified_min_poly,
@@ -212,3 +214,71 @@ def test_linear_form():
     z = (FieldElem.one(d), FieldElem.from_int(d, 4))
     assert linear_form([2, 1], z).agrees_with(FieldElem.from_int(d, 6))
     assert linear_form([0, 0], z).exact_zero
+
+
+def test_from_coeffs_vanishing_digits_are_not_exact():
+    # 308448 = 81 * 3808 vanishes modulo 3^4 but has valuation 3
+    d = FieldDesc(p=3, e=1, f=1, N=4)
+    a = FieldElem.from_coeffs(d, [308448], shift=-1)
+    b = FieldElem.from_coeffs(d, [1], shift=2)
+    assert not a.exact_zero
+    with pytest.raises(PrecisionError):
+        a.valuation()
+    # a - b = 102816 - 9: every digit the difference trusts must be right
+    assert (a - b).agrees_with(FieldElem.from_int(d, 102807))
+    assert FieldElem.from_coeffs(d, [81]) == FieldElem.from_int(d, 81)
+    assert FieldElem.from_coeffs(d, [0], shift=-1).exact_zero
+
+
+@st.composite
+def field_descs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.integers(min_value=1, max_value=3))
+    f = draw(st.integers(min_value=1, max_value=3))
+    N = 2 * e + draw(st.integers(min_value=0, max_value=30))
+    return FieldDesc(p=p, e=e, f=f, N=N)
+
+
+@given(field_descs(), st.integers(min_value=1, max_value=10**40))
+def test_integer_unit_inverse_matches_newton(desc, n):
+    if n % desc.p == 0:
+        n += 1
+    unit = (n % desc.coeff_modulus,) + (0,) * (desc.e * desc.f - 1)
+    assert _newton_inverse(desc, unit) == _newton_lift(desc, unit)
+
+
+def _normalize_by_division(vec):
+    """Reference: divide every other coordinate by the pivot."""
+    vals = [float("inf") if x.exact_zero else x.valuation() for x in vec]
+    if min(vals) == float("inf"):
+        raise ValueError("zero vector")
+    idx = vals.index(min(vals))
+    one = FieldElem.one(vec[idx].desc)
+    return tuple(one if i == idx else x / vec[idx] for i, x in enumerate(vec))
+
+
+@given(
+    field_descs(),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=4),
+)
+def test_normalize_unimodular_matches_division(desc, seed, size):
+    rng = random.Random(seed)
+    vec = []
+    for _ in range(size):
+        x = random_elem(desc, rng)
+        if rng.random() < 0.2:
+            x = FieldElem.zero(desc)
+        elif not x.exact_zero:
+            # vary the trusted precision, sometimes below every digit
+            x = FieldElem(desc, x.shift, x.coeffs, rng.randint(1, desc.work_prec))
+        vec.append(x)
+    try:
+        expected = _normalize_by_division(vec)
+    except (PrecisionError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            normalize_unimodular(vec)
+        return
+    got = normalize_unimodular(vec)
+    # dataclass equality: desc, shift, coeffs, prec and exact_zero
+    assert got == expected
