@@ -18,11 +18,9 @@ from .intlinalg import (
     det_int,
     hnf_rows,
     identity,
-    in_span_modp,
     inv_scaled,
     matmul,
     pval,
-    rank_modp,
     rref_modp,
     subspaces_modp,
     vecmat,
@@ -90,19 +88,21 @@ class Lattice:
         assert det == self.p**k
         return n, k
 
-    def contains(self, other, strict=False):
-        """Z_p-inclusion other <= self (with scales)."""
+    def fit_exponent(self, other):
+        """Smallest j with other.scaled(j) <= self.  The rows of other times
+        the adjugate, over p^k, are the basis of other in the coordinates of
+        the basis of self, before the two scales."""
         if self.p != other.p:
             raise ValueError("mixed primes")
         n, k = self.adj_data()
-        shift = other.scale - self.scale - k
-        for row in matmul(other.rows, n):
-            for c in row:
-                if c and pval(c, self.p) + shift < 0:
-                    return False
-        if strict and self.index_exponent(other) == 0:
+        v = min(pval(c, self.p) for row in matmul(other.rows, n) for c in row if c)
+        return self.scale + k - other.scale - v
+
+    def contains(self, other, strict=False):
+        """Z_p-inclusion other <= self (with scales)."""
+        if self.fit_exponent(other) > 0:
             return False
-        return True
+        return not (strict and self.index_exponent(other) == 0)
 
     def index_exponent(self, other):
         """log_p of the lattice index [self : other] for other <= self."""
@@ -120,10 +120,6 @@ class Lattice:
         if det % self.p == 0:
             raise ValueError("transport requires a determinant prime to p")
         return self.right_multiplied(n)
-
-    def reduction_basis(self):
-        """Rows reduced mod p: a spanning set of L/pL in ambient coordinates."""
-        return tuple(tuple(c % self.p for c in row) for row in self.rows)
 
     def neighbors(self):
         """Homothety classes adjacent to this one: preimages of the proper
@@ -188,26 +184,28 @@ class PointedSimplex:
         return PointedSimplex((lat.homothety_rep(),))
 
     @staticmethod
+    def from_chain(lattices):
+        """The chain shifted so that its first lattice sits at scale 0."""
+        shift = lattices[0].scale
+        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lattices))
+
+    @staticmethod
     def from_homothety_chain(classes):
         """Scale each class into the unique pointed position, if the classes
-        do form a simplex."""
-        base = classes[0].homothety_rep()
-        chain = [base]
-        bound = sum(c.det_exponent for c in classes) + 2
-        prev = base
+        do form a simplex.
+
+        Each class goes to the smallest scale at which it fits inside the
+        previous lattice.  No larger scale works: strictly containing p M_0
+        there would make the class strictly contain M_0 at this scale, and
+        M_0 contains the previous lattice."""
+        chain = [classes[0].homothety_rep()]
         for cls in classes[1:]:
             rep = cls.homothety_rep()
-            fits = [
-                rep.scaled(j)
-                for j in range(-bound, bound + 1)
-                if prev.contains(rep.scaled(j), strict=True)
-                and rep.scaled(j).contains(base.scaled(1), strict=True)
-            ]
-            if len(fits) != 1:
-                raise ValueError("classes do not form a pointed simplex")
-            chain.append(fits[0])
-            prev = chain[-1]
-        return PointedSimplex(tuple(chain))
+            chain.append(rep.scaled(chain[-1].fit_exponent(rep)))
+        try:
+            return PointedSimplex(tuple(chain))
+        except ValueError:
+            raise ValueError("classes do not form a pointed simplex") from None
 
     def chain_mod_p(self):
         """Images of the chain in M_0/pM_0, as reduced-echelon bases in
@@ -282,9 +280,9 @@ class PointedSimplex:
 
     def rotate(self):
         """Move the point one step along the chain: [M_1, ..., M_k, p M_0]."""
-        lats = list(self.lattices[1:]) + [self.lattices[0].scaled(1)]
-        shift = lats[0].scale
-        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lats))
+        return PointedSimplex.from_chain(
+            self.lattices[1:] + (self.lattices[0].scaled(1),)
+        )
 
     def rotations(self):
         """All k+1 pointings of the same underlying simplex, starting here."""
@@ -300,14 +298,12 @@ class PointedSimplex:
         return other in self.rotations()
 
     def transport(self, g):
-        lats = [lat.transport(g) for lat in self.lattices]
-        shift = lats[0].scale
-        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lats))
+        return PointedSimplex.from_chain([lat.transport(g) for lat in self.lattices])
 
     def right_multiplied(self, m):
-        lats = [lat.right_multiplied(m) for lat in self.lattices]
-        shift = lats[0].scale
-        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lats))
+        return PointedSimplex.from_chain(
+            [lat.right_multiplied(m) for lat in self.lattices]
+        )
 
     def to_json(self):
         return {"chain": [lat.to_json() for lat in self.lattices]}

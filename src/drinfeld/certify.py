@@ -21,7 +21,6 @@ from .certificates import (
 )
 from .covers import (
     SymmetricSpacePoint,
-    member_open_cover,
     member_tube,
     point_in_tube,
     reduce_to_building,
@@ -35,10 +34,10 @@ from .projpoints import enumerate_points, point_count
 from .residues import (
     GLOBAL_SIGN,
     edges_at_vertex,
-    oracle_slope_table,
     pair_distribution,
     pairing_matrix,
     slope,
+    sweep_oracle,
 )
 
 
@@ -67,10 +66,6 @@ def _dual_pair(p, e=2, N=40):
     z1 = SymmetricSpacePoint([one, pi])
     z2 = SymmetricSpacePoint([one, pi + pi**3])
     return desc, z1, z2
-
-
-def _margin_ok(record):
-    return record["pass"]
 
 
 # --- criterion runners -------------------------------------------------------
@@ -155,15 +150,9 @@ def criterion_edge_residues(ps=None, ds=None, seed=0):
             rng = random.Random(seed * 1000 + 4)
             classes = enumerate_points(p, 1, d)
             edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
-            bad = 0
-            for edge in edges:
-                comb = {x: slope(x, edge) for x in classes}
-                orc = oracle_slope_table(edge, classes, rng=rng,
-                                         check_membership=False)
-                offsets = {comb[x] - orc[x] for x in classes}
-                in_range = max(comb.values()) - min(comb.values()) <= 1
-                if len(offsets) != 1 or not in_range:
-                    bad += 1
+            bad = sum(
+                not agrees for _, _, agrees in sweep_oracle(edges, classes, rng)
+            )
             a, b, c = classes[0], classes[1], classes[2]
             edge0 = edges[0]
             s = {x: slope(x, edge0) for x in (a, b, c)}
@@ -402,18 +391,11 @@ def _random_simplex_for(p, d, e, f, rng):
 def _proper_faces(sigma):
     if sigma.k == 0:
         return []
-    faces = []
     lats = sigma.lattices
-    for i in range(len(lats)):
-        shifted = lats[i].scaled(-lats[i].scale)
-        faces.append(PointedSimplex((shifted,)))
+    faces = [PointedSimplex.vertex(lat) for lat in lats]
     if sigma.k == 2:
-        for keep in ((0, 1), (1, 2), (0, 2)):
-            pair = [lats[i] for i in keep]
-            shift = pair[0].scale
-            faces.append(
-                PointedSimplex(tuple(l.scaled(-shift) for l in pair))
-            )
+        for i, j in ((0, 1), (1, 2), (0, 2)):
+            faces.append(PointedSimplex.from_chain((lats[i], lats[j])))
     return faces
 
 

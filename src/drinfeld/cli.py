@@ -44,7 +44,7 @@ from .intlinalg import gaussian_binomial, inv_scaled
 from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
 from .products import alpha_level, dlog_residue, evaluate_product
 from .projpoints import enumerate_points, point_count
-from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, pair_distribution, slope
+from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, pair_distribution, sweep_oracle
 
 LOG = logging.getLogger("drinfeld")
 
@@ -150,9 +150,8 @@ def _parse_chain(p, text, what="--edge"):
         else:
             lat = Lattice.from_rows(p, item)
         lats.append(lat)
-    shift = lats[0].scale
     try:
-        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lats))
+        return PointedSimplex.from_chain(lats)
     except ValueError as e:
         raise UsageError(f"{what} is not a valid chain: {e}")
 
@@ -196,9 +195,7 @@ def _ball_estimate(p, d, radius):
     return sum(degree**r for r in range(radius + 1))
 
 
-def cmd_building_ball(args):
-    _need(args, "p", "d", "radius")
-    _check_prime(args.p)
+def _check_ball_caps(args):
     _check_cap(args.radius, "DRINFELD_MAX_RADIUS", "radius")
     _check_cap(args.d, "DRINFELD_MAX_DIM", "dimension")
     _check_cap(
@@ -206,6 +203,12 @@ def cmd_building_ball(args):
         "DRINFELD_MAX_COUNT",
         "estimated vertex count",
     )
+
+
+def cmd_building_ball(args):
+    _need(args, "p", "d", "radius")
+    _check_prime(args.p)
+    _check_ball_caps(args)
     ball = Ball(Lattice.standard(args.p, args.d), args.radius)
     records = [
         {"p": args.p, "d": args.d, "radius": args.radius, **rec}
@@ -343,26 +346,21 @@ def cmd_lambda(args):
 def cmd_sweep_lambda(args):
     _need(args, "p", "d")
     _check_prime(args.p)
-    _check_cap(args.radius, "DRINFELD_MAX_RADIUS", "radius")
-    _check_cap(args.d, "DRINFELD_MAX_DIM", "dimension")
+    _check_ball_caps(args)
     rng = random.Random(args.seed)
     classes = enumerate_points(args.p, 1, args.d)
     edges = Ball(Lattice.standard(args.p, args.d), args.radius).pointed_edges()
-    records = []
-    disagreements = 0
-    for sigma in edges:
-        comb = {x: slope(x, sigma) for x in classes}
-        orc = oracle_slope_table(sigma, classes, e_oracle=args.e_oracle,
-                                 rng=rng, check_membership=False)
-        offsets = {comb[x] - orc[x] for x in classes}
-        agrees = len(offsets) == 1
-        if not agrees:
-            disagreements += 1
-        records.append({
+    records = [
+        {
             "edge": sigma.to_json()["chain"],
-            "slopes": {",".join(map(str, x.rep)): comb[x] for x in classes},
+            "slopes": {",".join(map(str, x.rep)): slopes[x] for x in classes},
             "agrees_with_oracle": agrees,
-        })
+        }
+        for sigma, slopes, agrees in sweep_oracle(
+            edges, classes, rng, e_oracle=args.e_oracle
+        )
+    ]
+    disagreements = sum(not r["agrees_with_oracle"] for r in records)
     records.append({
         "p": args.p, "d": args.d, "radius": args.radius,
         "edges": len(edges), "disagreements": disagreements,
@@ -643,7 +641,21 @@ def _build_parser():
     return parser
 
 
-def _merge_config(args):
+def _given_dests(argv):
+    """Dests that argv sets itself: argv parsed again with every default
+    suppressed, so a flag left out leaves no attribute behind."""
+    parser = _build_parser()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return set(vars(parser.parse_args(argv)))
+
+
+def _merge_config(args, argv):
+    """Fill every flag that argv leaves out from the config file."""
     path = getattr(args, "config", None)
     if not path:
         return
@@ -655,17 +667,24 @@ def _merge_config(args):
         table = data.get("drinfeld", data)
     else:
         ini = configparser.ConfigParser()
+        ini.optionxform = str  # keys are flag names, and --N is not --n
         if not ini.read(path):
             raise UsageError(f"cannot read config file {path}")
         if ini.has_section("drinfeld"):
             table = dict(ini.items("drinfeld"))
         else:
             table = dict(ini.defaults())
+    given = _given_dests(argv)
     for key, value in table.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
+        if not hasattr(args, dest) or dest in given:
             continue
-        if isinstance(value, str):
+        if isinstance(value, str) and isinstance(getattr(args, dest), bool):
+            states = configparser.ConfigParser.BOOLEAN_STATES
+            if value.lower() not in states:
+                raise UsageError(f"config key {key} must be a boolean")
+            value = states[value.lower()]
+        elif isinstance(value, str):
             try:
                 value = int(value)
             except ValueError:
@@ -676,13 +695,13 @@ def _merge_config(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
     try:
-        _merge_config(args)
+        _merge_config(args, argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+            format="%(levelname)s %(message)s",
+        )
         return args.handler(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

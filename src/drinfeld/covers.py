@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .building import Lattice, PointedSimplex
-from .intlinalg import inv_scaled, in_span_modp, rref_modp, matmul, pval
-from .padic import FieldElem, PrecisionError, linear_form, normalize_unimodular
+from .intlinalg import inv_scaled, in_span_modp, rref_modp, matmul
+from .padic import FieldElem, linear_form, normalize_unimodular
 from .projpoints import ProjPoint, enumerate_points
 
 MAX_CERTIFY_LEVEL = 6
@@ -142,10 +142,7 @@ def reduce_to_building(z, level=None, self_check=True):
             scale = p ** (m + shift)
             rows.append([scale * x for x in a.lift_vector()])
         lattices.append(Lattice.from_rows(p, rows, scale=-shift))
-    # normalize the pointing so the radius-0 lattice sits at scale 0
-    base_shift = lattices[0].scale
-    chain = tuple(lat.scaled(-base_shift) for lat in lattices)
-    simplex = PointedSimplex(chain)
+    simplex = PointedSimplex.from_chain(lattices)
     bounds = list(candidates) + [Fraction(1)]
     weights = tuple(bounds[i + 1] - bounds[i] for i in range(len(candidates)))
     result = BuildingPoint(simplex, weights, used)

@@ -30,10 +30,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def matmul(a, b):
     bt = list(zip(*b))
     return tuple(
@@ -44,11 +40,6 @@ def matmul(a, b):
 def vecmat(v, m):
     """Row vector times matrix."""
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
-def matvec(m, v):
-    """Matrix times column vector."""
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def det_int(mat):

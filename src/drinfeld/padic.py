@@ -98,10 +98,6 @@ class FieldDesc:
         """Pi-adic precision actually carried by a full coefficient vector."""
         return self.e * self.coeff_exponent
 
-    @property
-    def residue_cardinality(self):
-        return self.p**self.f
-
     def omega_power_table(self):
         """omega^t for t in [0, 2f-2] as integer vectors in basis omega^j."""
         return _omega_powers(self.p, self.f)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import matinv_mod, matmul, vecmat
+from .intlinalg import matinv_mod, vecmat
 
 
 def is_unimodular(p, vec):
@@ -151,10 +151,6 @@ def act(g, pt):
     n = pt.level
     ginv = matinv_mod(g, pt.p, n)
     return ProjPoint.make(pt.p, n, vecmat(pt.rep, ginv))
-
-
-def compose(g, h):
-    return matmul(g, h)
 
 
 def standard_basis_points(p, n, d):

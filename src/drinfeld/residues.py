@@ -133,10 +133,20 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
     return out
 
 
-def lambda_oracle(sigma, a, b, e_oracle=3, rng=None):
-    """Ground-truth edge residue from valuation sampling: slope(b)-slope(a)."""
-    table = oracle_slope_table(sigma, [a, b], e_oracle=e_oracle, rng=rng)
-    return table[b] - table[a]
+def sweep_oracle(edges, classes, rng, e_oracle=3):
+    """Check the slope table of each edge against the sampling oracle, which
+    draws from the shared rng edge after edge.
+
+    Yields (edge, slopes, agrees): the combinatorial slope of each class,
+    and whether it differs from the oracle's by one constant offset while
+    spanning at most one step."""
+    for edge in edges:
+        slopes = {x: slope(x, edge) for x in classes}
+        orc = oracle_slope_table(edge, classes, e_oracle=e_oracle, rng=rng,
+                                 check_membership=False)
+        offsets = {slopes[x] - orc[x] for x in classes}
+        in_range = max(slopes.values()) - min(slopes.values()) <= 1
+        yield edge, slopes, len(offsets) == 1 and in_range
 
 
 def pair_distribution(mu, sigma, require_local=True):
@@ -166,13 +176,10 @@ def edges_at_vertex(lattice):
     each is rescaled into the unique strict window between the vertex and
     its p-multiple before forming the chain."""
     base = lattice.homothety_rep()
-    edges = []
-    for nb in base.neighbors():
-        mid = nb
-        while not base.contains(mid):
-            mid = mid.scaled(1)
-        edges.append(PointedSimplex((base, mid)))
-    return tuple(edges)
+    return tuple(
+        PointedSimplex((base, nb.scaled(base.fit_exponent(nb))))
+        for nb in base.neighbors()
+    )
 
 
 def check_kirchhoff(lattice, a, b):

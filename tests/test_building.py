@@ -14,7 +14,7 @@ from drinfeld.building import (
     standard_simplex,
     tree_ball_size,
 )
-from drinfeld.intlinalg import gaussian_binomial, in_span_modp, matmul, rref_modp
+from drinfeld.intlinalg import gaussian_binomial, in_span_modp, matmul, pval, rref_modp
 from helpers import random_gl_integer, random_pointed_simplex, random_unimodular_integer
 
 
@@ -161,6 +161,98 @@ def test_from_homothety_chain_rejects_distant_pairs():
     far = [v for v in ball.vertices if ball.distance[v] == 2][0]
     with pytest.raises(ValueError):
         PointedSimplex.from_homothety_chain([Lattice.standard(2, 1), far])
+
+
+def entrywise_contains(big, small, strict=False):
+    """Reference inclusion test: every coordinate of small in big, scaled,
+    has nonnegative valuation."""
+    n, k = big.adj_data()
+    shift = small.scale - big.scale - k
+    for row in matmul(small.rows, n):
+        for c in row:
+            if c and pval(c, big.p) + shift < 0:
+                return False
+    return not (strict and big.index_exponent(small) == 0)
+
+
+def scan_homothety_chain(classes):
+    """Reference pointing: try every scaling within a bound and require
+    exactly one to sit strictly between the previous lattice and p M_0."""
+    base = classes[0].homothety_rep()
+    chain = [base]
+    bound = sum(c.det_exponent for c in classes) + 2
+    for cls in classes[1:]:
+        rep = cls.homothety_rep()
+        fits = [
+            rep.scaled(j)
+            for j in range(-bound, bound + 1)
+            if entrywise_contains(chain[-1], rep.scaled(j), strict=True)
+            and entrywise_contains(rep.scaled(j), base.scaled(1), strict=True)
+        ]
+        if len(fits) != 1:
+            raise ValueError("classes do not form a pointed simplex")
+        chain.append(fits[0])
+    return PointedSimplex(tuple(chain))
+
+
+def pointing_outcome(build, classes):
+    try:
+        return build(classes)
+    except ValueError as e:
+        return str(e)
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_from_homothety_chain_matches_scan(p, d, seed):
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng)
+    for pointed in sigma.rotations():
+        classes = [lat.homothety_rep() for lat in pointed.lattices]
+        assert PointedSimplex.from_homothety_chain(classes) == pointed
+        assert scan_homothety_chain(classes) == pointed
+    classes = [lat.homothety_rep() for lat in sigma.lattices]
+    rng.shuffle(classes)
+    assert pointing_outcome(PointedSimplex.from_homothety_chain, classes) == (
+        pointing_outcome(scan_homothety_chain, classes)
+    )
+
+
+@pytest.mark.parametrize("p,d,radius", [(2, 1, 3), (3, 1, 2), (2, 2, 1)])
+def test_from_homothety_chain_matches_scan_on_ball_pairs(p, d, radius):
+    ball = Ball(Lattice.standard(p, d), radius)
+    for a in ball.vertices:
+        for b in ball.vertices:
+            got = pointing_outcome(PointedSimplex.from_homothety_chain, [a, b])
+            assert got == pointing_outcome(scan_homothety_chain, [a, b])
+            if b in ball.adjacency[a]:
+                assert isinstance(got, PointedSimplex)
+            elif p == 2 and d == 1:
+                # in the tree every non-adjacent pair fails to be an edge
+                assert got == "classes do not form a pointed simplex"
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_fit_exponent_is_the_least_fitting_scale(p, d, seed):
+    rng = random.Random(seed)
+    big = random_pointed_simplex(p, d, rng).lattices[-1]
+    small = random_pointed_simplex(p, d, rng).lattices[0].scaled(rng.randint(-3, 3))
+    j = big.fit_exponent(small)
+    assert entrywise_contains(big, small.scaled(j))
+    assert not entrywise_contains(big, small.scaled(j - 1))
+    for lat in (small, small.scaled(j), small.scaled(j + 1)):
+        for strict in (False, True):
+            assert big.contains(lat, strict=strict) == entrywise_contains(
+                big, lat, strict=strict
+            )
+        assert big.contains(lat) == (big.fit_exponent(lat) <= 0)
 
 
 def test_pointed_edges_both_orientations():

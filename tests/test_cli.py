@@ -216,6 +216,40 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert len(records(out)) == 4
 
 
+def test_config_overrides_flag_defaults(capsys, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drinfeld]\nseed = 5\nN = 40\n")
+    dist = ("dist", "random", "--p", "3", "--d", "1", "--n", "2",
+            "--config", str(cfg))
+    (rec,) = records(run(capsys, *dist)[1])
+    assert rec["seed"] == 5
+    (rec,) = records(run(capsys, *dist, "--seed", "0")[1])
+    assert rec["seed"] == 0
+    tau = ("tau", "--p", "2", "--e", "2", "--coords", "[1, [0,1]]",
+           "--config", str(cfg))
+    (rec,) = records(run(capsys, *tau)[1])
+    assert rec["point"]["field"]["N"] == 40
+    (rec,) = records(run(capsys, *tau, "--N", "24")[1])
+    assert rec["point"]["field"]["N"] == 24
+    # a switch reads INI booleans, so "false" leaves it off
+    lam = ("lambda", "--p", "2", "--edge", "[[[1,0],[0,1]],[[2,0],[0,1]]]",
+           "--pair", "[[1,0],[0,1]]", "--config", str(cfg))
+    for text, on in (("false", False), ("yes", True)):
+        cfg.write_text(f"[drinfeld]\noracle = {text}\n")
+        (rec,) = records(run(capsys, *lam)[1])
+        assert ("oracle_value" in rec) == on
+    cfg.write_text("[drinfeld]\noracle = maybe\n")
+    assert run(capsys, *lam)[0] == 2
+
+
+def test_sweep_lambda_checks_the_ball_estimate(capsys, monkeypatch):
+    # the estimate for this ball is 15 vertices
+    monkeypatch.setenv("DRINFELD_MAX_COUNT", "10")
+    code, out = run(capsys, "sweep-lambda", "--p", "2", "--d", "2",
+                    "--radius", "1")
+    assert code == 2 and out == ""
+
+
 def test_out_file_sink(capsys, tmp_path):
     path = tmp_path / "pts.jsonl"
     code, out = run(capsys, "points", "--d", "1", "--p", "2", "--n", "1",

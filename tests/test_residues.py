@@ -19,6 +19,7 @@ from drinfeld.residues import (
     pair_distribution,
     required_level,
     slope,
+    sweep_oracle,
 )
 
 from helpers import random_pointed_simplex
@@ -169,6 +170,38 @@ def test_edges_at_vertex_off_origin():
         assert sigma.lattices[0] == vertex.homothety_rep()
 
 
+def stepped_edges_at_vertex(lattice):
+    """Reference: raise each neighbor one scale step at a time until the
+    vertex contains it."""
+    base = lattice.homothety_rep()
+    edges = []
+    for nb in base.neighbors():
+        mid = nb
+        while not base.contains(mid):
+            mid = mid.scaled(1)
+        edges.append(PointedSimplex((base, mid)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize(
+    "p,d,radius", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 1), (3, 2, 1)]
+)
+def test_edges_at_vertex_matches_stepping_on_balls(p, d, radius):
+    for vertex in Ball(Lattice.standard(p, d), radius).vertices:
+        assert edges_at_vertex(vertex) == stepped_edges_at_vertex(vertex)
+
+
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_edges_at_vertex_matches_stepping_on_random_vertices(pd, seed):
+    p, d = pd
+    rng = random.Random(seed)
+    vertex = random_pointed_simplex(p, d, rng).lattices[-1]
+    assert edges_at_vertex(vertex) == stepped_edges_at_vertex(vertex)
+
+
 def test_kirchhoff_at_standard_and_moved_vertices():
     for p in (2, 3):
         classes = enumerate_points(p, 1, 1)
@@ -216,6 +249,29 @@ def test_oracle_matches_on_moved_and_higher_rank_edges():
         table = oracle_slope_table(sigma, classes, rng=rng, check_membership=False)
         offsets = {slope(x, sigma) - table[x] for x in classes}
         assert len(offsets) == 1, sigma.to_json()
+
+
+@given(st.sampled_from([(2, 1), (3, 1)]), st.integers(min_value=0, max_value=10**6))
+def test_sweep_oracle_matches_hand_written_loop(pd, seed):
+    p, d = pd
+    classes = enumerate_points(p, 1, d)
+    edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
+    rng = random.Random(seed)
+    expected = []
+    for edge in edges:
+        comb = {x: slope(x, edge) for x in classes}
+        orc = oracle_slope_table(edge, classes, rng=rng, check_membership=False)
+        expected.append(
+            len({comb[x] - orc[x] for x in classes}) == 1
+            and max(comb.values()) - min(comb.values()) <= 1
+        )
+    swept_rng = random.Random(seed)
+    swept = list(sweep_oracle(edges, classes, swept_rng))
+    assert [agrees for _, _, agrees in swept] == expected
+    assert [edge for edge, _, _ in swept] == edges
+    for edge, slopes, _ in swept:
+        assert slopes == {x: slope(x, edge) for x in classes}
+    assert swept_rng.getstate() == rng.getstate()
 
 
 def test_oracle_validates_field_shape():
