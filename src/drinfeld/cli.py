@@ -285,6 +285,7 @@ def cmd_dist_random(args):
     _need(args, "p", "d", "n")
     _check_prime(args.p)
     _check_cap(args.n, "DRINFELD_MAX_LEVEL", "level")
+    _check_cap(args.size, "DRINFELD_MAX_COUNT", "support size")
     rng = random.Random(args.seed)
     mu = random_mass_zero(args.p, args.n, args.d, rng,
                           size=args.size, coeff_bound=args.coeff_bound)
@@ -389,6 +390,7 @@ def cmd_alpha_converge(args):
     if not args.i < args.n < args.nprime:
         raise UsageError("need --i < --n < --nprime")
     _check_cap(args.nprime, "DRINFELD_MAX_LEVEL", "level")
+    _check_cap(args.families, "DRINFELD_MAX_COUNT", "family count")
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []
@@ -427,6 +429,7 @@ def cmd_alpha_residue(args):
 def cmd_alpha_equivariance(args):
     _need(args, "p")
     _check_prime(args.p)
+    _check_cap(args.translates, "DRINFELD_MAX_COUNT", "translate count")
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []

@@ -186,27 +186,31 @@ def rank_int(rows):
     return len(snf_divisors(rows))
 
 
-def matinv_mod(mat, p, k):
-    """Inverse of an integer matrix modulo p^k.  Requires det(mat) a unit mod p."""
+def solve_mod(mat, rhs, p, k):
+    """X with mat . X = rhs modulo p^k, by Gauss-Jordan elimination; rhs is
+    an n x m matrix.  Requires det(mat) a unit mod p."""
     n = len(mat)
     mod = p**k
-    a = [[mat[i][j] % mod for j in range(n)] for i in range(n)]
-    inv = [list(row) for row in identity(n)]
+    a = [[x % mod for x in row] + [x % mod for x in b] for row, b in zip(mat, rhs)]
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col] % p != 0), None)
         if piv is None:
             raise ValueError("matrix is not invertible mod p")
         a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
         s = pow(a[col][col], -1, mod)
-        a[col] = [(s * x) % mod for x in a[col]]
-        inv[col] = [(s * x) % mod for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % mod for x, y in zip(a[i], a[col])]
-                inv[i] = [(x - f * y) % mod for x, y in zip(inv[i], inv[col])]
-    return tuple(tuple(row) for row in inv)
+        # columns left of col vanish in the pivot row, so only the tail moves
+        tail = [(s * x) % mod for x in a[col][col:]]
+        a[col][col:] = tail
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != col:
+                row[col:] = [(x - f * y) % mod for x, y in zip(row[col:], tail)]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def matinv_mod(mat, p, k):
+    """Inverse of an integer matrix modulo p^k.  Requires det(mat) a unit mod p."""
+    return solve_mod(mat, identity(len(mat)), p, k)
 
 
 # ---------------------------------------------------------------------------

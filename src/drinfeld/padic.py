@@ -13,6 +13,10 @@ contributions i/e have distinct fractional parts, so
 holds exactly whenever the minimum is attained by a trusted digit.
 Comparisons that the stored digits cannot resolve raise PrecisionError
 rather than guessing.
+
+Division extracts the unit part of the divisor (its polynomial part over
+pi^v) and inverts it with one linear solve mod p^coeff_exponent against
+its multiplication matrix; a rational-integer unit is inverted by pow().
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .intlinalg import solve_mod
 
 MAX_E = 4
 MAX_F = 3
@@ -112,10 +118,7 @@ def _omega_powers(p, f):
     if f > 1:
         low = unramified_min_poly(p, f)
         for _ in range(f - 1):
-            prev = rows[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            rows.append(tuple(s - top * c for s, c in zip(shifted, low)))
+            rows.append(tuple(_omega_step(rows[-1], low)))
     return tuple(rows)
 
 
@@ -323,7 +326,7 @@ class FieldElem:
         if self.exact_zero:
             return FieldElem.zero(desc)
         unit_coeffs, unit_prec = _extract_unit(desc, other.coeffs, other.prec, v)
-        inv = _newton_inverse(desc, unit_coeffs)
+        inv = _unit_inverse(desc, unit_coeffs)
         coeffs = _poly_mul(desc, self.coeffs, inv)
         return FieldElem(
             desc,
@@ -438,69 +441,45 @@ def _extract_unit(desc, coeffs, prec, v):
     return tuple(c % mod for row in rows for c in row), prec - v
 
 
-def _residue_inverse(desc, row0):
-    """Inverse of a nonzero residue-field element, as a length-f vector."""
-    p, f = desc.p, desc.f
-    if f == 1:
-        return (pow(row0[0] % p, -1, p),)
-    # tiny field: invert by exponentiation x^(p^f - 2)
-    table = desc.omega_power_table()
-
-    def fmul(a, b):
-        wide = [0] * (2 * f - 1)
-        for j1, c1 in enumerate(a):
-            if c1:
-                for j2, c2 in enumerate(b):
-                    if c2:
-                        wide[j1 + j2] += c1 * c2
-        out = [0] * f
-        for t in range(2 * f - 1):
-            if wide[t]:
-                for j, w in enumerate(table[t]):
-                    out[j] += wide[t] * w
-        return tuple(c % p for c in out)
-
-    base = tuple(c % p for c in row0)
-    acc = tuple(1 if j == 0 else 0 for j in range(f))
-    k = p**f - 2
-    sq = base
-    while k:
-        if k & 1:
-            acc = fmul(acc, sq)
-        sq = fmul(sq, sq)
-        k >>= 1
-    return acc
+def _omega_step(block, low):
+    """omega * (sum_j block[j] omega^j) in the basis omega^j, unreduced;
+    low holds the low-order coefficients of the omega minimal polynomial."""
+    top = block[-1]
+    return [s - top * c for s, c in zip([0, *block[:-1]], low)]
 
 
-def _newton_inverse(desc, unit_coeffs):
-    """Inverse of a unit polynomial part modulo pi^work_prec."""
-    if not any(c % desc.p for c in unit_coeffs[:desc.f]):
+def _times_omega(desc, coeffs):
+    """Multiply a coefficient vector by omega."""
+    f, mod = desc.f, desc.coeff_modulus
+    low = unramified_min_poly(desc.p, f)
+    out = []
+    for i in range(0, len(coeffs), f):
+        out.extend(c % mod for c in _omega_step(coeffs[i : i + f], low))
+    return tuple(out)
+
+
+def _unit_inverse(desc, unit_coeffs):
+    """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
+    with u*x = 1, from one linear solve mod p^coeff_exponent whose column t
+    is u*pi^i*omega^j (t = i*f + j)."""
+    p, e, f = desc.p, desc.e, desc.f
+    if not any(c % p for c in unit_coeffs[:f]):
         raise PrecisionError("inverse of a non-unit")
     if not any(unit_coeffs[1:]):
-        # a rational integer unit: its inverse modulo p^coeff_exponent is
-        # unique, so it is exactly what the Newton loop converges to
+        # a rational integer unit needs no solve
         inv = pow(unit_coeffs[0], -1, desc.coeff_modulus)
-        return (inv,) + (0,) * (desc.e * desc.f - 1)
-    return _newton_lift(desc, unit_coeffs)
-
-
-def _newton_lift(desc, unit_coeffs):
-    """Newton iteration b <- b (2 - u b) from the residue-field inverse,
-    doubling the known pi-digits up to work_prec."""
-    e, f = desc.e, desc.f
-    b = [0] * (e * f)
-    for j, c in enumerate(_residue_inverse(desc, unit_coeffs[:f])):
-        b[j] = c
-    b = tuple(b)
-    two = FieldElem.from_int(desc, 2).coeffs
-    mod = desc.coeff_modulus
-    known = 1
-    while known < desc.work_prec:
-        ub = _poly_mul(desc, unit_coeffs, b)
-        corr = tuple((t - u) % mod for t, u in zip(two, ub))
-        b = _poly_mul(desc, b, corr)
-        known *= 2
-    return b
+        return (inv,) + (0,) * (e * f - 1)
+    columns = []
+    u_pi = unit_coeffs
+    for i in range(e):
+        if i:
+            u_pi = _shift_poly(desc, u_pi, 1)
+        columns.append(u_pi)
+        for _ in range(f - 1):
+            columns.append(_times_omega(desc, columns[-1]))
+    rhs = [(1,)] + [(0,)] * (e * f - 1)
+    x = solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
+    return tuple(row[0] for row in x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from drinfeld.building import standard_simplex
 from drinfeld.intlinalg import det_int
+from drinfeld.padic import FieldElem, _poly_mul
 
 
 def random_gl_integer(size, rng, p=None, bound=4):
@@ -56,3 +57,60 @@ def random_pointed_simplex(p, d, rng, type_vector=None, bound=None):
         ]
         if det_int(f):
             return std.right_multiplied(f)
+
+
+# Reference unit inverse: the Newton loop that padic replaced by one linear
+# solve mod p^coeff_exponent; the inverse is unique, so both must agree.
+
+
+def _residue_inverse(desc, row0):
+    """Inverse of a nonzero residue-field element, as a length-f vector."""
+    p, f = desc.p, desc.f
+    if f == 1:
+        return (pow(row0[0] % p, -1, p),)
+    # tiny field: invert by exponentiation x^(p^f - 2)
+    table = desc.omega_power_table()
+
+    def fmul(a, b):
+        wide = [0] * (2 * f - 1)
+        for j1, c1 in enumerate(a):
+            if c1:
+                for j2, c2 in enumerate(b):
+                    if c2:
+                        wide[j1 + j2] += c1 * c2
+        out = [0] * f
+        for t in range(2 * f - 1):
+            if wide[t]:
+                for j, w in enumerate(table[t]):
+                    out[j] += wide[t] * w
+        return tuple(c % p for c in out)
+
+    base = tuple(c % p for c in row0)
+    acc = tuple(1 if j == 0 else 0 for j in range(f))
+    k = p**f - 2
+    sq = base
+    while k:
+        if k & 1:
+            acc = fmul(acc, sq)
+        sq = fmul(sq, sq)
+        k >>= 1
+    return acc
+
+
+def _newton_lift(desc, unit_coeffs):
+    """Newton iteration b <- b (2 - u b) from the residue-field inverse,
+    doubling the known pi-digits up to work_prec."""
+    e, f = desc.e, desc.f
+    b = [0] * (e * f)
+    for j, c in enumerate(_residue_inverse(desc, unit_coeffs[:f])):
+        b[j] = c
+    b = tuple(b)
+    two = FieldElem.from_int(desc, 2).coeffs
+    mod = desc.coeff_modulus
+    known = 1
+    while known < desc.work_prec:
+        ub = _poly_mul(desc, unit_coeffs, b)
+        corr = tuple((t - u) % mod for t, u in zip(two, ub))
+        b = _poly_mul(desc, b, corr)
+        known *= 2
+    return b

@@ -250,6 +250,33 @@ def test_sweep_lambda_checks_the_ball_estimate(capsys, monkeypatch):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("dist", "random", "--p", "3", "--d", "1", "--n", "2", "--size", "3"),
+    ("alpha", "converge", "--p", "2", "--families", "3"),
+    ("alpha", "equivariance", "--p", "3", "--translates", "3"),
+])
+def test_count_flags_are_capped_before_work(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DRINFELD_MAX_COUNT", "2")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr("drinfeld.cli.random_mass_zero", no_work)
+    monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_count_flags_at_the_cap_run(capsys, monkeypatch):
+    monkeypatch.setenv("DRINFELD_MAX_COUNT", "2")
+    code, out = run(capsys, "dist", "random", "--p", "3", "--d", "1",
+                    "--n", "2", "--size", "2")
+    assert code == 0 and len(records(out)) == 1
+    code, out = run(capsys, "alpha", "equivariance", "--p", "3",
+                    "--translates", "2")
+    assert code == 0 and len(records(out)) == 2
+
+
 def test_out_file_sink(capsys, tmp_path):
     path = tmp_path / "pts.jsonl"
     code, out = run(capsys, "points", "--d", "1", "--p", "2", "--n", "1",

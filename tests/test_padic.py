@@ -10,12 +10,13 @@ from drinfeld.padic import (
     FieldDesc,
     FieldElem,
     PrecisionError,
-    _newton_inverse,
-    _newton_lift,
+    _poly_mul,
+    _unit_inverse,
     linear_form,
     normalize_unimodular,
     unramified_min_poly,
 )
+from helpers import _newton_lift
 
 
 def random_elem(desc, rng, allow_zero=True):
@@ -244,7 +245,38 @@ def test_integer_unit_inverse_matches_newton(desc, n):
     if n % desc.p == 0:
         n += 1
     unit = (n % desc.coeff_modulus,) + (0,) * (desc.e * desc.f - 1)
-    assert _newton_inverse(desc, unit) == _newton_lift(desc, unit)
+    assert _unit_inverse(desc, unit) == _newton_lift(desc, unit)
+
+
+@st.composite
+def units(draw):
+    """A field shape and a unit coefficient vector: a nonzero residue in
+    row 0 and arbitrary digits elsewhere, so higher pi and omega digits
+    occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(min_value=1, max_value=4))
+    f = draw(st.integers(min_value=1, max_value=3))
+    N = 2 * e + draw(st.integers(min_value=0, max_value=60))
+    desc = FieldDesc(p=p, e=e, f=f, N=N)
+    mod = desc.coeff_modulus
+    coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=e * f, max_size=e * f))
+    residue = draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f).filter(any))
+    for j, r in enumerate(residue):
+        coeffs[j] += r - coeffs[j] % p
+    return desc, tuple(coeffs)
+
+
+@given(units())
+def test_unit_inverse_matches_newton(case):
+    desc, unit = case
+    inv = _unit_inverse(desc, unit)
+    assert inv == _newton_lift(desc, unit)
+    assert _poly_mul(desc, unit, inv) == (1,) + (0,) * (desc.e * desc.f - 1)
+    # a non-unit: the same digits with the residue row divisible by p
+    f, mod = desc.f, desc.coeff_modulus
+    non_unit = tuple((desc.p * c) % mod if t < f else c for t, c in enumerate(unit))
+    with pytest.raises(PrecisionError):
+        _unit_inverse(desc, non_unit)
 
 
 def _normalize_by_division(vec):
