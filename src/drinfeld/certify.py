@@ -272,53 +272,41 @@ def criterion_restriction(ps=None, ds=None, seed=0, families=20):
     }
 
 
+def _round_trip_check(p, d, edges):
+    """Compare the dlog residue of every basis product with the slope
+    pairing on every edge."""
+    basis = basis_mass_zero(p, 1, d)
+    mismatches = 0
+    for mu in basis:
+        u = alpha_level(mu)
+        for edge in edges:
+            left = dlog_residue(u, edge, require_local=False)
+            right = GLOBAL_SIGN * pair_distribution(mu, edge,
+                                                    require_local=False)
+            if left != right:
+                mismatches += 1
+    return {
+        "p": p, "d": d,
+        "basis": len(basis),
+        "edges": len(edges),
+        "mismatches": mismatches,
+        "pass": mismatches == 0,
+    }
+
+
 def criterion_residue_round_trip(ps=None, ds=None, seed=0):
     checks = []
     for p in _keep((2, 3), ps) if _keep((1,), ds) else []:
-        basis = basis_mass_zero(p, 1, 1)
         edges = Ball(Lattice.standard(p, 1), 2).pointed_edges()
-        mismatches = 0
-        for mu in basis:
-            u = alpha_level(mu)
-            for edge in edges:
-                left = dlog_residue(u, edge, require_local=False)
-                right = GLOBAL_SIGN * pair_distribution(
-                    mu, edge, require_local=False
-                )
-                if left != right:
-                    mismatches += 1
-        checks.append({
-            "p": p, "d": 1,
-            "basis": len(basis),
-            "edges": len(edges),
-            "mismatches": mismatches,
-            "pass": mismatches == 0,
-        })
+        checks.append(_round_trip_check(p, 1, edges))
     if _keep((2,), ds) and _keep((2,), ps):
         rng = random.Random(seed * 1000 + 8)
-        basis = basis_mass_zero(2, 1, 2)
         edges = []
         for tv in ((1, 2), (2, 1)):
             base = standard_simplex(2, tv)
             edges.append(base)
             edges.append(base.right_multiplied(random_unimodular(3, rng)))
-        mismatches = 0
-        for mu in basis:
-            u = alpha_level(mu)
-            for edge in edges:
-                left = dlog_residue(u, edge, require_local=False)
-                right = GLOBAL_SIGN * pair_distribution(
-                    mu, edge, require_local=False
-                )
-                if left != right:
-                    mismatches += 1
-        checks.append({
-            "p": 2, "d": 2,
-            "basis": len(basis),
-            "edges": len(edges),
-            "mismatches": mismatches,
-            "pass": mismatches == 0,
-        })
+        checks.append(_round_trip_check(2, 2, edges))
     return {
         "criterion": 8,
         "name": "residue-round-trip",
@@ -454,33 +442,39 @@ def criterion_reduction_cross_validation(ps=None, ds=None, seed=0,
     }
 
 
+def _translate_check(p, d, z1, z2, translates, rng):
+    """Equivariance certificates and exact transport of the reduction map
+    under random unimodular translates g."""
+    base1 = reduce_to_building(z1)
+    cert_failures = 0
+    tau_failures = 0
+    for _ in range(translates):
+        g = random_unimodular(d + 1, rng)
+        ginv, _ = inv_scaled(g)
+        mu = random_mass_zero(p, 2, d, rng)
+        rec = equivariance_certificate(g, ginv, mu, z1, z2, 1)
+        if not rec["pass"]:
+            cert_failures += 1
+        moved = reduce_to_building(z1.apply_matrix(g))
+        expected = base1.simplex.transport(g)
+        if moved.simplex != expected or moved.weights != base1.weights:
+            tau_failures += 1
+    return {
+        "p": p, "d": d,
+        "translates": translates,
+        "certificate_failures": cert_failures,
+        "tau_failures": tau_failures,
+        "pass": cert_failures == 0 and tau_failures == 0,
+    }
+
+
 def criterion_equivariance(ps=None, ds=None, seed=0, translates=50):
     checks = []
     if _keep((1,), ds):
         for p in _keep((2, 3), ps):
             rng = random.Random(seed * 1000 + 11 + p)
-            desc, z1, z2 = _dual_pair(p)
-            base1 = reduce_to_building(z1)
-            cert_failures = 0
-            tau_failures = 0
-            for _ in range(translates):
-                g = random_unimodular(2, rng)
-                ginv, _ = inv_scaled(g)
-                mu = random_mass_zero(p, 2, 1, rng)
-                rec = equivariance_certificate(g, ginv, mu, z1, z2, 1)
-                if not rec["pass"]:
-                    cert_failures += 1
-                moved = reduce_to_building(z1.apply_matrix(g))
-                expected = base1.simplex.transport(g)
-                if moved.simplex != expected or moved.weights != base1.weights:
-                    tau_failures += 1
-            checks.append({
-                "p": p, "d": 1,
-                "translates": translates,
-                "certificate_failures": cert_failures,
-                "tau_failures": tau_failures,
-                "pass": cert_failures == 0 and tau_failures == 0,
-            })
+            _, z1, z2 = _dual_pair(p)
+            checks.append(_translate_check(p, 1, z1, z2, translates, rng))
     if _keep((2,), ds) and _keep((2,), ps):
         rng = random.Random(seed * 1000 + 11)
         # size-3 transports stack several deep section cancellations, so
@@ -490,27 +484,7 @@ def criterion_equivariance(ps=None, ds=None, seed=0, translates=50):
         one = FieldElem.one(desc)
         z1 = SymmetricSpacePoint([one, pi, pi * pi])
         z2 = SymmetricSpacePoint([one, pi + pi**4, pi * pi])
-        base1 = reduce_to_building(z1)
-        cert_failures = 0
-        tau_failures = 0
-        for _ in range(10):
-            g = random_unimodular(3, rng)
-            ginv, _ = inv_scaled(g)
-            mu = random_mass_zero(2, 2, 2, rng)
-            rec = equivariance_certificate(g, ginv, mu, z1, z2, 1)
-            if not rec["pass"]:
-                cert_failures += 1
-            moved = reduce_to_building(z1.apply_matrix(g))
-            expected = base1.simplex.transport(g)
-            if moved.simplex != expected or moved.weights != base1.weights:
-                tau_failures += 1
-        checks.append({
-            "p": 2, "d": 2,
-            "translates": 10,
-            "certificate_failures": cert_failures,
-            "tau_failures": tau_failures,
-            "pass": cert_failures == 0 and tau_failures == 0,
-        })
+        checks.append(_translate_check(2, 2, z1, z2, 10, rng))
     return {
         "criterion": 11,
         "name": "equivariance",

@@ -5,9 +5,11 @@ bundle.
 
 Records go to stdout (or --out); logs go to stderr.  Every record carries
 the parameters that produced it, and re-running a command with the same
-arguments reproduces the bytes exactly.  Resource caps are read from
-DRINFELD_MAX_* environment variables and are checked against cardinality
-estimates before any enumeration starts."""
+arguments reproduces the bytes exactly.  Every command, its flags, their
+defaults and their caps are declared once in the command table at the end
+of this module.  Resource caps are read from DRINFELD_MAX_* environment
+variables and are checked, with the cardinality estimates, before any
+enumeration starts."""
 
 from __future__ import annotations
 
@@ -70,17 +72,6 @@ def _cap(name):
         raise UsageError(f"{name} must be an integer, got {raw!r}")
 
 
-def _need(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"missing --{name.replace('_', '-')}")
-
-
-def _check_prime(p):
-    if not is_prime(p):
-        raise UsageError(f"--p must be a prime number, got {p}")
-
-
 def _check_cap(value, cap_name, what):
     cap = _cap(cap_name)
     if value > cap:
@@ -92,7 +83,7 @@ def _check_cap(value, cap_name, what):
 
 def _emit(args, records):
     text = "".join(json.dumps(r) + "\n" for r in records)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
         LOG.info("wrote %d records to %s", len(records), args.out)
@@ -128,8 +119,6 @@ def _parse_coord(desc, ob):
 
 
 def _parse_point(args):
-    _need(args, "p", "coords")
-    _check_prime(args.p)
     desc = _field_desc(args)
     parsed = _load_json_arg(args.coords, "--coords")
     if not isinstance(parsed, list) or len(parsed) < 2:
@@ -157,9 +146,9 @@ def _parse_chain(p, text, what="--edge"):
 
 
 def _load_distribution(args):
-    if getattr(args, "dist", None):
+    if args.dist:
         obj = _load_json_arg(args.dist, "--dist")
-    elif getattr(args, "infile", None):
+    elif args.infile:
         with open(args.infile) as fh:
             obj = json.load(fh)
     else:
@@ -174,10 +163,6 @@ def _load_distribution(args):
 
 
 def cmd_points(args):
-    _need(args, "p", "d", "n")
-    _check_prime(args.p)
-    _check_cap(args.n, "DRINFELD_MAX_LEVEL", "level")
-    _check_cap(args.d, "DRINFELD_MAX_DIM", "dimension")
     estimate = point_count(args.p, args.n, args.d)
     _check_cap(estimate, "DRINFELD_MAX_COUNT", "estimated point count")
     records = [
@@ -188,27 +173,17 @@ def cmd_points(args):
     return 0
 
 
-def _ball_estimate(p, d, radius):
+def _check_ball_estimate(p, d, radius):
     if d == 1:
-        return tree_ball_size(p, radius)
-    degree = sum(gaussian_binomial(d + 1, k, p) for k in range(1, d + 1))
-    return sum(degree**r for r in range(radius + 1))
-
-
-def _check_ball_caps(args):
-    _check_cap(args.radius, "DRINFELD_MAX_RADIUS", "radius")
-    _check_cap(args.d, "DRINFELD_MAX_DIM", "dimension")
-    _check_cap(
-        _ball_estimate(args.p, args.d, args.radius),
-        "DRINFELD_MAX_COUNT",
-        "estimated vertex count",
-    )
+        estimate = tree_ball_size(p, radius)
+    else:
+        degree = sum(gaussian_binomial(d + 1, k, p) for k in range(1, d + 1))
+        estimate = sum(degree**r for r in range(radius + 1))
+    _check_cap(estimate, "DRINFELD_MAX_COUNT", "estimated vertex count")
 
 
 def cmd_building_ball(args):
-    _need(args, "p", "d", "radius")
-    _check_prime(args.p)
-    _check_ball_caps(args)
+    _check_ball_estimate(args.p, args.d, args.radius)
     ball = Ball(Lattice.standard(args.p, args.d), args.radius)
     records = [
         {"p": args.p, "d": args.d, "radius": args.radius, **rec}
@@ -231,8 +206,6 @@ def cmd_building_ball(args):
 
 
 def cmd_building_neighbors(args):
-    _need(args, "p", "vertex")
-    _check_prime(args.p)
     rows = _load_json_arg(args.vertex, "--vertex")
     vertex = Lattice.from_rows(args.p, rows).homothety_rep()
     records = [
@@ -248,8 +221,6 @@ def cmd_building_neighbors(args):
 
 
 def cmd_building_type(args):
-    _need(args, "p", "chain")
-    _check_prime(args.p)
     sigma = _parse_chain(args.p, args.chain, "--chain")
     _emit(args, [{
         "p": args.p,
@@ -269,9 +240,7 @@ def cmd_tau(args):
 
 
 def cmd_cover(args):
-    _need(args, "n")
     z = _parse_point(args)
-    _check_cap(args.n, "DRINFELD_MAX_LEVEL", "level")
     _emit(args, [{
         "point": z.to_json(),
         "n": args.n,
@@ -282,10 +251,6 @@ def cmd_cover(args):
 
 
 def cmd_dist_random(args):
-    _need(args, "p", "d", "n")
-    _check_prime(args.p)
-    _check_cap(args.n, "DRINFELD_MAX_LEVEL", "level")
-    _check_cap(args.size, "DRINFELD_MAX_COUNT", "support size")
     rng = random.Random(args.seed)
     mu = random_mass_zero(args.p, args.n, args.d, rng,
                           size=args.size, coeff_bound=args.coeff_bound)
@@ -294,8 +259,6 @@ def cmd_dist_random(args):
 
 
 def cmd_dist_push(args):
-    _need(args, "p", "d", "to")
-    _check_prime(args.p)
     mu = _load_distribution(args)
     if not 1 <= args.to <= mu.level:
         raise UsageError(f"--to must be between 1 and the level {mu.level}")
@@ -305,7 +268,6 @@ def cmd_dist_push(args):
 
 
 def cmd_dist_check(args):
-    _need(args, "p", "d")
     try:
         mu = _load_distribution(args)
     except UsageError as e:
@@ -320,8 +282,6 @@ def cmd_dist_check(args):
 
 
 def cmd_lambda(args):
-    _need(args, "p", "edge", "pair")
-    _check_prime(args.p)
     sigma = _parse_chain(args.p, args.edge)
     pair = _load_json_arg(args.pair, "--pair")
     if not (isinstance(pair, list) and len(pair) == 2):
@@ -345,9 +305,7 @@ def cmd_lambda(args):
 
 
 def cmd_sweep_lambda(args):
-    _need(args, "p", "d")
-    _check_prime(args.p)
-    _check_ball_caps(args)
+    _check_ball_estimate(args.p, args.d, args.radius)
     rng = random.Random(args.seed)
     classes = enumerate_points(args.p, 1, args.d)
     edges = Ball(Lattice.standard(args.p, args.d), args.radius).pointed_edges()
@@ -371,7 +329,6 @@ def cmd_sweep_lambda(args):
 
 
 def cmd_alpha_eval(args):
-    _need(args, "p", "d")
     mu = _load_distribution(args)
     z = _parse_point(args)
     u = alpha_level(mu, rep_system=args.rep_system)
@@ -385,12 +342,8 @@ def cmd_alpha_eval(args):
 
 
 def cmd_alpha_converge(args):
-    _need(args, "p")
-    _check_prime(args.p)
     if not args.i < args.n < args.nprime:
         raise UsageError("need --i < --n < --nprime")
-    _check_cap(args.nprime, "DRINFELD_MAX_LEVEL", "level")
-    _check_cap(args.families, "DRINFELD_MAX_COUNT", "family count")
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []
@@ -408,8 +361,6 @@ def cmd_alpha_converge(args):
 
 
 def cmd_alpha_residue(args):
-    _need(args, "p", "d", "edge")
-    _check_prime(args.p)
     mu = _load_distribution(args)
     sigma = _parse_chain(args.p, args.edge)
     require_local = not args.allow_shallow
@@ -427,9 +378,6 @@ def cmd_alpha_residue(args):
 
 
 def cmd_alpha_equivariance(args):
-    _need(args, "p")
-    _check_prime(args.p)
-    _check_cap(args.translates, "DRINFELD_MAX_COUNT", "translate count")
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []
@@ -445,8 +393,6 @@ def cmd_alpha_equivariance(args):
 
 
 def cmd_certify_all(args):
-    if args.p is not None:
-        _check_prime(args.p)
     started = time.monotonic()
     bundle = certify.run_all(
         ps=None if args.p is None else {args.p},
@@ -468,241 +414,213 @@ def cmd_certify_all(args):
     return 0 if bundle["all_pass"] else 1
 
 
-# --- parser construction -----------------------------------------------------
+# --- command table -----------------------------------------------------------
 
+# Every flag once: its add_argument keywords.  Each command below picks its
+# flags from here and gives each a default, or REQUIRED.
+FLAGS = {
+    "config": {"help": "INI (or TOML) file with a [drinfeld] section "
+               "mirroring the flags"},
+    "out": {"help": "write records to this file instead of stdout"},
+    "verbose": {"action": "store_true", "help": "log progress to stderr"},
+    "p": {"type": int},
+    "d": {"type": int},
+    "n": {"type": int},
+    "radius": {"type": int},
+    "dot": {"help": "also write a DOT graph to this file"},
+    "vertex": {"help": "JSON row matrix spanning the lattice"},
+    "chain": {"help": "JSON chain of lattices"},
+    "coords": {"help": "JSON list of coordinates; each is an integer, a "
+               "digit list, or {coeffs, shift}"},
+    "e": {"type": int, "help": "ramification index"},
+    "f": {"type": int, "help": "residue degree"},
+    "N": {"type": int, "help": "working digits"},
+    "level": {"type": int, "help": "certify at this level instead of "
+              "searching"},
+    "seed": {"type": int},
+    "size": {"type": int},
+    "coeff-bound": {"type": int},
+    "dist": {"help": "distribution JSON literal"},
+    "in": {"dest": "infile", "help": "distribution JSON file"},
+    "to": {"type": int},
+    "edge": {"help": "JSON chain of two lattices"},
+    "pair": {"help": "JSON list of two integer covector lifts"},
+    "oracle": {"action": "store_true",
+               "help": "cross-check against the sampling oracle"},
+    "e-oracle": {"type": int},
+    "certified-level": {"type": int},
+    "rep-system": {"choices": ("lex", "revlex")},
+    "i": {"type": int},
+    "nprime": {"type": int},
+    "families": {"type": int},
+    "translates": {"type": int},
+    "allow-shallow": {"action": "store_true",
+                      "help": "skip the locality level guard"},
+}
 
-def _add_point_flags(sub):
-    sub.add_argument("--coords", help="JSON list of coordinates; each is an "
-                     "integer, a digit list, or {coeffs, shift}")
-    sub.add_argument("--e", type=int, default=1, help="ramification index")
-    sub.add_argument("--f", type=int, default=1, help="residue degree")
-    sub.add_argument("--N", type=int, default=24, help="working digits")
+REQUIRED = object()
+COMMON = {"config": None, "out": None, "verbose": False}
+POINT = {"coords": REQUIRED, "e": 1, "f": 1, "N": 24}
+DIST = {"dist": None, "in": None}
 
+GROUPS = {
+    "building": "lattice-building geometry",
+    "dist": "mass-zero distributions",
+    "alpha": "integrated products",
+}
 
-def _common_parent():
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--config", help="INI (or TOML) file with a "
-                        "[drinfeld] section mirroring the flags")
-    parent.add_argument("--out", help="write records to this file instead "
-                        "of stdout")
-    parent.add_argument("--verbose", action="store_true",
-                        help="log progress to stderr")
-    return parent
+COMMANDS = {
+    ("points",): (cmd_points, "enumerate projective points over Z/p^n",
+                  {"p": REQUIRED, "d": REQUIRED, "n": REQUIRED}),
+    ("building", "ball"): (
+        cmd_building_ball, "breadth-first ball around the standard vertex",
+        {"p": REQUIRED, "d": REQUIRED, "radius": REQUIRED, "dot": None}),
+    ("building", "neighbors"): (cmd_building_neighbors,
+                                "neighbor classes of a vertex",
+                                {"p": REQUIRED, "vertex": REQUIRED}),
+    ("building", "type"): (cmd_building_type, "type data of a pointed chain",
+                           {"p": REQUIRED, "chain": REQUIRED}),
+    ("tau",): (cmd_tau, "reduce a point to the building",
+               {"p": REQUIRED, **POINT, "level": None}),
+    ("cover",): (cmd_cover, "open/closed cover membership of a point",
+                 {"p": REQUIRED, **POINT, "n": REQUIRED}),
+    ("dist", "random"): (cmd_dist_random, "sample a random mass-zero vector",
+                         {"p": REQUIRED, "d": REQUIRED, "n": REQUIRED,
+                          "seed": 0, "size": 4, "coeff-bound": 5}),
+    ("dist", "push"): (cmd_dist_push, "pushforward to a lower level",
+                       {"p": REQUIRED, "d": REQUIRED, **DIST, "to": REQUIRED}),
+    ("dist", "check"): (cmd_dist_check, "validate a distribution record",
+                        {"p": REQUIRED, "d": REQUIRED, **DIST}),
+    ("lambda",): (cmd_lambda, "residue of one covector pair on one edge",
+                  {"p": REQUIRED, "edge": REQUIRED, "pair": REQUIRED,
+                   "oracle": False, "e-oracle": 3, "seed": 0}),
+    ("sweep-lambda",): (cmd_sweep_lambda, "sweep all residues over a ball "
+                        "against the sampling oracle",
+                        {"p": REQUIRED, "d": REQUIRED, "radius": 2,
+                         "e-oracle": 3, "seed": 0}),
+    ("alpha", "eval"): (cmd_alpha_eval,
+                        "evaluate the integrated product at a point",
+                        {"p": REQUIRED, "d": REQUIRED, **DIST, **POINT,
+                         "certified-level": None, "rep-system": "lex"}),
+    ("alpha", "converge"): (cmd_alpha_converge, "refinement, swap, and "
+                            "restriction certificates for random families",
+                            {"p": REQUIRED, "i": 1, "n": 2, "nprime": 3,
+                             "families": 5, "seed": 0, "N": 40}),
+    ("alpha", "residue"): (cmd_alpha_residue,
+                           "dlog residue versus the slope pairing",
+                           {"p": REQUIRED, "d": REQUIRED, **DIST,
+                            "edge": REQUIRED, "allow-shallow": False}),
+    ("alpha", "equivariance"): (cmd_alpha_equivariance, "equivariance "
+                                "certificates for random translates",
+                                {"p": REQUIRED, "i": 1, "n": 2,
+                                 "translates": 5, "seed": 0, "N": 40}),
+    ("certify-all",): (cmd_certify_all, "run the full certification bundle "
+                       "(--p and --d restrict it)",
+                       {"p": None, "d": None, "seed": 0}),
+}
+
+# Flags that size the work, with the environment variable that caps them.
+CAPS = {
+    "n": "DRINFELD_MAX_LEVEL",
+    "nprime": "DRINFELD_MAX_LEVEL",
+    "level": "DRINFELD_MAX_LEVEL",
+    "d": "DRINFELD_MAX_DIM",
+    "radius": "DRINFELD_MAX_RADIUS",
+    "size": "DRINFELD_MAX_COUNT",
+    "families": "DRINFELD_MAX_COUNT",
+    "translates": "DRINFELD_MAX_COUNT",
+}
 
 
 def _build_parser():
-    parent = _common_parent()
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description="Finite-level models of invertible functions on the "
         "p-adic symmetric space: enumeration, reduction, residues, and "
         "certified congruences.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("points", parents=[parent],
-                         help="enumerate projective points over Z/p^n")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--n", type=int)
-    sp.set_defaults(handler=cmd_points)
-
-    building = subs.add_parser("building", help="lattice-building geometry")
-    bsubs = building.add_subparsers(dest="subcommand", required=True)
-    sp = bsubs.add_parser("ball", parents=[parent],
-                          help="breadth-first ball around the standard vertex")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--dot", help="also write a DOT graph to this file")
-    sp.set_defaults(handler=cmd_building_ball)
-    sp = bsubs.add_parser("neighbors", parents=[parent],
-                          help="neighbor classes of a vertex")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--vertex", help="JSON row matrix spanning the lattice")
-    sp.set_defaults(handler=cmd_building_neighbors)
-    sp = bsubs.add_parser("type", parents=[parent],
-                          help="type data of a pointed chain")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--chain", help="JSON chain of lattices")
-    sp.set_defaults(handler=cmd_building_type)
-
-    sp = subs.add_parser("tau", parents=[parent],
-                         help="reduce a point to the building")
-    sp.add_argument("--p", type=int)
-    _add_point_flags(sp)
-    sp.add_argument("--level", type=int, help="certify at this level "
-                    "instead of searching")
-    sp.set_defaults(handler=cmd_tau)
-
-    sp = subs.add_parser("cover", parents=[parent],
-                         help="open/closed cover membership of a point")
-    sp.add_argument("--p", type=int)
-    _add_point_flags(sp)
-    sp.add_argument("--n", type=int)
-    sp.set_defaults(handler=cmd_cover)
-
-    dist = subs.add_parser("dist", help="mass-zero distributions")
-    dsubs = dist.add_subparsers(dest="subcommand", required=True)
-    sp = dsubs.add_parser("random", parents=[parent],
-                          help="sample a random mass-zero vector")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=4)
-    sp.add_argument("--coeff-bound", type=int, default=5)
-    sp.set_defaults(handler=cmd_dist_random)
-    sp = dsubs.add_parser("push", parents=[parent],
-                          help="pushforward to a lower level")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--dist", help="distribution JSON literal")
-    sp.add_argument("--in", dest="infile", help="distribution JSON file")
-    sp.add_argument("--to", type=int)
-    sp.set_defaults(handler=cmd_dist_push)
-    sp = dsubs.add_parser("check", parents=[parent],
-                          help="validate a distribution record")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--dist", help="distribution JSON literal")
-    sp.add_argument("--in", dest="infile", help="distribution JSON file")
-    sp.set_defaults(handler=cmd_dist_check)
-
-    sp = subs.add_parser("lambda", parents=[parent],
-                         help="residue of one covector pair on one edge")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--edge", help="JSON chain of two lattices")
-    sp.add_argument("--pair", help="JSON list of two integer covector lifts")
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check against the sampling oracle")
-    sp.add_argument("--e-oracle", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(handler=cmd_lambda)
-
-    sp = subs.add_parser("sweep-lambda", parents=[parent],
-                         help="sweep all residues over a ball against the "
-                         "sampling oracle")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--radius", type=int, default=2)
-    sp.add_argument("--e-oracle", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(handler=cmd_sweep_lambda)
-
-    alpha = subs.add_parser("alpha", help="integrated products")
-    asubs = alpha.add_subparsers(dest="subcommand", required=True)
-    sp = asubs.add_parser("eval", parents=[parent],
-                          help="evaluate the integrated product at a point")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--dist", help="distribution JSON literal")
-    sp.add_argument("--in", dest="infile", help="distribution JSON file")
-    _add_point_flags(sp)
-    sp.add_argument("--certified-level", type=int)
-    sp.add_argument("--rep-system", default="lex", choices=("lex", "revlex"))
-    sp.set_defaults(handler=cmd_alpha_eval)
-    sp = asubs.add_parser("converge", parents=[parent],
-                          help="refinement, swap, and restriction "
-                          "certificates for random families")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--nprime", type=int, default=3)
-    sp.add_argument("--families", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--N", type=int, default=40)
-    sp.set_defaults(handler=cmd_alpha_converge)
-    sp = asubs.add_parser("residue", parents=[parent],
-                          help="dlog residue versus the slope pairing")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--dist", help="distribution JSON literal")
-    sp.add_argument("--in", dest="infile", help="distribution JSON file")
-    sp.add_argument("--edge", help="JSON chain of two lattices")
-    sp.add_argument("--allow-shallow", action="store_true",
-                    help="skip the locality level guard")
-    sp.set_defaults(handler=cmd_alpha_residue)
-    sp = asubs.add_parser("equivariance", parents=[parent],
-                          help="equivariance certificates for random "
-                          "translates")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--i", type=int, default=1)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--translates", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--N", type=int, default=40)
-    sp.set_defaults(handler=cmd_alpha_equivariance)
-
-    sp = subs.add_parser("certify-all", parents=[parent],
-                         help="run the full certification bundle")
-    sp.add_argument("--p", type=int, help="restrict to this prime")
-    sp.add_argument("--d", type=int, help="restrict to this dimension")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(handler=cmd_certify_all)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (handler, help_text, flags) in COMMANDS.items():
+        group = words[:-1]
+        if group not in subs:
+            sub = subs[()].add_parser(group[0], help=GROUPS[group[0]])
+            subs[group] = sub.add_subparsers(dest="subcommand", required=True)
+        sp = subs[group].add_parser(words[-1], help=help_text)
+        for flag, default in {**COMMON, **flags}.items():
+            sp.add_argument(f"--{flag}", **FLAGS[flag],
+                            default=None if default is REQUIRED else default)
+        sp.set_defaults(handler=handler, words=words)
     return parser
 
 
-def _given_dests(argv):
-    """Dests that argv sets itself: argv parsed again with every default
-    suppressed, so a flag left out leaves no attribute behind."""
-    parser = _build_parser()
-    parsers = [parser]
-    while parsers:
-        for action in parsers.pop()._actions:
-            action.default = argparse.SUPPRESS
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return set(vars(parser.parse_args(argv)))
+def _check_args(args):
+    """The checks of single flags, before any work: required flags, a
+    prime --p, and every capped flag against its cap."""
+    for flag, default in COMMANDS[args.words][2].items():
+        dest = FLAGS[flag].get("dest", flag.replace("-", "_"))
+        if default is REQUIRED and getattr(args, dest) is None:
+            raise UsageError(f"missing --{flag}")
+    if args.p is not None and not is_prime(args.p):
+        raise UsageError(f"--p must be a prime number, got {args.p}")
+    for flag, cap_name in CAPS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            _check_cap(value, cap_name, f"--{flag}")
 
 
-def _merge_config(args, argv):
-    """Fill every flag that argv leaves out from the config file."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _read_config(path):
     if path.endswith(".toml"):
         if tomllib is None:
             raise UsageError("TOML configs need python >= 3.11; use INI here")
         with open(path, "rb") as fh:
             data = tomllib.load(fh)
-        table = data.get("drinfeld", data)
-    else:
-        ini = configparser.ConfigParser()
-        ini.optionxform = str  # keys are flag names, and --N is not --n
-        if not ini.read(path):
-            raise UsageError(f"cannot read config file {path}")
-        if ini.has_section("drinfeld"):
-            table = dict(ini.items("drinfeld"))
-        else:
-            table = dict(ini.defaults())
-    given = _given_dests(argv)
-    for key, value in table.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in given:
+        return data.get("drinfeld", data)
+    ini = configparser.ConfigParser()
+    ini.optionxform = str  # keys are flag names, and --N is not --n
+    if not ini.read(path):
+        raise UsageError(f"cannot read config file {path}")
+    if ini.has_section("drinfeld"):
+        return dict(ini.items("drinfeld"))
+    return dict(ini.defaults())
+
+
+def _config_argv(args):
+    """The config keys that name a flag of this command, as argv tokens.
+    A switch reads INI booleans; other values go to argparse as text (TOML
+    values that are not strings as JSON), so type and choices apply."""
+    flags = {**COMMON, **COMMANDS[args.words][2]}
+    tokens = []
+    for key, value in _read_config(args.config).items():
+        flag = key.replace("_", "-")
+        if flag not in flags or flag == "config":
             continue
-        if isinstance(value, str) and isinstance(getattr(args, dest), bool):
+        if FLAGS[flag].get("action") == "store_true":
             states = configparser.ConfigParser.BOOLEAN_STATES
-            if value.lower() not in states:
+            on = value if isinstance(value, bool) else states.get(str(value).lower())
+            if on is None:
                 raise UsageError(f"config key {key} must be a boolean")
-            value = states[value.lower()]
-        elif isinstance(value, str):
-            try:
-                value = int(value)
-            except ValueError:
-                pass
-        setattr(args, dest, value)
+            if on:
+                tokens.append(f"--{flag}")
+        else:
+            text = value if isinstance(value, str) else json.dumps(value)
+            tokens.append(f"--{flag}={text}")
+    return tokens
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, argv)
+        if args.config:
+            # the config goes right after the command words, so a flag on
+            # the command line comes later and wins
+            at = len(args.words)
+            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+        _check_args(args)
         logging.basicConfig(
             stream=sys.stderr,
-            level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+            level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(message)s",
         )
         return args.handler(args)

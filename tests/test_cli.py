@@ -8,6 +8,15 @@ import pytest
 from drinfeld.cli import main
 
 
+MU = json.dumps({
+    "level": 1,
+    "entries": [
+        {"point": {"level": 1, "rep": [1, 0]}, "coeff": 1},
+        {"point": {"level": 1, "rep": [0, 1]}, "coeff": -1},
+    ],
+})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -31,6 +40,9 @@ def test_invalid_prime_is_usage_error(capsys):
     assert code == 2
     code, _ = run(capsys, "tau", "--p", "6", "--coords", "[1, [0,1]]")
     assert code == 2
+    code, out = run(capsys, "dist", "check", "--p", "4", "--d", "1",
+                    "--dist", MU)
+    assert code == 2 and out == ""
 
 
 def test_unknown_command_exits_2(capsys):
@@ -242,6 +254,68 @@ def test_config_overrides_flag_defaults(capsys, tmp_path):
     assert run(capsys, *lam)[0] == 2
 
 
+def test_config_keys_are_flag_names(capsys, tmp_path):
+    mu = tmp_path / "mu.json"
+    mu.write_text(MU)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[drinfeld]\nin = {mu}\n")
+    code, out = run(capsys, "dist", "check", "--p", "2", "--d", "1",
+                    "--config", str(cfg))
+    assert code == 0
+    assert records(out)[0]["mass_zero"] is True
+    # "-" and "_" are both accepted in key names
+    point = ("alpha", "eval", "--p", "2", "--d", "1", "--e", "2", "--N", "40",
+             "--coords", "[1, [0,1]]", "--dist", MU, "--config", str(cfg))
+    products = []
+    for key in ("rep-system", "rep_system"):
+        for system in ("lex", "revlex"):
+            cfg.write_text(f"[drinfeld]\n{key} = {system}\n")
+            code, out = run(capsys, *point)
+            assert code == 0
+            products.append(records(out)[0]["product"])
+    assert products[0] == products[2] != products[1] == products[3]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("points", "--d", "1", "--n", "2"), "p = abc"),
+    (("alpha", "eval", "--p", "2", "--d", "1", "--coords", "[1, [0,1]]",
+      "--dist", MU), "rep_system = foo"),
+], ids=["p", "rep-system"])
+def test_config_values_are_validated_like_flags(capsys, tmp_path,
+                                                monkeypatch, argv, text):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the value check")
+
+    monkeypatch.setattr("drinfeld.cli.enumerate_points", no_work)
+    monkeypatch.setattr("drinfeld.cli.alpha_level", no_work)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[drinfeld]\n{text}\n")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", str(cfg)])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_toml_config(capsys, tmp_path):
+    pytest.importorskip("tomllib")
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("[drinfeld]\nseed = 5\nN = 40\noracle = true\n"
+                   "coords = [1, [0, 1]]\n")
+    code, out = run(capsys, "dist", "random", "--p", "3", "--d", "1",
+                    "--n", "2", "--config", str(cfg))
+    assert code == 0 and records(out)[0]["seed"] == 5
+    # a TOML array is passed on as JSON
+    code, out = run(capsys, "tau", "--p", "2", "--e", "2",
+                    "--config", str(cfg))
+    assert code == 0
+    (rec,) = records(out)
+    assert rec["point"]["field"]["N"] == 40 and rec["certified_level"] == 1
+    code, out = run(capsys, "lambda", "--p", "2",
+                    "--edge", "[[[1,0],[0,1]],[[2,0],[0,1]]]",
+                    "--pair", "[[1,0],[0,1]]", "--config", str(cfg))
+    assert code == 0 and records(out)[0]["agrees"]
+
+
 def test_sweep_lambda_checks_the_ball_estimate(capsys, monkeypatch):
     # the estimate for this ball is 15 vertices
     monkeypatch.setenv("DRINFELD_MAX_COUNT", "10")
@@ -262,6 +336,28 @@ def test_count_flags_are_capped_before_work(capsys, monkeypatch, argv):
         raise AssertionError("work started before the cap check")
 
     monkeypatch.setattr("drinfeld.cli.random_mass_zero", no_work)
+    monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("cap, argv", [
+    ("DRINFELD_MAX_LEVEL", ("alpha", "equivariance", "--p", "3", "--n", "2",
+                            "--translates", "1")),
+    ("DRINFELD_MAX_DIM", ("dist", "random", "--p", "3", "--d", "2",
+                          "--n", "1")),
+    ("DRINFELD_MAX_LEVEL", ("tau", "--p", "2", "--e", "2", "--N", "40",
+                            "--coords", "[1, [0,1]]", "--level", "2")),
+], ids=["equivariance-n", "dist-random-d", "tau-level"])
+def test_level_and_dimension_flags_are_capped_before_work(capsys, monkeypatch,
+                                                          cap, argv):
+    monkeypatch.setenv(cap, "1")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr("drinfeld.cli.random_mass_zero", no_work)
+    monkeypatch.setattr("drinfeld.cli.reduce_to_building", no_work)
     monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
     code, out = run(capsys, *argv)
     assert code == 2 and out == ""
