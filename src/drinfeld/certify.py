@@ -523,19 +523,34 @@ CRITERIA = (
 )
 
 
+class EmptySelection(ValueError):
+    """The prime and dimension filters select no check of any criterion."""
+
+
 def run_all(ps=None, ds=None, seed=0, include_reproducibility=True):
-    """Run every criterion with the given prime/dimension filters."""
+    """Run every criterion with the given prime/dimension filters.
+
+    Raises EmptySelection when the filters leave every criterion without a
+    check: such a bundle would pass having checked nothing.  Criterion 12
+    (last) runs its own fixed slice, so it does not count, and then it
+    does not run."""
     ps = set(ps) if ps is not None else None
     ds = set(ds) if ds is not None else None
-    results = []
-    for runner in CRITERIA:
-        if runner is criterion_reproducibility and not include_reproducibility:
-            continue
-        results.append(runner(ps=ps, ds=ds, seed=seed))
+    primes = sorted(ps) if ps is not None else "default"
+    dimensions = sorted(ds) if ds is not None else "default"
+    results = [runner(ps=ps, ds=ds, seed=seed)
+               for runner in CRITERIA if runner is not criterion_reproducibility]
+    if not any(r["checks"] for r in results):
+        raise EmptySelection(
+            f"primes {primes} and dimensions {dimensions} select no check "
+            "of any criterion"
+        )
+    if include_reproducibility:
+        results.append(criterion_reproducibility(ps=ps, ds=ds, seed=seed))
     return {
         "seed": seed,
-        "primes": sorted(ps) if ps is not None else "default",
-        "dimensions": sorted(ds) if ds is not None else "default",
+        "primes": primes,
+        "dimensions": dimensions,
         "all_pass": all(r["pass"] for r in results),
         "criteria": results,
     }

@@ -394,11 +394,14 @@ def cmd_alpha_equivariance(args):
 
 def cmd_certify_all(args):
     started = time.monotonic()
-    bundle = certify.run_all(
-        ps=None if args.p is None else {args.p},
-        ds=None if args.d is None else {args.d},
-        seed=args.seed,
-    )
+    try:
+        bundle = certify.run_all(
+            ps=None if args.p is None else {args.p},
+            ds=None if args.d is None else {args.d},
+            seed=args.seed,
+        )
+    except certify.EmptySelection as exc:
+        raise UsageError(str(exc)) from exc
     elapsed = time.monotonic() - started
     for rec in bundle["criteria"]:
         LOG.info("criterion %2d %-32s %s", rec["criterion"], rec["name"],
@@ -569,16 +572,22 @@ def _check_args(args):
 
 
 def _read_config(path):
-    if path.endswith(".toml"):
-        if tomllib is None:
-            raise UsageError("TOML configs need python >= 3.11; use INI here")
-        with open(path, "rb") as fh:
-            data = tomllib.load(fh)
-        return data.get("drinfeld", data)
-    ini = configparser.ConfigParser()
-    ini.optionxform = str  # keys are flag names, and --N is not --n
-    if not ini.read(path):
-        raise UsageError(f"cannot read config file {path}")
+    if path.endswith(".toml") and tomllib is None:
+        raise UsageError("TOML configs need python >= 3.11; use INI here")
+    # a missing file is an OSError; bad TOML and undecodable text are
+    # ValueErrors, and an INI file without a section header is a
+    # configparser.Error
+    try:
+        if path.endswith(".toml"):
+            with open(path, "rb") as fh:
+                data = tomllib.load(fh)
+            return data.get("drinfeld", data)
+        ini = configparser.ConfigParser()
+        ini.optionxform = str  # keys are flag names, and --N is not --n
+        with open(path) as fh:
+            ini.read_file(fh)
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if ini.has_section("drinfeld"):
         return dict(ini.items("drinfeld"))
     return dict(ini.defaults())

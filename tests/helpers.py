@@ -1,8 +1,18 @@
-"""Shared randomized constructors for tests."""
+"""Shared randomized constructors for tests, and reference versions of
+library code that a faster implementation replaced."""
+
+from dataclasses import dataclass
 
 from drinfeld.building import standard_simplex
-from drinfeld.intlinalg import det_int
-from drinfeld.padic import FieldElem, _poly_mul
+from drinfeld.intlinalg import det_int, inv_scaled
+from drinfeld.padic import (
+    FieldDesc,
+    FieldElem,
+    PrecisionError,
+    _coerce,
+    _extract_unit,
+    _unit_inverse,
+)
 
 
 def random_gl_integer(size, rng, p=None, bound=4):
@@ -114,3 +124,211 @@ def _newton_lift(desc, unit_coeffs):
         b = _poly_mul(desc, b, corr)
         known *= 2
     return b
+
+
+# Reference field arithmetic: FieldElem's negation, add, multiply, integer
+# scaling and divide as they were in the frozen-dataclass core, with the
+# row-popping pi-shift and the nested-row schoolbook product, kept verbatim
+# as functions of their operands.  The lean core must give the same shift,
+# digits, prec and exactness.
+
+
+@dataclass(frozen=True)
+class DataclassFieldElem:
+    """The fields of the frozen dataclass FieldElem was, for comparing
+    equality, hashing and repr."""
+
+    desc: FieldDesc
+    shift: int
+    coeffs: tuple
+    prec: int
+    exact_zero: bool = False
+
+
+def reference_neg(self):
+    mod = self.desc.coeff_modulus
+    return FieldElem(
+        self.desc,
+        self.shift,
+        tuple((-c) % mod for c in self.coeffs),
+        self.prec,
+        self.exact_zero,
+    )
+
+
+def reference_add(self, other):
+    other = _coerce(self.desc, other)
+    if self.exact_zero:
+        return other
+    if other.exact_zero:
+        return self
+    desc = self.desc
+    s = min(self.shift, other.shift)
+    ca = _shift_poly(desc, self.coeffs, self.shift - s)
+    cb = _shift_poly(desc, other.coeffs, other.shift - s)
+    pa = min(self.prec + self.shift - s, desc.work_prec)
+    pb = min(other.prec + other.shift - s, desc.work_prec)
+    mod = desc.coeff_modulus
+    coeffs = tuple((a + b) % mod for a, b in zip(ca, cb))
+    return FieldElem(desc, s, coeffs, min(pa, pb))
+
+
+def reference_sub(self, other):
+    return reference_add(self, reference_neg(_coerce(self.desc, other)))
+
+
+def reference_mul(self, other):
+    if isinstance(other, int):
+        return reference_scale_int(self, other)
+    other = _coerce(self.desc, other)
+    if self.exact_zero or other.exact_zero:
+        return FieldElem.zero(self.desc)
+    desc = self.desc
+    coeffs = _poly_mul(desc, self.coeffs, other.coeffs)
+    return FieldElem(
+        desc,
+        self.shift + other.shift,
+        coeffs,
+        min(self.prec, other.prec),
+    )
+
+
+def reference_scale_int(self, n):
+    if n == 0 or self.exact_zero:
+        return FieldElem.zero(self.desc)
+    mod = self.desc.coeff_modulus
+    return FieldElem(
+        self.desc,
+        self.shift,
+        tuple((n * c) % mod for c in self.coeffs),
+        self.prec,
+    )
+
+
+def reference_truediv(self, other):
+    other = _coerce(self.desc, other)
+    if other.exact_zero:
+        raise ZeroDivisionError("division by exact zero")
+    desc = self.desc
+    v = _poly_valuation(other)
+    if v is None:
+        raise PrecisionError("division by an element indistinguishable from 0")
+    if self.exact_zero:
+        return FieldElem.zero(desc)
+    unit_coeffs, unit_prec = _extract_unit(desc, other.coeffs, other.prec, v)
+    inv = _unit_inverse(desc, unit_coeffs)
+    coeffs = _poly_mul(desc, self.coeffs, inv)
+    return FieldElem(
+        desc,
+        self.shift - other.shift - v,
+        coeffs,
+        min(self.prec, unit_prec),
+    )
+
+
+def _poly_valuation(self):
+    """Valuation of the polynomial part in pi-units, or None if every
+    stored digit below `prec` vanishes."""
+    e, p = self.desc.e, self.desc.p
+    f = self.desc.f
+    best = None
+    for i in range(e):
+        for c in self.coeffs[i * f : (i + 1) * f]:
+            if c:
+                v = i
+                cc = c
+                while cc % p == 0:
+                    cc //= p
+                    v += e
+                if best is None or v < best:
+                    best = v
+    if best is None or best >= self.prec:
+        return None
+    return best
+
+
+def _shift_poly(desc, coeffs, k):
+    """Multiply a coefficient vector by pi^k (k >= 0), reducing pi^e -> p."""
+    assert k >= 0
+    if k == 0:
+        return tuple(coeffs)
+    e, f, mod, p = desc.e, desc.f, desc.coeff_modulus, desc.p
+    rows = [list(coeffs[i * f : (i + 1) * f]) for i in range(e)]
+    for _ in range(k):
+        top = rows.pop()
+        rows.insert(0, [(p * c) % mod for c in top])
+    return tuple(c % mod for row in rows for c in row)
+
+
+def _poly_mul(desc, ca, cb):
+    """Product of coefficient vectors, reduced by pi^e = p and the omega
+    minimal polynomial."""
+    e, f, mod, p = desc.e, desc.f, desc.coeff_modulus, desc.p
+    wide = [[0] * (2 * f - 1) for _ in range(2 * e - 1)]
+    for i1 in range(e):
+        row1 = ca[i1 * f : (i1 + 1) * f]
+        if not any(row1):
+            continue
+        for i2 in range(e):
+            row2 = cb[i2 * f : (i2 + 1) * f]
+            if not any(row2):
+                continue
+            target = wide[i1 + i2]
+            for j1, c1 in enumerate(row1):
+                if c1:
+                    for j2, c2 in enumerate(row2):
+                        if c2:
+                            target[j1 + j2] += c1 * c2
+    table = desc.omega_power_table()
+    out = [[0] * f for _ in range(e)]
+    for i in range(2 * e - 1):
+        src = wide[i]
+        scale = p ** (i // e)
+        ii = i % e
+        row = out[ii]
+        for t in range(2 * f - 1):
+            c = src[t]
+            if c:
+                for j, w in enumerate(table[t]):
+                    if w:
+                        row[j] += scale * c * w
+    return tuple(c % mod for row in out for c in row)
+
+
+# Reference oracle sampler: residues._oracle_points as it was when it
+# divided every sample coordinate by det(frame), kept verbatim.
+
+
+def reference_oracle_points(sigma, desc, rng):
+    """Two interior tube samples at edge parameters 1/e and 2/e, built from
+    the adapted frame with generic unramified-unit entries.
+
+    Returns the raw coordinate list of each sample: absolute section
+    valuations are only meaningful on the raw affine solve, because
+    projective normalization shifts them by a parameter-dependent constant."""
+    d1 = sigma.boundary_indices()[1]
+    size = sigma.dim + 1
+    pi = FieldElem.pi(desc)
+
+    def unit(j):
+        bump = FieldElem.from_coeffs(
+            desc, [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
+        )
+        return FieldElem.omega_power(desc, j) * (FieldElem.one(desc) + pi * bump)
+
+    frame = [list(f) for f in sigma.adapted_basis()]
+    inv, det = inv_scaled(frame)
+    det_elem = FieldElem.from_int(desc, det)
+    samples = []
+    for step in (1, 2):
+        w = [unit(j) if j < d1 else FieldElem.pi_power(desc, step) * unit(j)
+             for j in range(size)]
+        coords = []
+        for i in range(size):
+            acc = FieldElem.zero(desc)
+            for j in range(size):
+                if inv[i][j]:
+                    acc = acc + inv[i][j] * w[j]
+            coords.append(acc / det_elem)
+        samples.append(coords)
+    return samples

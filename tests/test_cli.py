@@ -316,6 +316,33 @@ def test_toml_config(capsys, tmp_path):
     assert code == 0 and records(out)[0]["agrees"]
 
 
+@pytest.mark.parametrize("name, text", [
+    ("headerless.ini", "p = 3\n"),
+    ("missing.ini", None),
+    ("missing.toml", None),
+    ("broken.toml", "p = = 3\n"),
+], ids=["headerless-ini", "missing-ini", "missing-toml", "broken-toml"])
+def test_unreadable_config_is_usage_error(capsys, tmp_path, name, text):
+    cfg = tmp_path / name
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["points", "--d", "1", "--p", "3", "--n", "2",
+                 "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
+def test_certify_all_without_a_check_is_usage_error(capsys):
+    # no criterion covers p = 5 in dimension 3: an empty bundle must not pass
+    code = main(["certify-all", "--d", "3", "--p", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
 def test_sweep_lambda_checks_the_ball_estimate(capsys, monkeypatch):
     # the estimate for this ball is 15 vertices
     monkeypatch.setenv("DRINFELD_MAX_COUNT", "10")

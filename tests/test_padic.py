@@ -1,10 +1,11 @@
 """Truncated extension-field arithmetic: frozen examples and invariants."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.padic import (
     FieldDesc,
@@ -16,7 +17,17 @@ from drinfeld.padic import (
     normalize_unimodular,
     unramified_min_poly,
 )
-from helpers import _newton_lift
+from helpers import (
+    DataclassFieldElem,
+    _newton_lift,
+    _poly_valuation as reference_poly_valuation,
+    reference_add,
+    reference_mul,
+    reference_neg,
+    reference_scale_int,
+    reference_sub,
+    reference_truediv,
+)
 
 
 def random_elem(desc, rng, allow_zero=True):
@@ -314,3 +325,181 @@ def test_normalize_unimodular_matches_division(desc, seed, size):
     got = normalize_unimodular(vec)
     # dataclass equality: desc, shift, coeffs, prec and exact_zero
     assert got == expected
+
+
+# -- the lean core against the verbatim reference arithmetic ----------------
+
+
+@st.composite
+def core_operands(draw):
+    """A field shape, two elements and an integer scalar.  The elements mix
+    shifts and precisions, and may have sparse digits or be exact or
+    inexact zeros."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(min_value=1, max_value=4))
+    f = draw(st.integers(min_value=1, max_value=3))
+    desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 40)))
+    size, mod = e * f, desc.coeff_modulus
+
+    def element():
+        kind = draw(st.sampled_from(("digits", "sparse", "exact zero", "inexact zero")))
+        shift = draw(st.integers(-6, 6))
+        if kind == "exact zero":
+            return FieldElem(desc, shift, (0,) * size, desc.work_prec, True)
+        prec = draw(st.integers(1, desc.work_prec))
+        coeffs = [0] * size
+        if kind != "inexact zero":
+            coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=size, max_size=size))
+        if kind == "sparse":
+            keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            coeffs = [c if k else 0 for c, k in zip(coeffs, keep)]
+        return FieldElem(desc, shift, tuple(coeffs), prec)
+
+    return desc, element(), element(), draw(st.integers(-(10**30), 10**30))
+
+
+def _outcome(op, *args):
+    try:
+        x = op(*args)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    return (x.shift, x.coeffs, x.prec, x.exact_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(core_operands())
+def test_core_matches_reference_arithmetic(case):
+    desc, x, y, n = case
+    pairs = (
+        (operator.add, reference_add),
+        (operator.sub, reference_sub),
+        (operator.mul, reference_mul),
+        (operator.truediv, reference_truediv),
+    )
+    # an equal description held by another object is the same field
+    twin = FieldDesc(desc.p, desc.e, desc.f, desc.N)
+    y_twin = FieldElem(twin, y.shift, y.coeffs, y.prec, y.exact_zero)
+    for op, ref in pairs:
+        assert _outcome(op, x, y) == _outcome(ref, x, y)
+        assert _outcome(op, x, y_twin) == _outcome(ref, x, y)
+    for z in (x, y):
+        assert z._poly_valuation() == reference_poly_valuation(z)
+    assert _outcome(operator.neg, x) == _outcome(reference_neg, x)
+    assert _outcome(operator.mul, x, n) == _outcome(reference_scale_int, x, n)
+    assert _outcome(operator.mul, n, x) == _outcome(reference_scale_int, x, n)
+    other = FieldElem(
+        FieldDesc(desc.p, desc.e, desc.f, desc.N + 1), y.shift, y.coeffs, y.prec
+    )
+    for op, _ in pairs:
+        with pytest.raises(ValueError, match="mixed field descriptions"):
+            op(x, other)
+
+
+@given(core_operands())
+def test_field_elem_is_a_value_like_the_dataclass(case):
+    _, x, y, _ = case
+    dx, dy = (
+        DataclassFieldElem(z.desc, z.shift, z.coeffs, z.prec, z.exact_zero)
+        for z in (x, y)
+    )
+    assert repr(x) == repr(dx).replace("DataclassFieldElem", "FieldElem", 1)
+    assert hash(x) == hash(dx)
+    assert (x == y) == (dx == dy)
+    assert x == FieldElem(x.desc, x.shift, x.coeffs, x.prec, x.exact_zero)
+    assert x != dx
+
+
+# -- differential precision: digits trusted at N survive at 3N --------------
+
+
+def _pair(desc_lo, desc_hi, raw, shift, prec, junk):
+    """One exact element (integer digits raw times pi^shift) at both
+    precisions.  The low one trusts only `prec` pi-digits, and the digits
+    it does not trust are wrong (junk added from pi^(shift + prec) on), so
+    a claim of one digit too many can show."""
+    hi = FieldElem.from_coeffs(desc_hi, raw, shift)
+    lo = FieldElem.from_coeffs(desc_lo, raw, shift)
+    if not lo.exact_zero:
+        lo = lo + FieldElem.from_coeffs(desc_lo, junk, shift + prec)
+        lo = FieldElem(desc_lo, shift, lo.coeffs, prec)
+    return lo, hi
+
+
+def _check_trusted(lo, hi):
+    """Every digit lo trusts is trusted by hi and equal to it, and every
+    valuation lo resolves hi resolves to the same value."""
+    desc = lo.desc
+    assert lo.exact_zero == hi.exact_zero
+    if lo.exact_zero:
+        return
+    assert hi.shift + hi.prec >= lo.shift + lo.prec
+    mod = desc.coeff_modulus
+    hi_at_lo = FieldElem(
+        desc, hi.shift, tuple(c % mod for c in hi.coeffs), min(hi.prec, desc.work_prec)
+    )
+    assert lo.agrees_with(hi_at_lo)
+    try:
+        v = lo.valuation()
+    except PrecisionError:
+        return
+    assert hi.valuation() == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=10**9),
+)
+def test_trusted_digits_survive_at_triple_precision(p, e, f, extra, seed):
+    rng = random.Random(seed)
+    lo_desc = FieldDesc(p=p, e=e, f=f, N=2 * e + extra)
+    hi_desc = FieldDesc(p=p, e=e, f=f, N=3 * lo_desc.N)
+    size, big = e * f, p ** (3 * hi_desc.coeff_exponent)
+    pool, raws = [], []
+    for _ in range(4):
+        kind = rng.random()
+        raw = [rng.randrange(big) for _ in range(size)]
+        if kind < 0.1:
+            raw = [0] * size  # exact zero
+        elif kind < 0.25:
+            # an inexact zero at N that is not zero at 3N
+            raw = [c * lo_desc.coeff_modulus for c in raw]
+        elif kind < 0.5 and raws:
+            # close to an earlier input, so a difference cancels digits
+            near = rng.choice(raws)
+            cut = p ** rng.randrange(lo_desc.coeff_exponent + 1)
+            raw = [a + cut * b for a, b in zip(near, raw)]
+        shift = rng.randint(-3, 3)
+        prec = rng.randint(1, lo_desc.work_prec)
+        junk = [rng.randrange(big) for _ in range(size)]
+        raws.append(raw)
+        pool.append(_pair(lo_desc, hi_desc, raw, shift, prec, junk))
+    for _ in range(10):
+        op = rng.choice((operator.add, operator.sub, operator.mul, operator.truediv))
+        (a_lo, a_hi), (b_lo, b_hi) = rng.choice(pool), rng.choice(pool)
+        try:
+            c_lo = op(a_lo, b_lo)
+        except PrecisionError:
+            continue
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(a_hi, b_hi)
+            continue
+        pool.append((c_lo, op(a_hi, b_hi)))
+    for lo, hi in pool:
+        _check_trusted(lo, hi)
+    vec = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+    try:
+        norm_lo = normalize_unimodular([lo for lo, _ in vec])
+    except PrecisionError:
+        return
+    except ValueError:
+        with pytest.raises(ValueError):
+            normalize_unimodular([hi for _, hi in vec])
+        return
+    norm_hi = normalize_unimodular([hi for _, hi in vec])
+    for lo, hi in zip(norm_lo, norm_hi):
+        _check_trusted(lo, hi)

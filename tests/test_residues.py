@@ -6,8 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from drinfeld import residues
 from drinfeld.building import Ball, Lattice, PointedSimplex, standard_simplex
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
+from drinfeld.padic import PrecisionError
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from drinfeld.residues import (
     GLOBAL_SIGN,
@@ -22,7 +24,7 @@ from drinfeld.residues import (
     sweep_oracle,
 )
 
-from helpers import random_pointed_simplex
+from helpers import random_pointed_simplex, reference_oracle_points
 
 
 def std_edge(p=2):
@@ -272,6 +274,33 @@ def test_sweep_oracle_matches_hand_written_loop(pd, seed):
     for edge, slopes, _ in swept:
         assert slopes == {x: slope(x, edge) for x in classes}
     assert swept_rng.getstate() == rng.getstate()
+
+
+def _table_or_error(edge, classes, rng, check_membership):
+    try:
+        return oracle_slope_table(edge, classes, rng=rng,
+                                  check_membership=check_membership)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("check_membership", [True, False])
+def test_oracle_without_det_division_matches_reference(monkeypatch, check_membership):
+    # the samples skip the division by det(frame); both samples of an edge
+    # share it, so every slope table (and every refusal) stays the same
+    for p, d in ((2, 1), (3, 1), (2, 2)):
+        classes = enumerate_points(p, 1, d)
+        edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
+        rng = random.Random(31)
+        tables = [_table_or_error(edge, classes, rng, check_membership)
+                  for edge in edges]
+        ref_rng = random.Random(31)
+        with monkeypatch.context() as patch:
+            patch.setattr(residues, "_oracle_points", reference_oracle_points)
+            expected = [_table_or_error(edge, classes, ref_rng, check_membership)
+                        for edge in edges]
+        assert tables == expected
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_oracle_validates_field_shape():
