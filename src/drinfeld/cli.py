@@ -574,9 +574,8 @@ def _check_args(args):
 def _read_config(path):
     if path.endswith(".toml") and tomllib is None:
         raise UsageError("TOML configs need python >= 3.11; use INI here")
-    # a missing file is an OSError; bad TOML and undecodable text are
-    # ValueErrors, and an INI file without a section header is a
-    # configparser.Error
+    # bad TOML and undecodable text are ValueErrors, and an INI file
+    # without a section header is a configparser.Error
     try:
         if path.endswith(".toml"):
             with open(path, "rb") as fh:
@@ -586,8 +585,10 @@ def _read_config(path):
         ini.optionxform = str  # keys are flag names, and --N is not --n
         with open(path) as fh:
             ini.read_file(fh)
-    except (OSError, ValueError, configparser.Error) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}") from exc
+    except (ValueError, configparser.Error) as exc:
+        raise UsageError(f"cannot parse config file {path}: {exc}") from exc
     if ini.has_section("drinfeld"):
         return dict(ini.items("drinfeld"))
     return dict(ini.defaults())

@@ -160,39 +160,19 @@ def _omega_powers(p, f):
     return tuple(rows)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class FieldElem:
     """pi^shift * (sum coeffs[i*f+j] pi^i omega^j), trusted modulo pi^prec
     of the polynomial part (absolute precision is shift + prec).
 
-    A value: no method changes an instance after __init__.  Equality,
-    hashing and repr are those of a frozen dataclass over the five fields."""
+    A value: no method changes an instance after __init__.  Not frozen,
+    so construction is plain slot assignment."""
 
-    __slots__ = ("desc", "shift", "coeffs", "prec", "exact_zero")
-
-    def __init__(self, desc, shift, coeffs, prec, exact_zero=False):
-        self.desc = desc
-        self.shift = shift
-        self.coeffs = coeffs
-        self.prec = prec
-        self.exact_zero = exact_zero
-
-    def _fields(self):
-        return (self.desc, self.shift, self.coeffs, self.prec, self.exact_zero)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"FieldElem(desc={self.desc!r}, shift={self.shift!r}, "
-            f"coeffs={self.coeffs!r}, prec={self.prec!r}, "
-            f"exact_zero={self.exact_zero!r})"
-        )
+    desc: FieldDesc
+    shift: int
+    coeffs: tuple
+    prec: int
+    exact_zero: bool = False
 
     # -- constructors -------------------------------------------------------
 

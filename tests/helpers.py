@@ -11,6 +11,7 @@ from drinfeld.padic import (
     PrecisionError,
     _coerce,
     _extract_unit,
+    _poly_mul,
     _unit_inverse,
 )
 
@@ -164,8 +165,8 @@ def reference_add(self, other):
         return self
     desc = self.desc
     s = min(self.shift, other.shift)
-    ca = _shift_poly(desc, self.coeffs, self.shift - s)
-    cb = _shift_poly(desc, other.coeffs, other.shift - s)
+    ca = reference_shift_poly(desc, self.coeffs, self.shift - s)
+    cb = reference_shift_poly(desc, other.coeffs, other.shift - s)
     pa = min(self.prec + self.shift - s, desc.work_prec)
     pb = min(other.prec + other.shift - s, desc.work_prec)
     mod = desc.coeff_modulus
@@ -184,7 +185,7 @@ def reference_mul(self, other):
     if self.exact_zero or other.exact_zero:
         return FieldElem.zero(self.desc)
     desc = self.desc
-    coeffs = _poly_mul(desc, self.coeffs, other.coeffs)
+    coeffs = reference_poly_mul(desc, self.coeffs, other.coeffs)
     return FieldElem(
         desc,
         self.shift + other.shift,
@@ -210,14 +211,14 @@ def reference_truediv(self, other):
     if other.exact_zero:
         raise ZeroDivisionError("division by exact zero")
     desc = self.desc
-    v = _poly_valuation(other)
+    v = reference_poly_valuation(other)
     if v is None:
         raise PrecisionError("division by an element indistinguishable from 0")
     if self.exact_zero:
         return FieldElem.zero(desc)
     unit_coeffs, unit_prec = _extract_unit(desc, other.coeffs, other.prec, v)
     inv = _unit_inverse(desc, unit_coeffs)
-    coeffs = _poly_mul(desc, self.coeffs, inv)
+    coeffs = reference_poly_mul(desc, self.coeffs, inv)
     return FieldElem(
         desc,
         self.shift - other.shift - v,
@@ -226,7 +227,7 @@ def reference_truediv(self, other):
     )
 
 
-def _poly_valuation(self):
+def reference_poly_valuation(self):
     """Valuation of the polynomial part in pi-units, or None if every
     stored digit below `prec` vanishes."""
     e, p = self.desc.e, self.desc.p
@@ -247,7 +248,7 @@ def _poly_valuation(self):
     return best
 
 
-def _shift_poly(desc, coeffs, k):
+def reference_shift_poly(desc, coeffs, k):
     """Multiply a coefficient vector by pi^k (k >= 0), reducing pi^e -> p."""
     assert k >= 0
     if k == 0:
@@ -260,7 +261,7 @@ def _shift_poly(desc, coeffs, k):
     return tuple(c % mod for row in rows for c in row)
 
 
-def _poly_mul(desc, ca, cb):
+def reference_poly_mul(desc, ca, cb):
     """Product of coefficient vectors, reduced by pi^e = p and the omega
     minimal polynomial."""
     e, f, mod, p = desc.e, desc.f, desc.coeff_modulus, desc.p

@@ -20,10 +20,10 @@ from drinfeld.padic import (
 from helpers import (
     DataclassFieldElem,
     _newton_lift,
-    _poly_valuation as reference_poly_valuation,
     reference_add,
     reference_mul,
     reference_neg,
+    reference_poly_valuation,
     reference_scale_int,
     reference_sub,
     reference_truediv,
