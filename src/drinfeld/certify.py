@@ -3,13 +3,19 @@ covering enumeration exactness, tree geometry, residue/oracle agreement,
 congruence certificates, reduction cross-validation, equivariance, and
 byte-level reproducibility.
 
-Every runner is pure given (filters, seed) and emits JSON-ready records
-with no timestamps, so bundles are byte-identical across runs."""
+Criteria 1-11 are declared once in CRITERIA: a number, a name, one check
+and the ordered grid of (p, d, *args) points it runs on.  run_all filters
+every grid by prime and dimension, runs one check per kept point and wraps
+the checks in the criterion's record.  Every check is pure given its point
+and the seed and emits JSON-ready records with no timestamps, so bundles
+are byte-identical across runs."""
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .building import Ball, Lattice, PointedSimplex, standard_simplex, tree_ball_size
 from .certificates import (
@@ -29,22 +35,22 @@ from .covers import (
 from .distributions import basis_mass_zero, random_family, random_mass_zero
 from .intlinalg import inv_scaled, snf_divisors
 from .padic import FieldDesc, FieldElem
-from .products import alpha_level, dlog_residue
+from .products import residue_round_trip
 from .projpoints import enumerate_points, point_count
 from .residues import (
     GLOBAL_SIGN,
-    edges_at_vertex,
-    pair_distribution,
+    check_kirchhoff,
     pairing_matrix,
     slope,
     sweep_oracle,
 )
 
-
-def _keep(values, allowed):
-    if allowed is None:
-        return list(values)
-    return [v for v in values if v in allowed]
+# random families per prime in criteria 6 and 7
+FAMILIES = 20
+# sample points per field shape in criterion 10, two per random simplex
+POINTS_PER_CONFIG = 100
+# random translates per prime of the tree in criterion 11
+TRANSLATES = 50
 
 
 def random_unimodular(size, rng, steps=12):
@@ -68,223 +74,139 @@ def _dual_pair(p, e=2, N=40):
     return desc, z1, z2
 
 
-# --- criterion runners -------------------------------------------------------
+# --- checks: one per grid point ----------------------------------------------
 
 
-def criterion_point_counts(ps=None, ds=None, seed=0):
-    checks = []
-    for d in _keep((1, 2), ds):
-        for p in _keep((2, 3, 5), ps):
-            for n in (1, 2, 3):
-                expected = p ** ((n - 1) * d) * (p ** (d + 1) - 1) // (p - 1)
-                got = len(enumerate_points(p, n, d))
-                checks.append({
-                    "p": p, "d": d, "n": n,
-                    "expected": expected,
-                    "enumerated": got,
-                    "closed_form": point_count(p, n, d),
-                    "pass": got == expected == point_count(p, n, d),
-                })
+def check_point_count(seed, p, d, n):
+    expected = p ** ((n - 1) * d) * (p ** (d + 1) - 1) // (p - 1)
+    got = len(enumerate_points(p, n, d))
     return {
-        "criterion": 1,
-        "name": "point-counts",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "d": d, "n": n,
+        "expected": expected,
+        "enumerated": got,
+        "closed_form": point_count(p, n, d),
+        "pass": got == expected == point_count(p, n, d),
     }
 
 
-def criterion_level_fibers(ps=None, ds=None, seed=0):
-    checks = []
-    for d in _keep((1, 2), ds):
-        for p in _keep((2, 3, 5), ps):
-            for n in (2, 3):
-                fibers = {low: 0 for low in enumerate_points(p, n - 1, d)}
-                for pt in enumerate_points(p, n, d):
-                    fibers[pt.reduce(n - 1)] += 1
-                sizes = set(fibers.values())
-                checks.append({
-                    "p": p, "d": d, "n": n,
-                    "surjective": 0 not in sizes,
-                    "fiber_size": sorted(sizes),
-                    "pass": sizes == {p**d},
-                })
+def check_level_fibers(seed, p, d, n):
+    fibers = {low: 0 for low in enumerate_points(p, n - 1, d)}
+    for pt in enumerate_points(p, n, d):
+        fibers[pt.reduce(n - 1)] += 1
+    sizes = set(fibers.values())
     return {
-        "criterion": 2,
-        "name": "level-fibers",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "d": d, "n": n,
+        "surjective": 0 not in sizes,
+        "fiber_size": sorted(sizes),
+        "pass": sizes == {p**d},
     }
 
 
-def criterion_tree_balls(ps=None, ds=None, seed=0):
-    checks = []
-    if not _keep((1,), ds):
-        return {"criterion": 3, "name": "tree-balls", "pass": True,
-                "checks": [], "skipped": "tree checks need dimension 1"}
-    for p in _keep((2, 3), ps):
-        for r in (1, 2, 3, 4):
-            ball = Ball(Lattice.standard(p, 1), r)
-            vertices = len(ball.vertices)
-            edges = len(ball.edges())
-            checks.append({
-                "p": p, "radius": r,
-                "vertices": vertices,
-                "expected": tree_ball_size(p, r),
-                "edges": edges,
-                "acyclic": edges == vertices - 1,
-                "pass": vertices == tree_ball_size(p, r)
-                and edges == vertices - 1,
-            })
+def check_tree_ball(seed, p, d, radius):
+    ball = Ball(Lattice.standard(p, d), radius)
+    vertices = len(ball.vertices)
+    edges = len(ball.edges())
     return {
-        "criterion": 3,
-        "name": "tree-balls",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "radius": radius,
+        "vertices": vertices,
+        "expected": tree_ball_size(p, radius),
+        "edges": edges,
+        "acyclic": edges == vertices - 1,
+        "pass": vertices == tree_ball_size(p, radius) and edges == vertices - 1,
     }
 
 
-def criterion_edge_residues(ps=None, ds=None, seed=0):
-    checks = []
-    for d in _keep((1, 2), ds):
-        for p in _keep((2, 3), ps):
-            rng = random.Random(seed * 1000 + 4)
-            classes = enumerate_points(p, 1, d)
-            edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
-            bad = sum(
-                not agrees for _, _, agrees in sweep_oracle(edges, classes, rng)
-            )
-            a, b, c = classes[0], classes[1], classes[2]
-            edge0 = edges[0]
-            s = {x: slope(x, edge0) for x in (a, b, c)}
-            antisym = (s[b] - s[a]) == -(s[a] - s[b])
-            additive = (s[c] - s[a]) == (s[b] - s[a]) + (s[c] - s[b])
-            checks.append({
-                "p": p, "d": d,
-                "edges": len(edges),
-                "classes": len(classes),
-                "oracle_disagreements": bad,
-                "antisymmetric": antisym,
-                "additive": additive,
-                "pass": bad == 0 and antisym and additive,
-            })
+def check_edge_residues(seed, p, d):
+    rng = random.Random(seed * 1000 + 4)
+    classes = enumerate_points(p, 1, d)
+    edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
+    bad = sum(not agrees for _, _, agrees in sweep_oracle(edges, classes, rng))
+    a, b, c = classes[0], classes[1], classes[2]
+    s = {x: slope(x, edges[0]) for x in (a, b, c)}
+    antisym = (s[b] - s[a]) == -(s[a] - s[b])
+    additive = (s[c] - s[a]) == (s[b] - s[a]) + (s[c] - s[b])
     return {
-        "criterion": 4,
-        "name": "edge-residues-vs-oracle",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "d": d,
+        "edges": len(edges),
+        "classes": len(classes),
+        "oracle_disagreements": bad,
+        "antisymmetric": antisym,
+        "additive": additive,
+        "pass": bad == 0 and antisym and additive,
     }
 
 
-def criterion_flow_conservation(ps=None, ds=None, seed=0):
-    checks = []
-    if not _keep((1,), ds):
-        return {"criterion": 5, "name": "tree-flow-conservation",
-                "pass": True, "checks": [],
-                "skipped": "flow conservation is a tree check"}
-    for p in _keep((2, 3, 5), ps):
-        classes = enumerate_points(p, 1, 1)
-        ball = Ball(Lattice.standard(p, 1), 3)
-        violations = 0
-        for vertex in ball.vertices:
-            sums = {x: 0 for x in classes}
-            for edge in edges_at_vertex(vertex):
-                for x in classes:
-                    sums[x] += slope(x, edge)
-            for a in classes:
-                for b in classes:
-                    if (sums[b] - sums[a]) != 0:
-                        violations += 1
-        checks.append({
-            "p": p,
-            "vertices": len(ball.vertices),
-            "pairs": len(classes) ** 2,
-            "violations": violations,
-            "pass": violations == 0,
-        })
+def check_flow_conservation(seed, p, d):
+    classes = enumerate_points(p, 1, d)
+    ball = Ball(Lattice.standard(p, d), 3)
+    violations = 0
+    for vertex in ball.vertices:
+        sums = check_kirchhoff(vertex, classes)
+        violations += sum(sums[a] != sums[b] for a in classes for b in classes)
     return {
-        "criterion": 5,
-        "name": "tree-flow-conservation",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p,
+        "vertices": len(ball.vertices),
+        "pairs": len(classes) ** 2,
+        "violations": violations,
+        "pass": violations == 0,
     }
 
 
-def criterion_refinement_congruence(ps=None, ds=None, seed=0, families=20):
-    checks = []
-    if not _keep((1,), ds):
-        return {"criterion": 6, "name": "level-refinement-congruence",
-                "pass": True, "checks": [],
-                "skipped": "the certificate sweep runs on the tree window"}
-    for p in _keep((2, 3), ps):
-        rng = random.Random(seed * 1000 + 6 + p)
-        desc, z1, z2 = _dual_pair(p)
-        records = []
-        for _ in range(families):
-            fam = random_family(p, 3, 1, rng)
-            records.append(convergence_certificate(fam, z1, z2, 1, 2, 3))
-            records.append(representative_swap_certificate(fam, z1, z2, 1, 2))
-        for cls in enumerate_points(p, 2, 1):
-            if cls.lift_vector("lex") != cls.lift_vector("revlex"):
-                records.append(lift_congruence_certificate(cls, z1, z2, 1))
-        margins = [r["measured_margin"] for r in records]
-        checks.append({
-            "p": p,
-            "records": len(records),
-            "failed": sum(1 for r in records if not r["pass"]),
-            "sample_margins": margins[:4],
-            "pass": all(r["pass"] for r in records),
-        })
+def check_refinement_congruence(seed, p, d):
+    rng = random.Random(seed * 1000 + 6 + p)
+    _, z1, z2 = _dual_pair(p)
+    records = []
+    for _ in range(FAMILIES):
+        fam = random_family(p, 3, d, rng)
+        records.append(convergence_certificate(fam, z1, z2, 1, 2, 3))
+        records.append(representative_swap_certificate(fam, z1, z2, 1, 2))
+    for cls in enumerate_points(p, 2, d):
+        if cls.lift_vector("lex") != cls.lift_vector("revlex"):
+            records.append(lift_congruence_certificate(cls, z1, z2, 1))
     return {
-        "criterion": 6,
-        "name": "level-refinement-congruence",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p,
+        "records": len(records),
+        "failed": sum(1 for r in records if not r["pass"]),
+        "sample_margins": [r["measured_margin"] for r in records[:4]],
+        "pass": all(r["pass"] for r in records),
     }
 
 
-def criterion_restriction(ps=None, ds=None, seed=0, families=20):
-    checks = []
-    if not _keep((1,), ds):
-        return {"criterion": 7, "name": "restriction-compatibility",
-                "pass": True, "checks": [],
-                "skipped": "the certificate sweep runs on the tree window"}
-    for p in _keep((2, 3), ps):
-        rng = random.Random(seed * 1000 + 7 + p)
-        desc, z1, z2 = _dual_pair(p)
-        records = []
-        for _ in range(families):
-            fam = random_family(p, 3, 1, rng)
-            records.append(restriction_certificate(fam, z1, z2, 1, 2, 3))
-        checks.append({
-            "p": p,
-            "records": len(records),
-            "failed": sum(1 for r in records if not r["pass"]),
-            "all_exact_restrictions": all(
-                r["exact_restriction"] for r in records
-            ),
-            "pass": all(r["pass"] for r in records),
-        })
+def check_restriction(seed, p, d):
+    rng = random.Random(seed * 1000 + 7 + p)
+    _, z1, z2 = _dual_pair(p)
+    records = [
+        restriction_certificate(random_family(p, 3, d, rng), z1, z2, 1, 2, 3)
+        for _ in range(FAMILIES)
+    ]
     return {
-        "criterion": 7,
-        "name": "restriction-compatibility",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p,
+        "records": len(records),
+        "failed": sum(1 for r in records if not r["pass"]),
+        "all_exact_restrictions": all(r["exact_restriction"] for r in records),
+        "pass": all(r["pass"] for r in records),
     }
 
 
-def _round_trip_check(p, d, edges):
+def check_residue_round_trip(seed, p, d):
     """Compare the dlog residue of every basis product with the slope
-    pairing on every edge."""
+    pairing: on every edge of the radius-2 tree ball, and in dimension 2 on
+    both standard edges and a random unimodular translate of each."""
+    if d == 1:
+        edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
+    else:
+        rng = random.Random(seed * 1000 + 8)
+        edges = []
+        for tv in ((1, 2), (2, 1)):
+            base = standard_simplex(p, tv)
+            edges.append(base)
+            edges.append(base.right_multiplied(random_unimodular(d + 1, rng)))
     basis = basis_mass_zero(p, 1, d)
     mismatches = 0
     for mu in basis:
-        u = alpha_level(mu)
         for edge in edges:
-            left = dlog_residue(u, edge, require_local=False)
-            right = GLOBAL_SIGN * pair_distribution(mu, edge,
-                                                    require_local=False)
-            if left != right:
-                mismatches += 1
+            left, right = residue_round_trip(mu, edge, require_local=False)
+            mismatches += left != right
     return {
         "p": p, "d": d,
         "basis": len(basis),
@@ -294,53 +216,18 @@ def _round_trip_check(p, d, edges):
     }
 
 
-def criterion_residue_round_trip(ps=None, ds=None, seed=0):
-    checks = []
-    for p in _keep((2, 3), ps) if _keep((1,), ds) else []:
-        edges = Ball(Lattice.standard(p, 1), 2).pointed_edges()
-        checks.append(_round_trip_check(p, 1, edges))
-    if _keep((2,), ds) and _keep((2,), ps):
-        rng = random.Random(seed * 1000 + 8)
-        edges = []
-        for tv in ((1, 2), (2, 1)):
-            base = standard_simplex(2, tv)
-            edges.append(base)
-            edges.append(base.right_multiplied(random_unimodular(3, rng)))
-        checks.append(_round_trip_check(2, 2, edges))
+def check_pairing_rank(seed, p, d):
+    edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
+    matrix = pairing_matrix(edges, 1, p, d)
+    divisors = snf_divisors([list(r) for r in matrix])
+    rank = sum(1 for x in divisors if x != 0)
+    expected = point_count(p, 1, d) - 1
     return {
-        "criterion": 8,
-        "name": "residue-round-trip",
-        "global_sign": GLOBAL_SIGN,
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
-
-
-def criterion_pairing_rank(ps=None, ds=None, seed=0):
-    checks = []
-    grids = []
-    if _keep((1,), ds):
-        grids += [(p, 1) for p in _keep((2, 3), ps)]
-    if _keep((2,), ds) and _keep((2,), ps):
-        grids.append((2, 2))
-    for p, d in grids:
-        edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
-        matrix = pairing_matrix(edges, 1, p, d)
-        divisors = snf_divisors([list(r) for r in matrix])
-        rank = sum(1 for x in divisors if x != 0)
-        expected = point_count(p, 1, d) - 1
-        checks.append({
-            "p": p, "d": d,
-            "edges": len(edges),
-            "rank": rank,
-            "expected": expected,
-            "pass": rank == expected,
-        })
-    return {
-        "criterion": 9,
-        "name": "pairing-rank",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "d": d,
+        "edges": len(edges),
+        "rank": rank,
+        "expected": expected,
+        "pass": rank == expected,
     }
 
 
@@ -387,64 +274,62 @@ def _proper_faces(sigma):
     return faces
 
 
-def criterion_reduction_cross_validation(ps=None, ds=None, seed=0,
-                                         points_per_config=100):
-    checks = []
-    for p, d, e, f in TAU_CONFIGS:
-        if not (_keep((p,), ps) and _keep((d,), ds)):
-            continue
-        rng = random.Random(seed * 1000 + 10 + 7 * p + d)
-        failures = 0
-        samples = 0
-        simplices = max(1, points_per_config // 2)
-        for _ in range(simplices):
-            sigma = _random_simplex_for(p, d, e, f, rng)
-            k0 = sigma.lattices[0].det_exponent
-            desc = FieldDesc(p=p, e=e, f=f, N=max(e * (10 + 3 * k0), 2 * e))
-            rotations = sigma.rotations()
-            offsets = set()
-            for _ in range(2):
-                samples += 1
-                z = point_in_tube(desc, sigma, rng)
-                ok = member_tube(z, sigma, open_tube=True)
-                bp = reduce_to_building(z)
-                ok = ok and bp.simplex in rotations
-                if ok:
-                    offsets.add(rotations.index(bp.simplex))
-                coords = tube_coordinates(z, sigma)
-                ok = ok and all(x.valuation_at_least(0) for x in coords)
-                prod = coords[0]
-                for di in sigma.boundary_indices()[1:]:
-                    prod = prod * coords[di]
-                target = FieldElem.from_int(desc, p)
-                diff = prod - target
-                ok = ok and prod.agrees_with(target)
-                ok = ok and (diff.shift + diff.prec) > desc.e
-                ok = ok and all(
-                    not member_tube(z, face, open_tube=True)
-                    for face in _proper_faces(sigma)
-                )
-                if not ok:
-                    failures += 1
-            if len(offsets) > 1:
+def check_reduction(seed, p, d, e, f):
+    rng = random.Random(seed * 1000 + 10 + 7 * p + d)
+    failures = 0
+    for _ in range(POINTS_PER_CONFIG // 2):
+        sigma = _random_simplex_for(p, d, e, f, rng)
+        k0 = sigma.lattices[0].det_exponent
+        desc = FieldDesc(p=p, e=e, f=f, N=max(e * (10 + 3 * k0), 2 * e))
+        rotations = sigma.rotations()
+        offsets = set()
+        for _ in range(2):
+            z = point_in_tube(desc, sigma, rng)
+            ok = member_tube(z, sigma, open_tube=True)
+            bp = reduce_to_building(z)
+            ok = ok and bp.simplex in rotations
+            if ok:
+                offsets.add(rotations.index(bp.simplex))
+            coords = tube_coordinates(z, sigma)
+            ok = ok and all(x.valuation_at_least(0) for x in coords)
+            prod = coords[0]
+            for di in sigma.boundary_indices()[1:]:
+                prod = prod * coords[di]
+            target = FieldElem.from_int(desc, p)
+            diff = prod - target
+            ok = ok and prod.agrees_with(target)
+            ok = ok and (diff.shift + diff.prec) > desc.e
+            ok = ok and all(
+                not member_tube(z, face, open_tube=True)
+                for face in _proper_faces(sigma)
+            )
+            if not ok:
                 failures += 1
-        checks.append({
-            "p": p, "d": d, "e": e, "f": f,
-            "points": samples,
-            "failures": failures,
-            "pass": failures == 0,
-        })
+        if len(offsets) > 1:
+            failures += 1
     return {
-        "criterion": 10,
-        "name": "reduction-cross-validation",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
+        "p": p, "d": d, "e": e, "f": f,
+        "points": POINTS_PER_CONFIG,
+        "failures": failures,
+        "pass": failures == 0,
     }
 
 
-def _translate_check(p, d, z1, z2, translates, rng):
+def check_equivariance(seed, p, d, translates):
     """Equivariance certificates and exact transport of the reduction map
     under random unimodular translates g."""
+    if d == 1:
+        rng = random.Random(seed * 1000 + 11 + p)
+        _, z1, z2 = _dual_pair(p)
+    else:
+        rng = random.Random(seed * 1000 + 11)
+        # size-3 transports stack several deep section cancellations, so
+        # this point carries extra working digits
+        desc = FieldDesc(p=p, e=3, N=90)
+        pi = FieldElem.pi(desc)
+        one = FieldElem.one(desc)
+        z1 = SymmetricSpacePoint([one, pi, pi * pi])
+        z2 = SymmetricSpacePoint([one, pi + pi**4, pi * pi])
     base1 = reduce_to_building(z1)
     cert_failures = 0
     tau_failures = 0
@@ -468,32 +353,70 @@ def _translate_check(p, d, z1, z2, translates, rng):
     }
 
 
-def criterion_equivariance(ps=None, ds=None, seed=0, translates=50):
-    checks = []
-    if _keep((1,), ds):
-        for p in _keep((2, 3), ps):
-            rng = random.Random(seed * 1000 + 11 + p)
-            _, z1, z2 = _dual_pair(p)
-            checks.append(_translate_check(p, 1, z1, z2, translates, rng))
-    if _keep((2,), ds) and _keep((2,), ps):
-        rng = random.Random(seed * 1000 + 11)
-        # size-3 transports stack several deep section cancellations, so
-        # this block carries extra working digits
-        desc = FieldDesc(p=2, e=3, N=90)
-        pi = FieldElem.pi(desc)
-        one = FieldElem.one(desc)
-        z1 = SymmetricSpacePoint([one, pi, pi * pi])
-        z2 = SymmetricSpacePoint([one, pi + pi**4, pi * pi])
-        checks.append(_translate_check(2, 2, z1, z2, 10, rng))
-    return {
-        "criterion": 11,
-        "name": "equivariance",
-        "pass": all(c["pass"] for c in checks),
-        "checks": checks,
-    }
+# --- the criteria table ------------------------------------------------------
 
 
-def criterion_reproducibility(ps=None, ds=None, seed=0):
+@dataclass(frozen=True)
+class Criterion:
+    """One criterion: its checks run on the grid points the filters keep.
+
+    `extra` holds envelope fields written between the name and the pass
+    flag."""
+
+    number: int
+    name: str
+    check: Callable
+    grid: tuple
+    extra: dict = field(default_factory=dict)
+
+    def select(self, ps, ds):
+        return [pt for pt in self.grid
+                if (ps is None or pt[0] in ps) and (ds is None or pt[1] in ds)]
+
+    def run(self, points, seed):
+        """The criterion's record over the given grid points.  With no
+        point it is skipped: its pass flag is None, never True."""
+        record = {"criterion": self.number, "name": self.name, **self.extra}
+        if not points:
+            pairs = ", ".join(dict.fromkeys(f"({p}, {d})"
+                                            for p, d, *_ in self.grid))
+            record.update({"pass": None, "checks": [], "skipped":
+                           f"the filters keep no (p, d) of its grid: {pairs}"})
+            return record
+        checks = [self.check(seed, *pt) for pt in points]
+        record.update({"pass": all(c["pass"] for c in checks),
+                       "checks": checks})
+        return record
+
+
+CRITERIA = (
+    Criterion(1, "point-counts", check_point_count,
+              tuple((p, d, n) for d in (1, 2) for p in (2, 3, 5)
+                    for n in (1, 2, 3))),
+    Criterion(2, "level-fibers", check_level_fibers,
+              tuple((p, d, n) for d in (1, 2) for p in (2, 3, 5)
+                    for n in (2, 3))),
+    Criterion(3, "tree-balls", check_tree_ball,
+              tuple((p, 1, r) for p in (2, 3) for r in (1, 2, 3, 4))),
+    Criterion(4, "edge-residues-vs-oracle", check_edge_residues,
+              tuple((p, d) for d in (1, 2) for p in (2, 3))),
+    Criterion(5, "tree-flow-conservation", check_flow_conservation,
+              ((2, 1), (3, 1), (5, 1))),
+    Criterion(6, "level-refinement-congruence", check_refinement_congruence,
+              ((2, 1), (3, 1))),
+    Criterion(7, "restriction-compatibility", check_restriction,
+              ((2, 1), (3, 1))),
+    Criterion(8, "residue-round-trip", check_residue_round_trip,
+              ((2, 1), (3, 1), (2, 2)), {"global_sign": GLOBAL_SIGN}),
+    Criterion(9, "pairing-rank", check_pairing_rank,
+              ((2, 1), (3, 1), (2, 2))),
+    Criterion(10, "reduction-cross-validation", check_reduction, TAU_CONFIGS),
+    Criterion(11, "equivariance", check_equivariance,
+              ((2, 1, TRANSLATES), (3, 1, TRANSLATES), (2, 2, 10))),
+)
+
+
+def criterion_reproducibility(seed=0):
     first = run_all(ps={2}, ds={1}, seed=seed, include_reproducibility=False)
     second = run_all(ps={2}, ds={1}, seed=seed, include_reproducibility=False)
     blob1 = json.dumps(first, sort_keys=True)
@@ -507,22 +430,6 @@ def criterion_reproducibility(ps=None, ds=None, seed=0):
     }
 
 
-CRITERIA = (
-    criterion_point_counts,
-    criterion_level_fibers,
-    criterion_tree_balls,
-    criterion_edge_residues,
-    criterion_flow_conservation,
-    criterion_refinement_congruence,
-    criterion_restriction,
-    criterion_residue_round_trip,
-    criterion_pairing_rank,
-    criterion_reduction_cross_validation,
-    criterion_equivariance,
-    criterion_reproducibility,
-)
-
-
 class EmptySelection(ValueError):
     """The prime and dimension filters select no check of any criterion."""
 
@@ -530,27 +437,29 @@ class EmptySelection(ValueError):
 def run_all(ps=None, ds=None, seed=0, include_reproducibility=True):
     """Run every criterion with the given prime/dimension filters.
 
-    Raises EmptySelection when the filters leave every criterion without a
-    check: such a bundle would pass having checked nothing.  Criterion 12
-    (last) runs its own fixed slice, so it does not count, and then it
-    does not run."""
+    A criterion whose grid keeps no point is recorded as skipped, and
+    all_pass means that no criterion that ran failed.  Raises
+    EmptySelection, before any check runs, when the filters keep no point
+    of any grid: such a bundle would pass having checked nothing.
+    Criterion 12 (last) runs its own fixed slice, so it does not count,
+    and then it does not run."""
     ps = set(ps) if ps is not None else None
     ds = set(ds) if ds is not None else None
     primes = sorted(ps) if ps is not None else "default"
     dimensions = sorted(ds) if ds is not None else "default"
-    results = [runner(ps=ps, ds=ds, seed=seed)
-               for runner in CRITERIA if runner is not criterion_reproducibility]
-    if not any(r["checks"] for r in results):
+    selected = [(c, c.select(ps, ds)) for c in CRITERIA]
+    if not any(points for _, points in selected):
         raise EmptySelection(
             f"primes {primes} and dimensions {dimensions} select no check "
             "of any criterion"
         )
+    results = [c.run(points, seed) for c, points in selected]
     if include_reproducibility:
-        results.append(criterion_reproducibility(ps=ps, ds=ds, seed=seed))
+        results.append(criterion_reproducibility(seed=seed))
     return {
         "seed": seed,
         "primes": primes,
         "dimensions": dimensions,
-        "all_pass": all(r["pass"] for r in results),
+        "all_pass": all(r["pass"] is not False for r in results),
         "criteria": results,
     }

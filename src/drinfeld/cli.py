@@ -44,9 +44,9 @@ from .covers import (
 from .distributions import MassZeroVector, random_family, random_mass_zero
 from .intlinalg import gaussian_binomial, inv_scaled
 from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
-from .products import alpha_level, dlog_residue, evaluate_product
+from .products import alpha_level, evaluate_product, residue_round_trip
 from .projpoints import enumerate_points, point_count
-from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, pair_distribution, sweep_oracle
+from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, sweep_oracle
 
 LOG = logging.getLogger("drinfeld")
 
@@ -363,10 +363,8 @@ def cmd_alpha_converge(args):
 def cmd_alpha_residue(args):
     mu = _load_distribution(args)
     sigma = _parse_chain(args.p, args.edge)
-    require_local = not args.allow_shallow
-    left = dlog_residue(alpha_level(mu), sigma, require_local=require_local)
-    right = GLOBAL_SIGN * pair_distribution(mu, sigma,
-                                            require_local=require_local)
+    left, right = residue_round_trip(mu, sigma,
+                                     require_local=not args.allow_shallow)
     _emit(args, [{
         "edge": sigma.to_json()["chain"],
         "dlog_residue": left,
@@ -405,7 +403,7 @@ def cmd_certify_all(args):
     elapsed = time.monotonic() - started
     for rec in bundle["criteria"]:
         LOG.info("criterion %2d %-32s %s", rec["criterion"], rec["name"],
-                 "PASS" if rec["pass"] else "FAIL")
+                 {True: "PASS", False: "FAIL", None: "SKIP"}[rec["pass"]])
     LOG.info("bundle finished in %.1fs: %s", elapsed,
              "all PASS" if bundle["all_pass"] else "FAILURES PRESENT")
     text = json.dumps(bundle, indent=1) + "\n"

@@ -13,7 +13,7 @@ from .covers import member_open_cover
 from .distributions import MassZeroVector
 from .padic import FieldElem
 from .projpoints import enumerate_points
-from .residues import GLOBAL_SIGN, required_level, slope
+from .residues import GLOBAL_SIGN, pair_distribution, required_level, slope
 
 REP_SYSTEMS = ("lex", "revlex")
 
@@ -151,8 +151,6 @@ def dlog_residue(u, sigma, require_local=True):
 def residue_round_trip(mu, sigma, require_local=True):
     """dlog residue of the integrated vector versus the slope pairing; the
     two sides agree up to the frozen global sign."""
-    from .residues import pair_distribution
-
     left = dlog_residue(alpha_level(mu), sigma, require_local=require_local)
     right = GLOBAL_SIGN * pair_distribution(
         mu, sigma, require_local=require_local

@@ -184,12 +184,15 @@ def edges_at_vertex(lattice):
     )
 
 
-def check_kirchhoff(lattice, a, b):
-    """Flow conservation at a tree vertex: the edge residues of (a, b) over
-    all edges leaving the vertex sum to zero."""
+def check_kirchhoff(lattice, classes):
+    """Slope sum of each class over all edges leaving a tree vertex.
+
+    Flow conservation holds at the vertex when all the sums are equal: the
+    edge residues of every pair (a, b) then sum to sums[b] - sums[a] = 0."""
     if lattice.dim != 2:
         raise ValueError("the flow condition is a tree (two-coordinate) check")
-    return sum(lambda_edge(edge, a, b) for edge in edges_at_vertex(lattice)) == 0
+    edges = edges_at_vertex(lattice)
+    return {x: sum(slope(x, edge) for edge in edges) for x in classes}
 
 
 class CochainTable:

@@ -31,9 +31,15 @@ def _report(line):
         print(line)
 
 
-def _run(runner, budget_seconds, **kwargs):
+def _run(number, budget_seconds):
+    """Run one criterion over its whole grid: 1-11 through the table, 12
+    through its own function."""
     started = time.monotonic()
-    result = runner(seed=0, **kwargs)
+    if number == 12:
+        result = certify.criterion_reproducibility(seed=0)
+    else:
+        criterion = certify.CRITERIA[number - 1]
+        result = criterion.run(criterion.grid, seed=0)
     elapsed = time.monotonic() - started
     status = "PASS" if result["pass"] else "FAIL"
     _report(
@@ -49,27 +55,27 @@ def _run(runner, budget_seconds, **kwargs):
 
 
 def test_criterion_01_point_counts():
-    result = _run(certify.criterion_point_counts, 10)
+    result = _run(1, 10)
     assert len(result["checks"]) == 18  # d in {1,2} x p in {2,3,5} x n in {1,2,3}
     assert all(c["enumerated"] == c["expected"] for c in result["checks"])
 
 
 def test_criterion_02_level_fibers():
-    result = _run(certify.criterion_level_fibers, 10)
+    result = _run(2, 10)
     for check in result["checks"]:
         assert check["fiber_size"] == [check["p"] ** check["d"]]
         assert check["surjective"]
 
 
 def test_criterion_03_tree_balls():
-    result = _run(certify.criterion_tree_balls, 10)
+    result = _run(3, 10)
     assert len(result["checks"]) == 8  # p in {2,3} x radius in 1..4
     assert all(c["acyclic"] for c in result["checks"])
     assert all(c["vertices"] == c["expected"] for c in result["checks"])
 
 
 def test_criterion_04_edge_residues_vs_oracle():
-    result = _run(certify.criterion_edge_residues, 300)
+    result = _run(4, 300)
     assert {(c["p"], c["d"]) for c in result["checks"]} == {
         (2, 1), (3, 1), (2, 2), (3, 2)
     }
@@ -78,27 +84,27 @@ def test_criterion_04_edge_residues_vs_oracle():
 
 
 def test_criterion_05_flow_conservation():
-    result = _run(certify.criterion_flow_conservation, 60)
+    result = _run(5, 60)
     assert {c["p"] for c in result["checks"]} == {2, 3, 5}
     assert all(c["violations"] == 0 for c in result["checks"])
 
 
 def test_criterion_06_refinement_congruence():
-    result = _run(certify.criterion_refinement_congruence, 120)
+    result = _run(6, 120)
     for check in result["checks"]:
         assert check["records"] >= 40  # 20 families x 2 certificates + lifts
         assert check["failed"] == 0
 
 
 def test_criterion_07_restriction():
-    result = _run(certify.criterion_restriction, 120)
+    result = _run(7, 120)
     for check in result["checks"]:
         assert check["records"] == 20
         assert check["all_exact_restrictions"]
 
 
 def test_criterion_08_residue_round_trip():
-    result = _run(certify.criterion_residue_round_trip, 180)
+    result = _run(8, 180)
     assert result["global_sign"] == 1
     configs = {(c["p"], c["d"]) for c in result["checks"]}
     assert configs == {(2, 1), (3, 1), (2, 2)}
@@ -106,13 +112,13 @@ def test_criterion_08_residue_round_trip():
 
 
 def test_criterion_09_pairing_rank():
-    result = _run(certify.criterion_pairing_rank, 60)
+    result = _run(9, 60)
     for check in result["checks"]:
         assert check["rank"] == check["expected"]
 
 
 def test_criterion_10_reduction_cross_validation():
-    result = _run(certify.criterion_reduction_cross_validation, 120)
+    result = _run(10, 120)
     assert len(result["checks"]) == len(certify.TAU_CONFIGS)
     for check in result["checks"]:
         assert check["points"] == 100
@@ -120,7 +126,7 @@ def test_criterion_10_reduction_cross_validation():
 
 
 def test_criterion_11_equivariance():
-    result = _run(certify.criterion_equivariance, 120)
+    result = _run(11, 120)
     by_dim = {(c["p"], c["d"]): c for c in result["checks"]}
     assert by_dim[(2, 1)]["translates"] == 50
     assert by_dim[(3, 1)]["translates"] == 50
@@ -131,7 +137,7 @@ def test_criterion_11_equivariance():
 
 
 def test_criterion_12_reproducibility():
-    result = _run(certify.criterion_reproducibility, 60)
+    result = _run(12, 60)
     assert result["identical"]
 
 
