@@ -9,7 +9,8 @@ arguments reproduces the bytes exactly.  Every command, its flags, their
 defaults and their caps are declared once in the command table at the end
 of this module.  Resource caps are read from DRINFELD_MAX_* environment
 variables and are checked, with the cardinality estimates, before any
-enumeration starts."""
+enumeration starts; --N, which sets the bigint size, has the fixed
+ceiling MAX_N."""
 
 from __future__ import annotations
 
@@ -56,6 +57,10 @@ DEFAULT_CAPS = {
     "DRINFELD_MAX_DIM": 4,
     "DRINFELD_MAX_COUNT": 500000,
 }
+
+# Ceiling of --N: the commands default to 24 or 40 working digits and the
+# largest precision fixed inside the library is 90.
+MAX_N = 1000
 
 
 class UsageError(Exception):
@@ -556,13 +561,15 @@ def _build_parser():
 
 def _check_args(args):
     """The checks of single flags, before any work: required flags, a
-    prime --p, and every capped flag against its cap."""
+    prime --p, --N against MAX_N, and every capped flag against its cap."""
     for flag, default in COMMANDS[args.words][2].items():
         dest = FLAGS[flag].get("dest", flag.replace("-", "_"))
         if default is REQUIRED and getattr(args, dest) is None:
             raise UsageError(f"missing --{flag}")
     if args.p is not None and not is_prime(args.p):
         raise UsageError(f"--p must be a prime number, got {args.p}")
+    if getattr(args, "N", None) is not None and args.N > MAX_N:
+        raise UsageError(f"--N {args.N} exceeds the ceiling MAX_N={MAX_N}")
     for flag, cap_name in CAPS.items():
         value = getattr(args, flag, None)
         if value is not None:

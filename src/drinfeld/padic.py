@@ -15,8 +15,14 @@ Comparisons that the stored digits cannot resolve raise PrecisionError
 rather than guessing.
 
 Division extracts the unit part of the divisor (its polynomial part over
-pi^v) and inverts it with one linear solve mod p^coeff_exponent against
-its multiplication matrix; a rational-integer unit is inverted by pow().
+pi^v, one slice of rows) and inverts it.  A rational-integer unit is
+inverted by pow().  At even e, pi -> -pi is a ring automorphism, so
+u^-1 = conj(u) * (u conj(u))^-1, where the norm u conj(u) lies in the
+subring of pi^2, a field of ramification e/2 with the same modulus; the
+norm is inverted there the same way (norm descent).  Only at odd e, where
+the descent ends, does a unit that is not a rational integer take one
+linear solve mod p^coeff_exponent against its e*f x e*f multiplication
+matrix; at f = 1 and e in {2, 4} the descent ends in a rational integer.
 
 The core is kept lean because every criterion spends most of its time
 here: FieldElem is a slotted value class, FieldDesc computes its modulus,
@@ -122,6 +128,13 @@ class FieldDesc:
         coefficient of the unreduced product of two reduced vectors."""
         bits = (self.e * (self.coeff_modulus - 1) ** 2).bit_length()
         return bits, (1 << bits) - 1
+
+    @cached_property
+    def _norm_desc(self):
+        """The subring of pi^2 at even e: ramification e/2, residue degree
+        f and the same coefficient modulus, with pi^2 as its uniformizer."""
+        half = self.e // 2
+        return FieldDesc(self.p, half, self.f, half * self.coeff_exponent)
 
     @cached_property
     def _schoolbook(self):
@@ -365,10 +378,11 @@ class FieldElem:
         )
 
     def __truediv__(self, other):
-        other = _coerce(self.desc, other)
+        desc = self.desc
+        if other.__class__ is not FieldElem or other.desc is not desc:
+            other = _coerce(desc, other)
         if other.exact_zero:
             raise ZeroDivisionError("division by exact zero")
-        desc = self.desc
         v = other._poly_valuation()
         if v is None:
             raise PrecisionError("division by an element indistinguishable from 0")
@@ -493,15 +507,21 @@ def _packed_mul(desc, ca, cb):
 
 
 def _extract_unit(desc, coeffs, prec, v):
-    """Divide the polynomial part exactly by pi^v; returns (unit, prec - v)."""
-    e, f, p, mod = desc.e, desc.f, desc.p, desc.coeff_modulus
-    rows = [list(coeffs[i * f : (i + 1) * f]) for i in range(e)]
-    for _ in range(v):
-        bottom = rows.pop(0)
-        if any(c % p for c in bottom):
-            raise PrecisionError("inexact division by pi")
-        rows.append([c // p for c in bottom])
-    return tuple(c % mod for row in rows for c in row), prec - v
+    """Divide the polynomial part exactly by pi^v; returns (unit, prec - v).
+
+    The inverse of _shift_poly: with v = q*e + r, rows from r on move down
+    r rows divided by p^q, and the bottom r rows wrap round to the top
+    divided by p^(q + 1)."""
+    if v == 0:
+        return coeffs, prec
+    q, r = divmod(v, desc.e)
+    stay = desc.p**q
+    wrap = stay * desc.p
+    cut = r * desc.f
+    low, high = coeffs[:cut], coeffs[cut:]
+    if any(c % stay for c in high) or any(c % wrap for c in low):
+        raise PrecisionError("inexact division by pi")
+    return tuple([c // stay for c in high] + [c // wrap for c in low]), prec - v
 
 
 def _omega_step(block, low):
@@ -523,8 +543,10 @@ def _times_omega(desc, coeffs):
 
 def _unit_inverse(desc, unit_coeffs):
     """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
-    with u*x = 1, from one linear solve mod p^coeff_exponent whose column t
-    is u*pi^i*omega^j (t = i*f + j)."""
+    with u*x = 1.  A rational integer is inverted by pow(); at even e by
+    norm descent, x = conj(u) * (u conj(u))^-1 with conj: pi -> -pi and the
+    norm inverted in the subring of pi^2; at odd e by one linear solve mod
+    p^coeff_exponent whose column t is u*pi^i*omega^j (t = i*f + j)."""
     p, e, f = desc.p, desc.e, desc.f
     if not any(c % p for c in unit_coeffs[:f]):
         raise PrecisionError("inverse of a non-unit")
@@ -532,6 +554,24 @@ def _unit_inverse(desc, unit_coeffs):
         # a rational integer unit needs no solve
         inv = pow(unit_coeffs[0], -1, desc.coeff_modulus)
         return (inv,) + (0,) * (e * f - 1)
+    if e % 2 == 0:
+        mod = desc.coeff_modulus
+        conj = list(unit_coeffs)
+        for t in range(f, e * f, 2 * f):
+            conj[t : t + f] = [-c % mod for c in conj[t : t + f]]
+        conj = tuple(conj)
+        # u * conj(u) is fixed by pi -> -pi: its odd pi-rows vanish and its
+        # even rows are the digits of the norm in the subring of pi^2
+        norm = _poly_mul(desc, unit_coeffs, conj)
+        even = tuple(c for t in range(0, e * f, 2 * f) for c in norm[t : t + f])
+        inner = _unit_inverse(desc._norm_desc, even)
+        if not any(inner[1:]):
+            # a rational-integer inverse norm just scales conj(u)
+            return tuple([c * inner[0] % mod for c in conj])
+        spread = [0] * (e * f)
+        for t in range(0, e * f, 2 * f):
+            spread[t : t + f] = inner[t // 2 : t // 2 + f]
+        return _poly_mul(desc, conj, tuple(spread))
     columns = []
     u_pi = unit_coeffs
     for i in range(e):

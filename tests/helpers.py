@@ -4,15 +4,14 @@ library code that a faster implementation replaced."""
 from dataclasses import dataclass
 
 from drinfeld.building import standard_simplex
-from drinfeld.intlinalg import det_int, inv_scaled
+from drinfeld.intlinalg import det_int, inv_scaled, solve_mod
 from drinfeld.padic import (
     FieldDesc,
     FieldElem,
     PrecisionError,
     _coerce,
-    _extract_unit,
     _poly_mul,
-    _unit_inverse,
+    _times_omega,
 )
 
 
@@ -127,6 +126,30 @@ def _newton_lift(desc, unit_coeffs):
     return b
 
 
+# Differential precision: a value computed at N against the same value
+# computed at 3N.
+
+
+def check_trusted(lo, hi):
+    """Every digit lo trusts is trusted by hi and equal to it, and every
+    valuation lo resolves hi resolves to the same value."""
+    desc = lo.desc
+    assert lo.exact_zero == hi.exact_zero
+    if lo.exact_zero:
+        return
+    assert hi.shift + hi.prec >= lo.shift + lo.prec
+    mod = desc.coeff_modulus
+    hi_at_lo = FieldElem(
+        desc, hi.shift, tuple(c % mod for c in hi.coeffs), min(hi.prec, desc.work_prec)
+    )
+    assert lo.agrees_with(hi_at_lo)
+    try:
+        v = lo.valuation()
+    except PrecisionError:
+        return
+    assert hi.valuation() == v
+
+
 # Reference field arithmetic: FieldElem's negation, add, multiply, integer
 # scaling and divide as they were in the frozen-dataclass core, with the
 # row-popping pi-shift and the nested-row schoolbook product, kept verbatim
@@ -216,8 +239,10 @@ def reference_truediv(self, other):
         raise PrecisionError("division by an element indistinguishable from 0")
     if self.exact_zero:
         return FieldElem.zero(desc)
-    unit_coeffs, unit_prec = _extract_unit(desc, other.coeffs, other.prec, v)
-    inv = _unit_inverse(desc, unit_coeffs)
+    unit_coeffs, unit_prec = reference_extract_unit(
+        desc, other.coeffs, other.prec, v
+    )
+    inv = reference_unit_inverse(desc, unit_coeffs)
     coeffs = reference_poly_mul(desc, self.coeffs, inv)
     return FieldElem(
         desc,
@@ -294,6 +319,48 @@ def reference_poly_mul(desc, ca, cb):
                     if w:
                         row[j] += scale * c * w
     return tuple(c % mod for row in out for c in row)
+
+
+# Reference unit extraction and inverse: padic's row-popping division by
+# pi^v and its one linear solve against the full e*f x e*f multiplication
+# matrix, kept verbatim (with the reference pi-shift), from before the
+# slice extraction and the norm descent at even e.
+
+
+def reference_extract_unit(desc, coeffs, prec, v):
+    """Divide the polynomial part exactly by pi^v; returns (unit, prec - v)."""
+    e, f, p, mod = desc.e, desc.f, desc.p, desc.coeff_modulus
+    rows = [list(coeffs[i * f : (i + 1) * f]) for i in range(e)]
+    for _ in range(v):
+        bottom = rows.pop(0)
+        if any(c % p for c in bottom):
+            raise PrecisionError("inexact division by pi")
+        rows.append([c // p for c in bottom])
+    return tuple(c % mod for row in rows for c in row), prec - v
+
+
+def reference_unit_inverse(desc, unit_coeffs):
+    """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
+    with u*x = 1, from one linear solve mod p^coeff_exponent whose column t
+    is u*pi^i*omega^j (t = i*f + j)."""
+    p, e, f = desc.p, desc.e, desc.f
+    if not any(c % p for c in unit_coeffs[:f]):
+        raise PrecisionError("inverse of a non-unit")
+    if not any(unit_coeffs[1:]):
+        # a rational integer unit needs no solve
+        inv = pow(unit_coeffs[0], -1, desc.coeff_modulus)
+        return (inv,) + (0,) * (e * f - 1)
+    columns = []
+    u_pi = unit_coeffs
+    for i in range(e):
+        if i:
+            u_pi = reference_shift_poly(desc, u_pi, 1)
+        columns.append(u_pi)
+        for _ in range(f - 1):
+            columns.append(_times_omega(desc, columns[-1]))
+    rhs = [(1,)] + [(0,)] * (e * f - 1)
+    x = solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
+    return tuple(row[0] for row in x)
 
 
 # Reference oracle sampler: residues._oracle_points as it was when it

@@ -3,6 +3,7 @@ and the JSON record shape."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,9 @@ from drinfeld.distributions import (
 )
 from drinfeld.intlinalg import inv_scaled
 from drinfeld.padic import FieldDesc, FieldElem
+from drinfeld.products import alpha_level, evaluate_ratio
 from drinfeld.projpoints import ProjPoint
+from helpers import check_trusted
 
 RECORD_KEYS = {
     "kind", "inputs", "threshold", "measured_margin",
@@ -89,6 +92,40 @@ def test_certificates_pass_over_random_families():
             ):
                 assert rec["pass"], rec
                 assert Fraction(rec["measured_margin"]) >= rec["threshold"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_ratios_and_margins_survive_at_triple_precision(p):
+    """evaluate_ratio of a seeded random family on the dual pair, built at
+    N and at 3N: every digit trusted at N is the digit at 3N, a margin
+    resolved at N is the margin at 3N, and an unresolved one is a lower
+    bound of it.  Quotients of two ratios are the certificates' values."""
+    N = 40
+    _, lo1, lo2 = _dual_pair(p, N=N)
+    _, hi1, hi2 = _dual_pair(p, N=3 * N)
+    rng = random.Random(7 + p)
+    for _ in range(3):
+        fam = random_family(p, 3, 1, rng)
+        pairs = []
+        for n in (2, 3):
+            for rep_system in ("lex", "revlex"):
+                u = alpha_level(fam.at(n), rep_system)
+                pairs.append(
+                    (evaluate_ratio(u, lo1, lo2, 1), evaluate_ratio(u, hi1, hi2, 1))
+                )
+        pairs += [
+            (a_lo / b_lo, a_hi / b_hi)
+            for (a_lo, a_hi), (b_lo, b_hi) in combinations(pairs, 2)
+        ]
+        pairs += [(lo / lo, hi / hi) for lo, hi in pairs[:1]]
+        for lo, hi in pairs:
+            check_trusted(lo, hi)
+            margin_lo, resolved = unit_margin(lo)
+            margin_hi, _ = unit_margin(hi)
+            if resolved:
+                assert margin_lo == margin_hi
+            else:
+                assert margin_hi is None or margin_lo <= margin_hi
 
 
 def test_lift_congruence_distinct_lifts():

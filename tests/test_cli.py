@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from drinfeld.cli import main
+from drinfeld.cli import MAX_N, main
 
 
 MU = json.dumps({
@@ -388,6 +388,23 @@ def test_level_and_dimension_flags_are_capped_before_work(capsys, monkeypatch,
     monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
     code, out = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "--p", "2", "--e", "2", "--coords", "[1, [0,1]]"),
+    ("alpha", "converge", "--p", "2", "--families", "1"),
+    ("alpha", "equivariance", "--p", "3", "--translates", "1"),
+], ids=["tau", "alpha-converge", "alpha-equivariance"])
+def test_working_digits_are_capped_before_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --N check")
+
+    monkeypatch.setattr("drinfeld.cli.FieldDesc", no_work)
+    monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
+    code = main([*argv, "--N", str(MAX_N + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --N")
 
 
 def test_count_flags_at_the_cap_run(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from drinfeld.padic import (
     FieldDesc,
     FieldElem,
     PrecisionError,
+    _extract_unit,
     _poly_mul,
     _unit_inverse,
     linear_form,
@@ -20,13 +21,17 @@ from drinfeld.padic import (
 from helpers import (
     DataclassFieldElem,
     _newton_lift,
+    check_trusted,
     reference_add,
+    reference_extract_unit,
     reference_mul,
     reference_neg,
     reference_poly_valuation,
     reference_scale_int,
+    reference_shift_poly,
     reference_sub,
     reference_truediv,
+    reference_unit_inverse,
 )
 
 
@@ -290,6 +295,67 @@ def test_unit_inverse_matches_newton(case):
         _unit_inverse(desc, non_unit)
 
 
+# -- unit extraction and inverse against the verbatim reference -------------
+
+
+@st.composite
+def division_cases(draw):
+    """Digit vectors at two field shapes with the same f: one over
+    p in {2,3,5,7} and e <= 4, and one at p = 2 with even e, so that norm
+    descent at p = 2 is drawn in every example.  Each case holds a unit
+    (a nonzero residue in row 0, the other digits arbitrary or sparse)
+    and a vector divisible by pi^w for a drawn w."""
+    f = draw(st.integers(min_value=1, max_value=3))
+    shapes = (
+        (draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4))),
+        (2, draw(st.sampled_from([2, 4]))),
+    )
+    cases = []
+    for p, e in shapes:
+        desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 60)))
+        size, mod = e * f, desc.coeff_modulus
+        digits = st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
+        unit = draw(digits)
+        if draw(st.booleans()):
+            keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            unit = [c if k or t < f else 0 for t, (c, k) in enumerate(zip(unit, keep))]
+        residue = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+        for j, r in enumerate(draw(residue.filter(any))):
+            unit[j] += r - unit[j] % p
+        w = draw(st.integers(0, desc.work_prec))
+        multiple = reference_shift_poly(desc, draw(digits), w)
+        prec = draw(st.integers(1, desc.work_prec))
+        cases.append((desc, tuple(unit), multiple, prec))
+    return cases
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_unit_inverse_matches_reference(cases):
+    for desc, unit, _, _ in cases:
+        assert _unit_inverse(desc, unit) == reference_unit_inverse(desc, unit)
+        f, mod = desc.f, desc.coeff_modulus
+        non_unit = tuple((desc.p * c) % mod if t < f else c for t, c in enumerate(unit))
+        for inverse in (_unit_inverse, reference_unit_inverse):
+            assert _result(inverse, desc, non_unit) == "inverse of a non-unit"
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_extract_unit_matches_reference(cases):
+    for desc, _, multiple, prec in cases:
+        for v in range(prec + 1):
+            expected = _result(reference_extract_unit, desc, multiple, prec, v)
+            assert _result(_extract_unit, desc, multiple, prec, v) == expected
+
+
 def _normalize_by_division(vec):
     """Reference: divide every other coordinate by the pivot."""
     vals = [float("inf") if x.exact_zero else x.valuation() for x in vec]
@@ -425,26 +491,6 @@ def _pair(desc_lo, desc_hi, raw, shift, prec, junk):
     return lo, hi
 
 
-def _check_trusted(lo, hi):
-    """Every digit lo trusts is trusted by hi and equal to it, and every
-    valuation lo resolves hi resolves to the same value."""
-    desc = lo.desc
-    assert lo.exact_zero == hi.exact_zero
-    if lo.exact_zero:
-        return
-    assert hi.shift + hi.prec >= lo.shift + lo.prec
-    mod = desc.coeff_modulus
-    hi_at_lo = FieldElem(
-        desc, hi.shift, tuple(c % mod for c in hi.coeffs), min(hi.prec, desc.work_prec)
-    )
-    assert lo.agrees_with(hi_at_lo)
-    try:
-        v = lo.valuation()
-    except PrecisionError:
-        return
-    assert hi.valuation() == v
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([2, 3, 5]),
@@ -490,7 +536,7 @@ def test_trusted_digits_survive_at_triple_precision(p, e, f, extra, seed):
             continue
         pool.append((c_lo, op(a_hi, b_hi)))
     for lo, hi in pool:
-        _check_trusted(lo, hi)
+        check_trusted(lo, hi)
     vec = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
     try:
         norm_lo = normalize_unimodular([lo for lo, _ in vec])
@@ -502,4 +548,4 @@ def test_trusted_digits_survive_at_triple_precision(p, e, f, extra, seed):
         return
     norm_hi = normalize_unimodular([hi for _, hi in vec])
     for lo, hi in zip(norm_lo, norm_hi):
-        _check_trusted(lo, hi)
+        check_trusted(lo, hi)
