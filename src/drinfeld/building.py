@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .intlinalg import (
     complete_basis_modp,
     det_int,
     hnf_rows,
     identity,
+    in_span_modp,
     inv_scaled,
     matmul,
     pval,
@@ -69,10 +71,20 @@ class Lattice:
         return pval(det_int(self.rows), self.p)
 
     def scaled(self, k):
-        return Lattice(self.p, self.rows, self.scale + k)
+        return self._at_scale(self.scale + k)
 
     def homothety_rep(self):
-        return Lattice(self.p, self.rows, 0)
+        return self._at_scale(0)
+
+    def _at_scale(self, scale):
+        """The same rows at another scale.  The adjugate depends only on
+        the rows, so one already computed carries over."""
+        if scale == self.scale:
+            return self
+        lat = Lattice(self.p, self.rows, scale)
+        if "_adj_data" in self.__dict__:
+            lat.__dict__["_adj_data"] = self._adj_data
+        return lat
 
     def adj_data(self):
         """(adjugate-like N, det exponent k) with rows^{-1} = N / p^k."""
@@ -246,6 +258,10 @@ class PointedSimplex:
     def adapted_basis(self):
         """Integer row vectors f_0..f_d forming a basis of M_0 such that
         {f_j : j >= d_i} spans the image of M_i in M_0/pM_0."""
+        return self._adapted_basis
+
+    @cached_property
+    def _adapted_basis(self):
         p = self.p
         n = self.dim + 1
         chain = self.chain_mod_p()
@@ -264,6 +280,41 @@ class PointedSimplex:
         for block in blocks:
             for w in block:
                 out.append(vecmat(w, m0.rows))
+        return tuple(out)
+
+    @cached_property
+    def tube_test_covectors(self):
+        """For each chain index i, integer lifts of the classes of M_i/pM_i
+        lying outside the image of M_{i+1}, one per projective class: the
+        coordinates in the basis of M_i run over the vectors mod p whose
+        first nonzero entry is 1."""
+        p = self.p
+        size = self.dim + 1
+        classes = [
+            (0,) * lead + (1,) + tail
+            for lead in range(size)
+            for tail in product(range(p), repeat=size - 1 - lead)
+        ]
+        chain = self.lattices + (self.lattices[0].scaled(1),)
+        out = []
+        for mi, mnext in zip(chain, chain[1:]):
+            # the image of M_{i+1} in M_i/pM_i, in M_i-coordinates
+            n_adj, k_i = mi.adj_data()
+            num = matmul(mnext.rows, n_adj)
+            exp = k_i + mi.scale - mnext.scale
+            if exp >= 0:
+                den = p**exp
+                coords = [[c // den for c in row] for row in num]
+            else:
+                mul = p**-exp
+                coords = [[c * mul for c in row] for row in num]
+            sub, piv = rref_modp(coords, p)
+            scale = p**mi.scale
+            out.append(tuple(
+                tuple(scale * c for c in vecmat(x, mi.rows))
+                for x in classes
+                if not in_span_modp(sub, piv, x, p)
+            ))
         return tuple(out)
 
     def covector_coordinates(self, a):

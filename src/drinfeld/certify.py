@@ -282,6 +282,7 @@ def check_reduction(seed, p, d, e, f):
         k0 = sigma.lattices[0].det_exponent
         desc = FieldDesc(p=p, e=e, f=f, N=max(e * (10 + 3 * k0), 2 * e))
         rotations = sigma.rotations()
+        faces = _proper_faces(sigma)  # shared by both points, with their caches
         offsets = set()
         for _ in range(2):
             z = point_in_tube(desc, sigma, rng)
@@ -300,8 +301,7 @@ def check_reduction(seed, p, d, e, f):
             ok = ok and prod.agrees_with(target)
             ok = ok and (diff.shift + diff.prec) > desc.e
             ok = ok and all(
-                not member_tube(z, face, open_tube=True)
-                for face in _proper_faces(sigma)
+                not member_tube(z, face, open_tube=True) for face in faces
             )
             if not ok:
                 failures += 1

@@ -167,9 +167,13 @@ def _load_distribution(args):
 # --- command handlers --------------------------------------------------------
 
 
+def _check_point_estimate(p, n, d):
+    """|P^d(Z/p^n)| against DRINFELD_MAX_COUNT, before anything enumerates it."""
+    _check_cap(point_count(p, n, d), "DRINFELD_MAX_COUNT", "estimated point count")
+
+
 def cmd_points(args):
-    estimate = point_count(args.p, args.n, args.d)
-    _check_cap(estimate, "DRINFELD_MAX_COUNT", "estimated point count")
+    _check_point_estimate(args.p, args.n, args.d)
     records = [
         {"p": args.p, "d": args.d, "level": pt.level, "rep": list(pt.rep)}
         for pt in enumerate_points(args.p, args.n, args.d)
@@ -256,6 +260,7 @@ def cmd_cover(args):
 
 
 def cmd_dist_random(args):
+    _check_point_estimate(args.p, args.n, args.d)
     rng = random.Random(args.seed)
     mu = random_mass_zero(args.p, args.n, args.d, rng,
                           size=args.size, coeff_bound=args.coeff_bound)
@@ -349,6 +354,7 @@ def cmd_alpha_eval(args):
 def cmd_alpha_converge(args):
     if not args.i < args.n < args.nprime:
         raise UsageError("need --i < --n < --nprime")
+    _check_point_estimate(args.p, args.nprime, 1)
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []
@@ -381,6 +387,7 @@ def cmd_alpha_residue(args):
 
 
 def cmd_alpha_equivariance(args):
+    _check_point_estimate(args.p, args.n, 1)
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
     records = []

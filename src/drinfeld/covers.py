@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .building import Lattice, PointedSimplex
-from .intlinalg import inv_scaled, in_span_modp, rref_modp, matmul
+from .intlinalg import inv_scaled
 from .padic import FieldElem, linear_form, normalize_unimodular
 from .projpoints import ProjPoint, enumerate_points
 
@@ -151,57 +151,11 @@ def reduce_to_building(z, level=None, self_check=True):
     return result
 
 
-def _chain_with_wrap(sigma):
-    lats = list(sigma.lattices)
-    lats.append(sigma.lattices[0].scaled(1))
-    return lats
-
-
 def tube_test_covectors(sigma):
     """For each chain index i, integer lifts of the classes of M_i/pM_i
-    lying outside the image of M_{i+1}, one per projective class."""
-    p = sigma.p
-    chain = _chain_with_wrap(sigma)
-    out = []
-    for i in range(len(sigma.lattices)):
-        mi, mnext = chain[i], chain[i + 1]
-        n_adj, k_i = mi.adj_data()
-        num = matmul(mnext.rows, n_adj)
-        exp = k_i + mi.scale - mnext.scale
-        if exp >= 0:
-            den = p**exp
-            coords = [[c // den for c in row] for row in num]
-        else:
-            mul = p**-exp
-            coords = [[c * mul for c in row] for row in num]
-        sub, piv = rref_modp(coords, p)
-        size = mi.dim
-        lifts = []
-        seen = set()
-        for idx in range(1, p**size):
-            vec = []
-            t = idx
-            for _ in range(size):
-                vec.append(t % p)
-                t //= p
-            # projective normalization: first nonzero entry scaled to 1
-            lead = next(c for c in vec if c)
-            inv = pow(lead, -1, p)
-            canon = tuple((inv * c) % p for c in vec)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            if in_span_modp(sub, piv, list(canon), p):
-                continue
-            row = [0] * size
-            for j, c in enumerate(canon):
-                if c:
-                    for jj in range(size):
-                        row[jj] += c * mi.rows[j][jj]
-            scale = p**mi.scale
-            lifts.append(tuple(scale * c for c in row))
-        out.append(lifts)
-    return out
+    lying outside the image of M_{i+1}, one per projective class.  They
+    depend only on the simplex, which computes them once."""
+    return sigma.tube_test_covectors
 
 
 def member_tube(z, sigma, open_tube=True):

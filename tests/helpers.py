@@ -4,7 +4,14 @@ library code that a faster implementation replaced."""
 from dataclasses import dataclass
 
 from drinfeld.building import standard_simplex
-from drinfeld.intlinalg import det_int, inv_scaled, solve_mod
+from drinfeld.intlinalg import (
+    det_int,
+    in_span_modp,
+    inv_scaled,
+    matmul,
+    rref_modp,
+    solve_mod,
+)
 from drinfeld.padic import (
     FieldDesc,
     FieldElem,
@@ -400,3 +407,61 @@ def reference_oracle_points(sigma, desc, rng):
             coords.append(acc / det_elem)
         samples.append(coords)
     return samples
+
+
+# Tube-test covectors as computed on every member_tube call, scanning all
+# p^size residue vectors, before they became cached derived data of the
+# pointed simplex.
+
+
+def reference_chain_with_wrap(sigma):
+    lats = list(sigma.lattices)
+    lats.append(sigma.lattices[0].scaled(1))
+    return lats
+
+
+def reference_tube_test_covectors(sigma):
+    """For each chain index i, integer lifts of the classes of M_i/pM_i
+    lying outside the image of M_{i+1}, one per projective class."""
+    p = sigma.p
+    chain = reference_chain_with_wrap(sigma)
+    out = []
+    for i in range(len(sigma.lattices)):
+        mi, mnext = chain[i], chain[i + 1]
+        n_adj, k_i = mi.adj_data()
+        num = matmul(mnext.rows, n_adj)
+        exp = k_i + mi.scale - mnext.scale
+        if exp >= 0:
+            den = p**exp
+            coords = [[c // den for c in row] for row in num]
+        else:
+            mul = p**-exp
+            coords = [[c * mul for c in row] for row in num]
+        sub, piv = rref_modp(coords, p)
+        size = mi.dim
+        lifts = []
+        seen = set()
+        for idx in range(1, p**size):
+            vec = []
+            t = idx
+            for _ in range(size):
+                vec.append(t % p)
+                t //= p
+            # projective normalization: first nonzero entry scaled to 1
+            lead = next(c for c in vec if c)
+            inv = pow(lead, -1, p)
+            canon = tuple((inv * c) % p for c in vec)
+            if canon in seen:
+                continue
+            seen.add(canon)
+            if in_span_modp(sub, piv, list(canon), p):
+                continue
+            row = [0] * size
+            for j, c in enumerate(canon):
+                if c:
+                    for jj in range(size):
+                        row[jj] += c * mi.rows[j][jj]
+            scale = p**mi.scale
+            lifts.append(tuple(scale * c for c in row))
+        out.append(lifts)
+    return out

@@ -14,7 +14,14 @@ from drinfeld.building import (
     standard_simplex,
     tree_ball_size,
 )
-from drinfeld.intlinalg import gaussian_binomial, in_span_modp, matmul, pval, rref_modp
+from drinfeld.intlinalg import (
+    gaussian_binomial,
+    in_span_modp,
+    inv_scaled,
+    matmul,
+    pval,
+    rref_modp,
+)
 from helpers import random_gl_integer, random_pointed_simplex, random_unimodular_integer
 
 
@@ -108,6 +115,45 @@ def test_rotation_cycles_and_type():
         for _ in range(len(tv)):
             r = r.rotate()
         assert r == s
+
+
+def frozen(value):
+    """Whether a cached value is built of tuples and integers only."""
+    if isinstance(value, tuple):
+        return all(frozen(x) for x in value)
+    return isinstance(value, int)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 2), (2, 3)])
+def test_cached_derived_data_is_invisible_to_the_value(p, d):
+    sigma = random_pointed_simplex(p, d, random.Random(17 * p + d))
+    copy = PointedSimplex(
+        tuple(Lattice(lat.p, lat.rows, lat.scale) for lat in sigma.lattices)
+    )
+    sigma.chain_mod_p()
+    sigma.adapted_basis()
+    sigma.tube_test_covectors
+    cached = ("_chain_mod_p", "_adapted_basis", "tube_test_covectors")
+    assert all(frozen(sigma.__dict__[name]) for name in cached)
+    assert not any(name in copy.__dict__ for name in cached)
+    assert sigma == copy and hash(sigma) == hash(copy)
+    assert sigma.to_json() == copy.to_json()
+    for lat in sigma.lattices:
+        bare = Lattice(lat.p, lat.rows, lat.scale)
+        assert frozen(lat.__dict__["_adj_data"]) and "_adj_data" not in bare.__dict__
+        assert lat == bare and hash(lat) == hash(bare)
+        assert lat.to_json() == bare.to_json()
+
+
+def test_rescaled_lattices_carry_their_adjugate():
+    lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
+    assert "_adj_data" not in lat.scaled(1).__dict__  # carried, never computed
+    lat.adj_data()
+    for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
+                  lat.scaled(2).homothety_rep()):
+        assert other.rows == lat.rows and "_adj_data" in other.__dict__
+        n, det = inv_scaled(other.rows)
+        assert other.adj_data() == (n, pval(det, 3))
 
 
 @given(

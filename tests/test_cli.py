@@ -407,14 +407,32 @@ def test_working_digits_are_capped_before_work(capsys, monkeypatch, argv):
     assert captured.err.startswith("usage error: --N")
 
 
+@pytest.mark.parametrize("argv", [
+    ("dist", "random", "--p", "7919", "--d", "4", "--n", "6"),
+    ("alpha", "converge", "--p", "7919", "--nprime", "6"),
+    ("alpha", "equivariance", "--p", "7919", "--n", "6"),
+], ids=["dist-random", "alpha-converge", "alpha-equivariance"])
+def test_point_count_estimate_is_capped_before_work(capsys, monkeypatch, argv):
+    # every flag is within its own cap, but P^d(Z/p^n) has far more than
+    # DRINFELD_MAX_COUNT points
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the estimate check")
+
+    monkeypatch.setattr("drinfeld.distributions.enumerate_points", no_work)
+    monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
+    code, out = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_count_flags_at_the_cap_run(capsys, monkeypatch):
-    monkeypatch.setenv("DRINFELD_MAX_COUNT", "2")
+    # P^1(Z/9) has 12 points, so 12 is the least cap these runs pass
+    monkeypatch.setenv("DRINFELD_MAX_COUNT", "12")
     code, out = run(capsys, "dist", "random", "--p", "3", "--d", "1",
-                    "--n", "2", "--size", "2")
+                    "--n", "2", "--size", "12")
     assert code == 0 and len(records(out)) == 1
     code, out = run(capsys, "alpha", "equivariance", "--p", "3",
-                    "--translates", "2")
-    assert code == 0 and len(records(out)) == 2
+                    "--translates", "12")
+    assert code == 0 and len(records(out)) == 12
 
 
 def test_out_file_sink(capsys, tmp_path):

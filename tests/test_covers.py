@@ -20,8 +20,13 @@ from drinfeld.covers import (
 )
 from drinfeld.padic import FieldDesc, FieldElem, PrecisionError
 from fractions import Fraction
+from itertools import combinations
 
-from helpers import random_pointed_simplex, random_unimodular_integer
+from helpers import (
+    random_pointed_simplex,
+    random_unimodular_integer,
+    reference_tube_test_covectors,
+)
 
 
 def lat(p, rows, scale=0):
@@ -177,6 +182,34 @@ def test_tube_test_covectors_for_standard_edge():
         [(1, 0), (1, 1)],
         [(0, 1), (2, 1)],
     ]
+
+
+def proper_faces(sigma):
+    """Every proper face of a pointed simplex: each nonempty proper subset
+    of its chain, pointed at its first lattice."""
+    lats = sigma.lattices
+    return [
+        PointedSimplex.from_chain([lats[i] for i in keep])
+        for size in range(1, len(lats))
+        for keep in combinations(range(len(lats)), size)
+    ]
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_tube_test_covectors_match_the_full_scan(p, d, seed):
+    sigma = random_pointed_simplex(p, d, random.Random(seed))
+    for tau in sigma.rotations() + tuple(proper_faces(sigma)):
+        layers = tube_test_covectors(tau)
+        want = reference_tube_test_covectors(tau)
+        assert len(layers) == len(want) == tau.k + 1
+        for layer, ref in zip(layers, want):
+            assert len(layer) == len(set(layer))
+            assert set(layer) == set(ref)
 
 
 def test_membership_separates_edge_from_its_vertices():
