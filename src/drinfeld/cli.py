@@ -113,12 +113,18 @@ def _field_desc(args):
 def _parse_coord(desc, ob):
     if isinstance(ob, int):
         return FieldElem.from_int(desc, ob)
-    if isinstance(ob, list):
-        return FieldElem.from_coeffs(desc, ob)
-    if isinstance(ob, dict):
-        return FieldElem.from_coeffs(desc, ob["coeffs"], ob.get("shift", 0))
+    try:
+        if isinstance(ob, list):
+            return FieldElem.from_coeffs(desc, ob)
+        if isinstance(ob, dict) and "coeffs" in ob:
+            shift = ob.get("shift", 0)
+            if shift.__class__ is not int:
+                raise UsageError(f"--coords: shift must be an integer, got {shift!r}")
+            return FieldElem.from_coeffs(desc, ob["coeffs"], shift)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"--coords: {e}")
     raise UsageError(
-        "each coordinate must be an integer, a digit list, or "
+        "--coords: each coordinate must be an integer, a digit list, or "
         '{"coeffs": [...], "shift": s}'
     )
 

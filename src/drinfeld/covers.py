@@ -24,7 +24,14 @@ MAX_CERTIFY_LEVEL = 6
 
 
 class SymmetricSpacePoint:
-    """Homogeneous coordinates avoiding all Q_p-rational hyperplanes."""
+    """Homogeneous coordinates avoiding all Q_p-rational hyperplanes.
+
+    A point computes each section and section valuation once: the profiles
+    of several levels, the tube tests of a simplex, of its reduction and of
+    its faces all read the same covectors.  Both memos are keyed by the
+    integer covector tuple, so a projective point and its lift share an
+    entry; a point on a hyperplane or a PrecisionError is never stored and
+    raises again on every call."""
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -32,6 +39,8 @@ class SymmetricSpacePoint:
             raise ValueError("empty coordinates")
         self.desc = coords[0].desc
         self.coords = normalize_unimodular(coords)
+        self._sections = {}
+        self._valuations = {}
 
     @property
     def dim(self):
@@ -39,17 +48,22 @@ class SymmetricSpacePoint:
 
     def section_valuation(self, a):
         """v(<a, z>) for an integer covector or projective point a."""
-        if isinstance(a, ProjPoint):
-            a = a.lift_vector()
-        value = linear_form(a, self.coords)
-        if value.exact_zero:
-            raise ValueError("point lies on a rational hyperplane")
-        return value.valuation()
+        key = tuple(a.lift_vector() if isinstance(a, ProjPoint) else a)
+        v = self._valuations.get(key)
+        if v is None:
+            value = self.section(key)
+            if value.exact_zero:
+                raise ValueError("point lies on a rational hyperplane")
+            v = self._valuations[key] = value.valuation()
+        return v
 
     def section(self, a):
-        if isinstance(a, ProjPoint):
-            a = a.lift_vector()
-        return linear_form(a, self.coords)
+        """<a, z> for an integer covector or projective point a."""
+        key = tuple(a.lift_vector() if isinstance(a, ProjPoint) else a)
+        value = self._sections.get(key)
+        if value is None:
+            value = self._sections[key] = linear_form(key, self.coords)
+        return value
 
     def apply_matrix(self, g):
         """Move the point by an integer matrix acting on columns."""

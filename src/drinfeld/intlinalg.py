@@ -181,11 +181,6 @@ def snf_divisors(rows):
     return divisors
 
 
-def rank_int(rows):
-    """Rank over Q (= number of nonzero elementary divisors)."""
-    return len(snf_divisors(rows))
-
-
 def solve_mod(mat, rhs, p, k):
     """X with mat . X = rhs modulo p^k, by Gauss-Jordan elimination; rhs is
     an n x m matrix.  Requires det(mat) a unit mod p."""

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from .intlinalg import solve_mod
 
@@ -239,6 +240,11 @@ class FieldElem:
     def from_coeffs(desc, rows, shift=0):
         """rows: length e*f integer vector in basis pi^i omega^j."""
         raw = [int(c) for c in rows]
+        if len(raw) != desc.e * desc.f:
+            raise ValueError(
+                f"a digit vector needs exactly {desc.e * desc.f} digits "
+                f"(e*f), got {len(raw)}"
+            )
         mod = desc.coeff_modulus
         coeffs = tuple(c % mod for c in raw)
         # only an all-zero input is exact; digits that merely vanish modulo
@@ -590,8 +596,49 @@ def _unit_inverse(desc, unit_coeffs):
 
 
 def linear_form(a, z):
-    """sum a_i z_i for integer (or Fraction) scalars a and FieldElem vector z."""
+    """sum a_i z_i for integer (or Fraction) scalars a and FieldElem vector z.
+
+    With integer scalars the sum is fused: each digit vector moves to the
+    least shift of the nonzero terms once, the integer dot product of each
+    digit position is reduced once, and prec is the least term precision
+    at that shift, capped at work_prec as a chain of adds would give.
+    Scaling, pi-shifts and adds are ring maps mod p^coeff_exponent, so the
+    digits are those of the chain of adds."""
     desc = z[0].desc
+    scalars, terms = [], []
+    for ai, zi in zip(a, z):
+        if ai.__class__ is not int:
+            return _linear_form_chain(desc, a, z)
+        if not ai:
+            continue
+        if zi.desc is not desc and zi.desc != desc:
+            raise ValueError("mixed field descriptions")
+        if not zi.exact_zero:
+            scalars.append(ai)
+            terms.append(zi)
+    if not terms:
+        return FieldElem.zero(desc)
+    if len(terms) == 1:
+        return terms[0]._scale_int(scalars[0])
+    low = min([zi.shift for zi in terms])
+    prec = desc.work_prec
+    digits = []
+    for zi in terms:
+        k = zi.shift - low
+        digits.append(_shift_poly(desc, zi.coeffs, k) if k else zi.coeffs)
+        if zi.prec + k < prec:
+            prec = zi.prec + k
+    mod = desc.coeff_modulus
+    return FieldElem(
+        desc,
+        low,
+        tuple([sum(map(mul, scalars, col)) % mod for col in zip(*digits)]),
+        prec,
+    )
+
+
+def _linear_form_chain(desc, a, z):
+    """linear_form as a chain of scale-and-add, for Fraction scalars."""
     acc = FieldElem.zero(desc)
     for ai, zi in zip(a, z):
         if isinstance(ai, Fraction):

@@ -195,43 +195,6 @@ def check_kirchhoff(lattice, classes):
     return {x: sum(slope(x, edge) for edge in edges) for x in classes}
 
 
-class CochainTable:
-    """Edge-residue values over a finite window of pointed edges and ordered
-    class pairs; values are always in {-1, 0, 1} and antisymmetric."""
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        for edge, pair, value in self.entries:
-            if value not in (-1, 0, 1):
-                raise ValueError("edge residue outside {-1,0,1}")
-
-    @classmethod
-    def build(cls, edges, classes):
-        entries = []
-        for edge in edges:
-            slopes = {x: slope(x, edge) for x in classes}
-            for a in classes:
-                for b in classes:
-                    if a == b:
-                        continue
-                    entries.append((edge, (a, b), slopes[b] - slopes[a]))
-        return cls(entries)
-
-    def value(self, edge, a, b):
-        for e, pair, v in self.entries:
-            if e == edge and pair == (a, b):
-                return v
-        raise KeyError("pair not tabulated")
-
-    def records(self):
-        for edge, (a, b), value in self.entries:
-            yield {
-                "edge": edge.to_json(),
-                "pair": [list(a.rep), list(b.rep)],
-                "value": value,
-            }
-
-
 def pairing_matrix(edges, level, p, d, basepoint=None):
     """Integer matrix of slope pairings: rows = pointed edges, columns = the
     dirac-pair basis of the mass-zero module at the level."""

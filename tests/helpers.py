@@ -2,6 +2,7 @@
 library code that a faster implementation replaced."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from drinfeld.building import standard_simplex
 from drinfeld.intlinalg import (
@@ -10,6 +11,7 @@ from drinfeld.intlinalg import (
     inv_scaled,
     matmul,
     rref_modp,
+    snf_divisors,
     solve_mod,
 )
 from drinfeld.padic import (
@@ -20,6 +22,7 @@ from drinfeld.padic import (
     _poly_mul,
     _times_omega,
 )
+from drinfeld.residues import slope
 
 
 def random_gl_integer(size, rng, p=None, bound=4):
@@ -370,6 +373,25 @@ def reference_unit_inverse(desc, unit_coeffs):
     return tuple(row[0] for row in x)
 
 
+# Reference linear form: padic.linear_form as it was before the integer
+# form was fused, one scale-and-add per entry, kept verbatim.  The fused
+# form must give the same shift, digits, prec and exactness.
+
+
+def reference_linear_form(a, z):
+    """sum a_i z_i for integer (or Fraction) scalars a and FieldElem vector z."""
+    desc = z[0].desc
+    acc = FieldElem.zero(desc)
+    for ai, zi in zip(a, z):
+        if isinstance(ai, Fraction):
+            if ai == 0:
+                continue
+            acc = acc + FieldElem.from_rational(desc, ai) * zi
+        elif ai:
+            acc = acc + ai * zi
+    return acc
+
+
 # Reference oracle sampler: residues._oracle_points as it was when it
 # divided every sample coordinate by det(frame), kept verbatim.
 
@@ -465,3 +487,49 @@ def reference_tube_test_covectors(sigma):
             lifts.append(tuple(scale * c for c in row))
         out.append(lifts)
     return out
+
+
+# Test-only helpers: a rank over Q and a table of edge residues, which no
+# library code uses.
+
+
+def rank_int(rows):
+    """Rank over Q (= number of nonzero elementary divisors)."""
+    return len(snf_divisors(rows))
+
+
+class CochainTable:
+    """Edge-residue values over a finite window of pointed edges and ordered
+    class pairs; values are always in {-1, 0, 1} and antisymmetric."""
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+        for edge, pair, value in self.entries:
+            if value not in (-1, 0, 1):
+                raise ValueError("edge residue outside {-1,0,1}")
+
+    @classmethod
+    def build(cls, edges, classes):
+        entries = []
+        for edge in edges:
+            slopes = {x: slope(x, edge) for x in classes}
+            for a in classes:
+                for b in classes:
+                    if a == b:
+                        continue
+                    entries.append((edge, (a, b), slopes[b] - slopes[a]))
+        return cls(entries)
+
+    def value(self, edge, a, b):
+        for e, pair, v in self.entries:
+            if e == edge and pair == (a, b):
+                return v
+        raise KeyError("pair not tabulated")
+
+    def records(self):
+        for edge, (a, b), value in self.entries:
+            yield {
+                "edge": edge.to_json(),
+                "pair": [list(a.rep), list(b.rep)],
+                "value": value,
+            }

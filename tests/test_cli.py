@@ -80,6 +80,23 @@ def test_tau_report_shape(capsys):
     assert rec["point"]["field"] == {"p": 2, "e": 2, "f": 1, "N": 40}
 
 
+@pytest.mark.parametrize("coords", [
+    "[1, [0,1,0,5]]",
+    "[1, [0,1], [0,0,1]]",
+    '[1, {"coeffs": [0,1,0,0], "shift": 1}]',
+    '[1, {"shift": 1}]',
+    '[1, {"coeffs": [0,1,0], "shift": "a"}]',
+    '[1, {"coeffs": [0,1,0], "shift": 1.5}]',
+    "[1, [[0],1,0]]",
+], ids=["long", "short", "long-shifted", "no-coeffs", "text-shift",
+        "fractional-shift", "nested"])
+def test_malformed_digit_list_is_usage_error(capsys, coords):
+    code = main(["tau", "--p", "2", "--e", "3", "--N", "60", "--coords", coords])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --coords")
+
+
 def test_cover_membership(capsys):
     code, out = run(
         capsys, "cover", "--p", "2", "--e", "2", "--N", "40",

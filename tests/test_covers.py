@@ -18,13 +18,16 @@ from drinfeld.covers import (
     tube_coordinates,
     tube_test_covectors,
 )
-from drinfeld.padic import FieldDesc, FieldElem, PrecisionError
+from drinfeld.certify import _dual_pair
+from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
+from drinfeld.projpoints import ProjPoint, enumerate_points
 from fractions import Fraction
 from itertools import combinations
 
 from helpers import (
     random_pointed_simplex,
     random_unimodular_integer,
+    reference_linear_form,
     reference_tube_test_covectors,
 )
 
@@ -325,12 +328,19 @@ def test_equivariance_on_deeper_point():
 def test_rational_hyperplane_is_rejected():
     desc = FieldDesc(p=2, e=2, N=16)
     exact = point(desc, 1, 0)
-    with pytest.raises(ValueError):
-        exact.section_valuation((0, 1))
     # a cancellation that is only zero to working precision stays honest
     masked = point(desc, 1, 1)
-    with pytest.raises(PrecisionError):
-        masked.section_valuation((1, -1))
+    # neither failure is remembered: every call raises again
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            exact.section_valuation((0, 1))
+        with pytest.raises(ValueError):
+            exact.section_valuation(ProjPoint.make(2, 1, (0, 1)))
+        assert exact.section((0, 1)).exact_zero
+        with pytest.raises(PrecisionError):
+            masked.section_valuation((1, -1))
+        with pytest.raises(PrecisionError):
+            masked.section_valuation([1, -1])
 
 
 def test_rational_point_cannot_be_reduced():
@@ -345,6 +355,102 @@ def test_profile_surfaces_precision_exhaustion():
     z = point(desc, 1, 2)
     with pytest.raises(PrecisionError):
         t_profile(z, 3)
+
+
+# --- section values computed once per point ---------------------------------
+
+
+def _memo_points():
+    """The points of the reduction and certificate tests, and tube points."""
+    e2 = FieldDesc(p=2, e=2, N=16)
+    pi2 = FieldElem.pi(e2)
+    e3 = FieldDesc(p=2, e=3, N=18)
+    pi3 = FieldElem.pi(e3)
+    f2 = FieldDesc(p=2, f=2, N=16)
+    f3 = FieldDesc(p=2, f=3, N=16)
+    w3 = FieldElem.omega(f3)
+    e2f2 = FieldDesc(p=2, e=2, f=2, N=16)
+    deep = FieldDesc(p=2, e=3, N=90)
+    pi_deep = FieldElem.pi(deep)
+    points = [
+        point(e2, 1, pi2),
+        point(e2, 1, pi2 + pi2 * pi2 * pi2),
+        point(e2, 1, pi2 ** 3),
+        point(f2, 1, FieldElem.omega(f2)),
+        point(e3, 1, pi3, pi3 * pi3),
+        point(e2f2, 1, FieldElem.omega(e2f2), FieldElem.pi(e2f2)),
+        point(f3, 1, w3, w3 * w3),
+        point(deep, 1, pi_deep, pi_deep * pi_deep),
+        point(deep, 1, pi_deep + pi_deep ** 4, pi_deep * pi_deep),
+    ]
+    for p in (2, 3):
+        points += _dual_pair(p)[1:]
+    rng = random.Random(10)
+    for p, d, e, f in ((2, 1, 2, 1), (3, 1, 2, 1), (2, 2, 3, 2)):
+        for _ in range(2):
+            sigma = random_pointed_simplex(p, d, rng, type_vector=(1,) * (d + 1))
+            k0 = sigma.lattices[0].det_exponent
+            desc = FieldDesc(p=p, e=e, f=f, N=e * (10 + 3 * k0))
+            points.append(point_in_tube(desc, sigma, rng))
+    return points
+
+
+def _fresh_outcome(z, lift):
+    """<a, z> and its valuation (or the error it raises) from the chain of
+    adds, with no memo."""
+    value = reference_linear_form(lift, z.coords)
+    if value.exact_zero:
+        return value, ValueError
+    try:
+        return value, value.valuation()
+    except PrecisionError:
+        return value, PrecisionError
+
+
+def test_section_memo_matches_fresh_linear_forms():
+    for z in _memo_points():
+        p = z.desc.p
+        covectors = []
+        for level in (1, 2, 3):
+            covectors += enumerate_points(p, level, z.dim)
+        simplex_ = reduce_to_building(z).simplex
+        for lifts in simplex_.tube_test_covectors:
+            covectors += lifts
+        for a in covectors:
+            lift = a.lift_vector() if isinstance(a, ProjPoint) else a
+            value, v = _fresh_outcome(z, lift)
+            # a projective point, its lift and a list share one entry; each
+            # is asked twice
+            for key in (a, lift, list(lift)) * 2:
+                assert z.section(key) == value
+                if isinstance(v, type):
+                    with pytest.raises(v):
+                        z.section_valuation(key)
+                else:
+                    assert z.section_valuation(key) == v
+
+
+def test_each_section_is_computed_once(monkeypatch):
+    from drinfeld import covers
+
+    calls = []
+
+    def counted(a, coords):
+        calls.append(tuple(a))
+        return linear_form(a, coords)
+
+    monkeypatch.setattr(covers, "linear_form", counted)
+    desc = FieldDesc(p=2, e=3, N=18)
+    pi = FieldElem.pi(desc)
+    z = point(desc, 1, pi, pi * pi)
+    calls.clear()
+    for level in (1, 2, 1, 2):
+        t_profile(z, level)
+    bp = reduce_to_building(z)
+    assert member_tube(z, bp.simplex) and member_tube(z, bp.simplex)
+    tube_coordinates(z, bp.simplex)
+    tube_coordinates(z, bp.simplex)
+    assert calls and len(calls) == len(set(calls))
 
 
 # --- serialization -----------------------------------------------------------

@@ -16,13 +16,14 @@ from drinfeld.intlinalg import (
     matinv_mod,
     matmul,
     pval,
-    rank_int,
     rank_modp,
     rref_modp,
     snf_divisors,
     subspaces_modp,
     vecmat,
 )
+
+from helpers import rank_int
 
 
 def T(m):

@@ -24,6 +24,7 @@ from helpers import (
     check_trusted,
     reference_add,
     reference_extract_unit,
+    reference_linear_form,
     reference_mul,
     reference_neg,
     reference_poly_valuation,
@@ -247,6 +248,15 @@ def test_from_coeffs_vanishing_digits_are_not_exact():
     assert FieldElem.from_coeffs(d, [0], shift=-1).exact_zero
 
 
+@pytest.mark.parametrize("digits", [[0, 1, 0, 5], [0, 1], []])
+def test_from_coeffs_needs_exactly_e_f_digits(digits):
+    d = FieldDesc(p=2, e=3, f=1, N=60)
+    with pytest.raises(ValueError, match="exactly 3 digits"):
+        FieldElem.from_coeffs(d, digits)
+    with pytest.raises(ValueError, match="exactly 3 digits"):
+        FieldElem.from_coeffs(d, digits, shift=2)
+
+
 @st.composite
 def field_descs(draw):
     p = draw(st.sampled_from([2, 3, 5]))
@@ -397,31 +407,39 @@ def test_normalize_unimodular_matches_division(desc, seed, size):
 
 
 @st.composite
-def core_operands(draw):
-    """A field shape, two elements and an integer scalar.  The elements mix
-    shifts and precisions, and may have sparse digits or be exact or
-    inexact zeros."""
+def core_descs(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     e = draw(st.integers(min_value=1, max_value=4))
     f = draw(st.integers(min_value=1, max_value=3))
-    desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 40)))
-    size, mod = e * f, desc.coeff_modulus
+    return FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 40)))
 
-    def element():
-        kind = draw(st.sampled_from(("digits", "sparse", "exact zero", "inexact zero")))
-        shift = draw(st.integers(-6, 6))
-        if kind == "exact zero":
-            return FieldElem(desc, shift, (0,) * size, desc.work_prec, True)
-        prec = draw(st.integers(1, desc.work_prec))
-        coeffs = [0] * size
-        if kind != "inexact zero":
-            coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=size, max_size=size))
-        if kind == "sparse":
-            keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-            coeffs = [c if k else 0 for c, k in zip(coeffs, keep)]
-        return FieldElem(desc, shift, tuple(coeffs), prec)
 
-    return desc, element(), element(), draw(st.integers(-(10**30), 10**30))
+@st.composite
+def core_elements(draw, desc, prec_over=0):
+    """An element that may have any shift and precision, sparse digits, or
+    be an exact or inexact zero.  With prec_over > 0 the precision may
+    exceed work_prec, as only a hand-built element's can."""
+    size, mod = desc.e * desc.f, desc.coeff_modulus
+    kind = draw(st.sampled_from(("digits", "sparse", "exact zero", "inexact zero")))
+    shift = draw(st.integers(-6, 6))
+    if kind == "exact zero":
+        return FieldElem(desc, shift, (0,) * size, desc.work_prec, True)
+    prec = draw(st.integers(1, desc.work_prec + prec_over))
+    coeffs = [0] * size
+    if kind != "inexact zero":
+        coeffs = draw(st.lists(st.integers(0, mod - 1), min_size=size, max_size=size))
+    if kind == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        coeffs = [c if k else 0 for c, k in zip(coeffs, keep)]
+    return FieldElem(desc, shift, tuple(coeffs), prec)
+
+
+@st.composite
+def core_operands(draw):
+    """A field shape, two elements and an integer scalar."""
+    desc = draw(core_descs())
+    element = core_elements(desc)
+    return desc, draw(element), draw(element), draw(st.integers(-(10**30), 10**30))
 
 
 def _outcome(op, *args):
@@ -473,6 +491,75 @@ def test_field_elem_is_a_value_like_the_dataclass(case):
     assert (x == y) == (dx == dy)
     assert x == FieldElem(x.desc, x.shift, x.coeffs, x.prec, x.exact_zero)
     assert x != dx
+
+
+# -- the fused integer linear form against the chain of adds ----------------
+
+
+@st.composite
+def linear_form_cases(draw):
+    """A field shape, a vector of elements and scalars for it: zero,
+    negative, p-power and wide integers, and sometimes Fractions.  Some
+    precisions exceed work_prec, so the cap of the sum's precision shows."""
+    desc = draw(core_descs())
+    size = draw(st.integers(1, 5))
+    z = draw(st.lists(core_elements(desc, 6), min_size=size, max_size=size))
+    p_power = st.builds(
+        lambda k, sign: sign * desc.p**k,
+        st.integers(0, 3 * desc.coeff_exponent),
+        st.sampled_from((1, -1)),
+    )
+    integer = st.one_of(
+        st.just(0), st.integers(-3, 3), p_power, st.integers(-(10**30), 10**30)
+    )
+    if draw(st.integers(0, 4)) == 0:
+        fraction = st.builds(
+            Fraction, st.integers(-20, 20), st.integers(1, 3 * desc.p)
+        )
+        scalar = st.one_of(integer, fraction)
+    else:
+        scalar = integer
+    a = draw(st.lists(scalar, min_size=size, max_size=size))
+    return desc, a, z
+
+
+def _form_outcome(form, a, z):
+    try:
+        x = form(a, z)
+    except (PrecisionError, ZeroDivisionError) as exc:
+        return type(exc)
+    return (x.shift, x.coeffs, x.prec, x.exact_zero)
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_form_cases())
+def test_linear_form_matches_the_chain_of_adds(case):
+    desc, a, z = case
+    assert _form_outcome(linear_form, a, z) == _form_outcome(
+        reference_linear_form, a, z
+    )
+    # one nonzero scalar: the fused form is a plain integer scaling
+    if all(x.__class__ is int for x in a):
+        for i, x in enumerate(z):
+            single = [0] * len(z)
+            single[i] = a[i] or 1
+            assert _form_outcome(linear_form, single, z) == _form_outcome(
+                reference_linear_form, single, z
+            )
+
+
+def test_linear_form_rejects_mixed_field_descriptions():
+    d = FieldDesc(p=3, e=2, f=1, N=8)
+    other = FieldDesc(p=3, e=2, f=1, N=10)
+    z = (FieldElem.pi(d), FieldElem.one(other))
+    for form in (linear_form, reference_linear_form):
+        with pytest.raises(ValueError, match="mixed field descriptions"):
+            form([1, 1], z)
+        assert form([1, 0], z) == FieldElem.pi(d)
+    # an equal description held by another object is the same field
+    twin = FieldDesc(p=3, e=2, f=1, N=8)
+    z = (FieldElem.pi(d), FieldElem.one(twin))
+    assert linear_form([2, 1], z) == reference_linear_form([2, 1], z)
 
 
 # -- differential precision: digits trusted at N survive at 3N --------------

@@ -13,7 +13,6 @@ from drinfeld.padic import PrecisionError
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from drinfeld.residues import (
     GLOBAL_SIGN,
-    CochainTable,
     check_kirchhoff,
     edges_at_vertex,
     lambda_edge,
@@ -24,7 +23,7 @@ from drinfeld.residues import (
     sweep_oracle,
 )
 
-from helpers import random_pointed_simplex, reference_oracle_points
+from helpers import CochainTable, random_pointed_simplex, reference_oracle_points
 
 
 def std_edge(p=2):
