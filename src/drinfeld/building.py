@@ -152,12 +152,6 @@ class Lattice:
         return {"hnf": [list(r) for r in self.rows], "scale": self.scale}
 
 
-def lattice_from_covectors(p, covectors):
-    """Smallest lattice containing the given integer covector rows
-    (rows may be redundant; full rank required)."""
-    return Lattice.from_rows(p, [list(c) for c in covectors])
-
-
 @dataclass(frozen=True)
 class PointedSimplex:
     """Pointed chain M_0 > M_1 > ... > M_k > p M_0, M_0 primitive at scale 0."""
@@ -283,6 +277,12 @@ class PointedSimplex:
         return tuple(out)
 
     @cached_property
+    def frame_adjugate(self):
+        """(adj, det) of the adapted basis: adj = det * basis^{-1}, so a
+        point with frame sections det*w is adj*w, with no division."""
+        return inv_scaled(self.adapted_basis())
+
+    @cached_property
     def tube_test_covectors(self):
         """For each chain index i, integer lifts of the classes of M_i/pM_i
         lying outside the image of M_{i+1}, one per projective class: the
@@ -344,10 +344,6 @@ class PointedSimplex:
             out.append(cur)
         return tuple(out)
 
-    def same_tube(self, other):
-        """Whether two pointed chains present the same underlying simplex."""
-        return other in self.rotations()
-
     def transport(self, g):
         return PointedSimplex.from_chain([lat.transport(g) for lat in self.lattices])
 
@@ -375,12 +371,6 @@ def standard_simplex(p, type_vector):
         ]
         lats.append(Lattice(p, tuple(tuple(r) for r in rows)))
     return PointedSimplex(tuple(lats))
-
-
-def conjugacy_witness(sigma):
-    """Integer matrix F with standard_simplex(type).right_multiplied(F) == sigma:
-    the adapted basis realizes the type-preserving change of frame."""
-    return [list(f) for f in sigma.adapted_basis()]
 
 
 class Ball:

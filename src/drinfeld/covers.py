@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .building import Lattice, PointedSimplex
-from .intlinalg import inv_scaled
+# bench/test_bench.py checks that its tracer rebinds inv_scaled here too
+from .intlinalg import inv_scaled  # noqa: F401
 from .padic import FieldElem, linear_form, normalize_unimodular
 from .projpoints import ProjPoint, enumerate_points
 
@@ -85,9 +86,6 @@ class BuildingPoint:
     simplex: PointedSimplex
     weights: tuple
     certified_level: int
-
-    def distinguished_vertex(self):
-        return self.simplex.lattices[0]
 
     def to_json(self):
         return {
@@ -212,55 +210,44 @@ def tube_coordinates(z, sigma):
     return tuple(coords)
 
 
-def point_in_tube(desc, sigma, rng, spread=False):
+def random_unit(desc, rng, j=0):
+    """The unit omega^j (1 + pi b), with the e*f digits of b drawn
+    uniformly mod p^coeff_exponent."""
+    digits = [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
+    unit = FieldElem.one(desc) + FieldElem.from_coeffs(desc, digits, 1)
+    return FieldElem.omega_power(desc, j) * unit if j else unit
+
+
+def tube_sample(sigma, w):
+    """The raw point adj(frame) w, whose adapted-frame sections are det*w
+    for (adj, det) = sigma.frame_adjugate."""
+    adj, _ = sigma.frame_adjugate
+    return [linear_form(row, w) for row in adj]
+
+
+def point_in_tube(desc, sigma, rng):
     """Random point in the open tube of sigma, built from the inverse of
     the tube parametrization.
 
     Block leaders get valuations 1/e (consecutive radii); residues inside a
     block walk through powers of omega, so the field needs e > k and
-    f >= max block size.  With spread=True the leader gaps are randomized."""
+    f >= max block size."""
     k = sigma.k
-    ds = list(sigma.boundary_indices()) + [sigma.dim + 1]
-    blocks = [ds[i + 1] - ds[i] for i in range(k + 1)]
+    blocks = sigma.type_vector()
     if desc.e < k + 1:
         raise ValueError(f"need ramification > {k} for a length-{k} chain")
     if desc.f < max(blocks):
         raise ValueError(f"need residue degree >= {max(blocks)}")
     pi = FieldElem.pi(desc)
-    gaps = [1] * k
-    if spread and k:
-        budget = desc.e - 1 - k
-        for _ in range(budget):
-            gaps[rng.randrange(k)] += 1
-
-    def random_integral():
-        return FieldElem.from_coeffs(
-            desc, [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
-        )
-
-    def random_one_unit():
-        return FieldElem.one(desc) + pi * random_integral()
-
-    w = [None] * (sigma.dim + 1)
+    w = []
     leader = FieldElem.one(desc)
     for i in range(k + 1):
         if i:
-            step = FieldElem.pi_power(desc, gaps[i - 1]) * random_one_unit()
-            leader = leader * step
-        w[ds[i]] = leader
-        for off, j in enumerate(range(ds[i] + 1, ds[i + 1])):
-            x = FieldElem.omega_power(desc, off + 1) * random_one_unit()
-            w[j] = leader * x
-    basis = sigma.adapted_basis()
-    n, det = inv_scaled([list(f) for f in basis])
-    det_elem = FieldElem.from_int(desc, det)
-    coords = []
-    for i in range(sigma.dim + 1):
-        acc = FieldElem.zero(desc)
-        for j in range(sigma.dim + 1):
-            if n[i][j]:
-                acc = acc + n[i][j] * w[j]
-        coords.append(acc / det_elem)
+            leader = leader * (pi * random_unit(desc, rng))
+        w.append(leader)
+        w.extend(leader * random_unit(desc, rng, j) for j in range(1, blocks[i]))
+    det = FieldElem.from_int(desc, sigma.frame_adjugate[1])
+    coords = [c / det for c in tube_sample(sigma, w)]
     # Keep the pointing: scale by a root-of-p power so the minimum coordinate
     # valuation is an integer; normalization then shifts all section
     # valuations by an integer and the radius-0 layer stays at M_0.

@@ -53,9 +53,6 @@ class MassZeroVector:
     def support(self):
         return [pt for pt, _ in self.items()]
 
-    def is_zero(self):
-        return not self._table
-
     def __len__(self):
         return len(self._table)
 

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .intlinalg import matinv_mod, vecmat
 
 
-def is_unimodular(p, vec):
-    return any(c % p for c in vec)
-
-
 def canonicalize(p, n, vec):
     """Canonical representative of a unimodular vector mod p^n."""
     mod = p**n
@@ -152,9 +148,3 @@ def act(g, pt):
     ginv = matinv_mod(g, pt.p, n)
     return ProjPoint.make(pt.p, n, vecmat(pt.rep, ginv))
 
-
-def standard_basis_points(p, n, d):
-    return [
-        ProjPoint(p, n, tuple(1 if j == i else 0 for j in range(d + 1)))
-        for i in range(d + 1)
-    ]

@@ -14,9 +14,10 @@ from __future__ import annotations
 import random
 
 from .building import PointedSimplex
-from .covers import member_tube, SymmetricSpacePoint
+from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
 from .distributions import MassZeroVector
-from .intlinalg import in_span_modp, inv_scaled
+# bench/test_bench.py checks that its tracer rebinds inv_scaled here too
+from .intlinalg import in_span_modp, inv_scaled  # noqa: F401
 from .padic import FieldDesc, FieldElem, PrecisionError, linear_form
 from .projpoints import ProjPoint
 
@@ -69,40 +70,21 @@ def _oracle_desc(p, sigma, e_oracle):
 
 
 def _oracle_points(sigma, desc, rng):
-    """Two interior tube samples at edge parameters 1/e and 2/e, built from
-    the adapted frame with generic unramified-unit entries.
+    """Two interior tube samples at edge parameters 1/e and 2/e: the raw
+    covers.tube_sample of generic units, those of block 1 lifted by pi^step.
 
-    Returns the raw coordinate list of each sample: absolute section
-    valuations are only meaningful on the raw affine solve, because
-    projective normalization shifts them by a parameter-dependent constant.
-    A sample is adj(frame)·w, the solve frame·z = w times the integer
-    det(frame), with no division: both samples carry the same factor, so
-    it shifts both section valuations by v(det) and cancels in the slope,
-    and leaving it out costs no digits."""
+    A sample stays raw, adj(frame)·w: projective normalization would shift
+    its section valuations by a parameter-dependent constant, and the
+    integer det(frame) that a solve divides out shifts those of both
+    samples by v(det), which cancels in the slope.  The oracle reads the
+    adapted frame only, never the combinatorial slope rule."""
     d1 = sigma.boundary_indices()[1]
-    size = sigma.dim + 1
-    pi = FieldElem.pi(desc)
-
-    def unit(j):
-        bump = FieldElem.from_coeffs(
-            desc, [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
-        )
-        return FieldElem.omega_power(desc, j) * (FieldElem.one(desc) + pi * bump)
-
-    frame = [list(f) for f in sigma.adapted_basis()]
-    inv, _ = inv_scaled(frame)
     samples = []
     for step in (1, 2):
-        w = [unit(j) if j < d1 else FieldElem.pi_power(desc, step) * unit(j)
-             for j in range(size)]
-        coords = []
-        for i in range(size):
-            acc = FieldElem.zero(desc)
-            for j in range(size):
-                if inv[i][j]:
-                    acc = acc + inv[i][j] * w[j]
-            coords.append(acc)
-        samples.append(coords)
+        w = [random_unit(desc, rng, j) for j in range(sigma.dim + 1)]
+        lift = FieldElem.pi_power(desc, step)
+        w[d1:] = [lift * u for u in w[d1:]]
+        samples.append(tube_sample(sigma, w))
     return samples
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from drinfeld.building import standard_simplex
+from drinfeld.covers import SymmetricSpacePoint
 from drinfeld.intlinalg import (
     det_int,
     in_span_modp,
@@ -429,6 +430,70 @@ def reference_oracle_points(sigma, desc, rng):
             coords.append(acc / det_elem)
         samples.append(coords)
     return samples
+
+
+# Reference tube sampler: covers.point_in_tube as it was when it solved the
+# adapted frame and drew its units on every call, kept verbatim.
+
+
+def reference_point_in_tube(desc, sigma, rng, spread=False):
+    """Random point in the open tube of sigma, built from the inverse of
+    the tube parametrization.
+
+    Block leaders get valuations 1/e (consecutive radii); residues inside a
+    block walk through powers of omega, so the field needs e > k and
+    f >= max block size.  With spread=True the leader gaps are randomized."""
+    k = sigma.k
+    ds = list(sigma.boundary_indices()) + [sigma.dim + 1]
+    blocks = [ds[i + 1] - ds[i] for i in range(k + 1)]
+    if desc.e < k + 1:
+        raise ValueError(f"need ramification > {k} for a length-{k} chain")
+    if desc.f < max(blocks):
+        raise ValueError(f"need residue degree >= {max(blocks)}")
+    pi = FieldElem.pi(desc)
+    gaps = [1] * k
+    if spread and k:
+        budget = desc.e - 1 - k
+        for _ in range(budget):
+            gaps[rng.randrange(k)] += 1
+
+    def random_integral():
+        return FieldElem.from_coeffs(
+            desc, [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
+        )
+
+    def random_one_unit():
+        return FieldElem.one(desc) + pi * random_integral()
+
+    w = [None] * (sigma.dim + 1)
+    leader = FieldElem.one(desc)
+    for i in range(k + 1):
+        if i:
+            step = FieldElem.pi_power(desc, gaps[i - 1]) * random_one_unit()
+            leader = leader * step
+        w[ds[i]] = leader
+        for off, j in enumerate(range(ds[i] + 1, ds[i + 1])):
+            x = FieldElem.omega_power(desc, off + 1) * random_one_unit()
+            w[j] = leader * x
+    basis = sigma.adapted_basis()
+    n, det = inv_scaled([list(f) for f in basis])
+    det_elem = FieldElem.from_int(desc, det)
+    coords = []
+    for i in range(sigma.dim + 1):
+        acc = FieldElem.zero(desc)
+        for j in range(sigma.dim + 1):
+            if n[i][j]:
+                acc = acc + n[i][j] * w[j]
+        coords.append(acc / det_elem)
+    # Keep the pointing: scale by a root-of-p power so the minimum coordinate
+    # valuation is an integer; normalization then shifts all section
+    # valuations by an integer and the radius-0 layer stays at M_0.
+    vmin = min(c.valuation() for c in coords)
+    frac = (-vmin * desc.e) % desc.e
+    if frac:
+        adjust = FieldElem.pi_power(desc, int(frac))
+        coords = [c * adjust for c in coords]
+    return SymmetricSpacePoint(coords)
 
 
 # Tube-test covectors as computed on every member_tube call, scanning all

@@ -13,12 +13,14 @@ from drinfeld.covers import (
     member_open_cover,
     member_tube,
     point_in_tube,
+    random_unit,
     reduce_to_building,
     t_profile,
     tube_coordinates,
+    tube_sample,
     tube_test_covectors,
 )
-from drinfeld.certify import _dual_pair
+from drinfeld.certify import TAU_CONFIGS, _dual_pair, _random_simplex_for
 from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from fractions import Fraction
@@ -28,6 +30,7 @@ from helpers import (
     random_pointed_simplex,
     random_unimodular_integer,
     reference_linear_form,
+    reference_point_in_tube,
     reference_tube_test_covectors,
 )
 
@@ -55,7 +58,7 @@ def test_reduce_ramified_edge_point():
     assert bp.simplex == simplex(2, ((1, 0), (0, 1)), ((2, 0), (0, 1)))
     assert bp.weights == (Fraction(1, 2), Fraction(1, 2))
     assert bp.certified_level == 1
-    assert bp.distinguished_vertex() == Lattice.standard(2, 1)
+    assert bp.simplex.lattices[0] == Lattice.standard(2, 1)
 
 
 def test_reduce_perturbed_edge_point_same_output():
@@ -267,7 +270,7 @@ def test_random_tube_round_trip():
             z = point_in_tube(desc, sigma, rng)
             assert member_tube(z, sigma, open_tube=True)
             bp = reduce_to_building(z)
-            assert bp.simplex.same_tube(sigma)
+            assert bp.simplex in sigma.rotations()
             offsets.add(rotations.index(bp.simplex))
             coords = tube_coordinates(z, sigma)
             assert all(x.valuation_at_least(0) for x in coords)
@@ -291,6 +294,41 @@ def test_point_in_tube_validates_field_shape():
                   ((2, 0, 0), (0, 2, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         point_in_tube(FieldDesc(p=2, e=2, f=1, N=12), fat, rng)
+
+
+def _tube_configs():
+    """Two simplices for each field shape of criterion 10, with its field."""
+    for config in TAU_CONFIGS:
+        p, d, e, f = config
+        rng = random.Random(repr(config))
+        for _ in range(2):
+            sigma = _random_simplex_for(p, d, e, f, rng)
+            k0 = sigma.lattices[0].det_exponent
+            yield FieldDesc(p=p, e=e, f=f, N=max(e * (10 + 3 * k0), 2 * e)), sigma
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_point_in_tube_keeps_the_reference_bytes(seed):
+    for desc, sigma in _tube_configs():
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        z = point_in_tube(desc, sigma, rng)
+        ref = reference_point_in_tube(desc, sigma, ref_rng)
+        assert [(c.shift, c.coeffs, c.prec, c.exact_zero) for c in z.coords] == [
+            (c.shift, c.coeffs, c.prec, c.exact_zero) for c in ref.coords
+        ]
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_tube_sample_has_frame_sections_det_times_w():
+    rng = random.Random(11)
+    for desc, sigma in _tube_configs():
+        _, det = sigma.frame_adjugate
+        w = [random_unit(desc, rng, rng.randrange(desc.f))
+             * FieldElem.pi_power(desc, rng.randrange(3))
+             for _ in range(sigma.dim + 1)]
+        z = tube_sample(sigma, w)
+        for f_j, w_j in zip(sigma.adapted_basis(), w):
+            assert linear_form(f_j, z).agrees_with(det * w_j)
 
 
 # --- equivariance ------------------------------------------------------------

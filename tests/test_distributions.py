@@ -30,7 +30,7 @@ def test_dirac_pair():
     b = ProjPoint.make(3, 1, (1, 1))
     mu = MassZeroVector.dirac_pair(a, b)
     assert mu.coeff(a) == 1 and mu.coeff(b) == -1 and len(mu) == 2
-    assert MassZeroVector.dirac_pair(a, a).is_zero()
+    assert len(MassZeroVector.dirac_pair(a, a)) == 0
 
 
 def test_mixed_levels_rejected():
@@ -47,7 +47,7 @@ def test_module_arithmetic(seed):
     nu = random_mass_zero(3, 2, 1, rng)
     s = mu + nu
     assert sum(c for _, c in s.items()) == 0
-    assert (mu - mu).is_zero()
+    assert len(mu - mu) == 0
     assert 2 * mu + (-2) * mu == MassZeroVector.zero(3, 2, 1)
     assert (mu + nu) - nu == mu
 
@@ -92,7 +92,7 @@ def test_family_compatibility_checked():
     assert fam.levels() == [1, 2, 3]
     assert fam.at(3).pushforward(1) == fam.at(1)
     bad_top = random_mass_zero(2, 2, 1, rng)
-    while bad_top.pushforward(1).is_zero():
+    while len(bad_top.pushforward(1)) == 0:
         bad_top = random_mass_zero(2, 2, 1, rng)
     other = random_mass_zero(2, 1, 1, rng)
     while other == bad_top.pushforward(1):
