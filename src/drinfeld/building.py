@@ -16,7 +16,7 @@ from itertools import product
 
 from .intlinalg import (
     complete_basis_modp,
-    det_int,
+    hnf_det,
     hnf_rows,
     identity,
     in_span_modp,
@@ -44,7 +44,7 @@ class Lattice:
         n = len(rows[0])
         if len(h) != n:
             raise ValueError("rows do not span a full-rank lattice")
-        det = det_int(h)
+        det = hnf_det(h)
         k = pval(det, p) if det % p == 0 else 0
         if det != p**k:
             # saturate away prime-to-p index: the Z_p-span also contains p^k Z^n
@@ -68,7 +68,7 @@ class Lattice:
 
     @property
     def det_exponent(self):
-        return pval(det_int(self.rows), self.p)
+        return pval(hnf_det(self.rows), self.p)
 
     def scaled(self, k):
         return self._at_scale(self.scale + k)

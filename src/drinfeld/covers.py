@@ -29,8 +29,9 @@ class SymmetricSpacePoint:
 
     A point computes each section and section valuation once: the profiles
     of several levels, the tube tests of a simplex, of its reduction and of
-    its faces all read the same covectors.  Both memos are keyed by the
-    integer covector tuple, so a projective point and its lift share an
+    its faces all read the same covectors.  The valuation memo holds ints
+    in pi-units of the point's field.  Both memos are keyed by the integer
+    covector tuple, so a projective point and its lift share an
     entry; a point on a hyperplane or a PrecisionError is never stored and
     raises again on every call."""
 
@@ -47,16 +48,22 @@ class SymmetricSpacePoint:
     def dim(self):
         return len(self.coords) - 1
 
-    def section_valuation(self, a):
-        """v(<a, z>) for an integer covector or projective point a."""
+    def section_pi_valuation(self, a):
+        """v(<a, z>) in pi-units of the point's field, an int, for an
+        integer covector or projective point a."""
         key = tuple(a.lift_vector() if isinstance(a, ProjPoint) else a)
         v = self._valuations.get(key)
         if v is None:
             value = self.section(key)
             if value.exact_zero:
                 raise ValueError("point lies on a rational hyperplane")
-            v = self._valuations[key] = value.valuation()
+            v = self._valuations[key] = value.pi_valuation()
         return v
+
+    def section_valuation(self, a):
+        """v(<a, z>) as a Fraction, for an integer covector or projective
+        point a."""
+        return Fraction(self.section_pi_valuation(a), self.desc.e)
 
     def section(self, a):
         """<a, z> for an integer covector or projective point a."""
@@ -95,26 +102,32 @@ class BuildingPoint:
         }
 
 
-def t_profile(z, level):
-    """Section valuations over all canonical level points."""
+def pi_profile(z, level):
+    """Section valuations over all canonical level points, as ints in
+    pi-units of the point's field."""
     p = z.desc.p
     return {
-        a: z.section_valuation(a) for a in enumerate_points(p, level, z.dim)
+        a: z.section_pi_valuation(a)
+        for a in enumerate_points(p, level, z.dim)
     }
 
 
-def member_open_cover(z, n, profile=None):
+def t_profile(z, level):
+    """Section valuations over all canonical level points, as Fractions."""
+    e = z.desc.e
+    return {a: Fraction(v, e) for a, v in pi_profile(z, level).items()}
+
+
+def member_open_cover(z, n):
     """Whether every level-n section valuation spread stays below n."""
-    profile = profile if profile is not None else t_profile(z, n)
-    vals = profile.values()
-    return max(vals) - min(vals) < n
+    vals = pi_profile(z, n).values()
+    return max(vals) - min(vals) < n * z.desc.e
 
 
 def member_closed_cover(z, n):
     """Closed variant: spread at most n, certified by level n+1 sections."""
-    profile = t_profile(z, n + 1)
-    vals = profile.values()
-    return max(vals) - min(vals) <= n
+    vals = pi_profile(z, n + 1).values()
+    return max(vals) - min(vals) <= n * z.desc.e
 
 
 def reduce_to_building(z, level=None, self_check=True):
@@ -122,16 +135,19 @@ def reduce_to_building(z, level=None, self_check=True):
 
     With level=None the smallest certifying level up to MAX_CERTIFY_LEVEL
     is chosen.  Raises ValueError when the requested level cannot certify
-    the point (valuation spread too large)."""
+    the point (valuation spread too large).  Valuations stay ints in
+    pi-units: the radius of a section value t is (t mod e)/e, and a
+    covector enters the lattice of radius c/e scaled by p^ceil((c-t)/e)."""
     if level is not None:
         levels = [level]
     else:
         levels = range(1, MAX_CERTIFY_LEVEL + 1)
+    e = z.desc.e
     profile = None
     used = None
     for n in levels:
-        profile = t_profile(z, n)
-        if max(profile.values()) < n:  # min is 0 after normalization
+        profile = pi_profile(z, n)
+        if max(profile.values()) < n * e:  # min is 0 after normalization
             used = n
             break
     if used is None:
@@ -139,14 +155,11 @@ def reduce_to_building(z, level=None, self_check=True):
             "level cannot certify the reduction; the point sits too deep"
         )
     p = z.desc.p
-    candidates = sorted({v - v.__floor__() for v in profile.values()})
+    candidates = sorted({t % e for t in profile.values()})
     lattices = []
     for c in candidates:
         rows = []
-        exps = []
-        for a, t in profile.items():
-            m = (c - t).__ceil__()
-            exps.append((a, m))
+        exps = [(a, -((t - c) // e)) for a, t in profile.items()]
         shift = -min(m for _, m in exps)
         if shift < 0:
             shift = 0
@@ -155,8 +168,10 @@ def reduce_to_building(z, level=None, self_check=True):
             rows.append([scale * x for x in a.lift_vector()])
         lattices.append(Lattice.from_rows(p, rows, scale=-shift))
     simplex = PointedSimplex.from_chain(lattices)
-    bounds = list(candidates) + [Fraction(1)]
-    weights = tuple(bounds[i + 1] - bounds[i] for i in range(len(candidates)))
+    bounds = candidates + [e]
+    weights = tuple(
+        Fraction(hi - lo, e) for lo, hi in zip(bounds, bounds[1:])
+    )
     result = BuildingPoint(simplex, weights, used)
     if self_check and not member_tube(z, simplex, open_tube=True):
         raise AssertionError("reduction output fails its own tube test")
@@ -176,14 +191,15 @@ def member_tube(z, sigma, open_tube=True):
     unit of the point's scale."""
     values = []
     for lifts in tube_test_covectors(sigma):
-        vals = {z.section_valuation(a) for a in lifts}
+        vals = {z.section_pi_valuation(a) for a in lifts}
         if len(vals) != 1:
             return False
         values.append(vals.pop())
     for lo, hi in zip(values, values[1:]):
         if not (lo < hi if open_tube else lo <= hi):
             return False
-    top, bottom = values[-1], values[0] + 1
+    # one unit of p is e pi-units
+    top, bottom = values[-1], values[0] + z.desc.e
     return top < bottom if open_tube else top <= bottom
 
 
@@ -251,9 +267,8 @@ def point_in_tube(desc, sigma, rng):
     # Keep the pointing: scale by a root-of-p power so the minimum coordinate
     # valuation is an integer; normalization then shifts all section
     # valuations by an integer and the radius-0 layer stays at M_0.
-    vmin = min(c.valuation() for c in coords)
-    frac = (-vmin * desc.e) % desc.e
+    frac = -min(c.pi_valuation() for c in coords) % desc.e
     if frac:
-        adjust = FieldElem.pi_power(desc, int(frac))
+        adjust = FieldElem.pi_power(desc, frac)
         coords = [c * adjust for c in coords]
     return SymmetricSpacePoint(coords)

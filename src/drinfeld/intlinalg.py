@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 
 def pval(x, p):
@@ -120,6 +121,12 @@ def hnf_rows(rows, expect_full_rank=False):
     if expect_full_rank and len(result) != ncols:
         raise ValueError("row lattice does not have full rank")
     return result
+
+
+def hnf_det(rows):
+    """Determinant of a full-rank Hermite basis (hnf_rows): its pivots sit
+    on the diagonal of an upper triangular matrix."""
+    return prod(row[i] for i, row in enumerate(rows))
 
 
 def snf_divisors(rows):

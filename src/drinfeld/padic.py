@@ -289,9 +289,11 @@ class FieldElem:
             return None
         return best
 
-    def valuation(self):
-        """Exact valuation as a Fraction, +inf for the exact zero.
-        Raises PrecisionError when the stored digits cannot resolve it."""
+    def pi_valuation(self):
+        """Exact valuation in pi-units (an int, e times valuation()), +inf
+        for the exact zero.  Raises PrecisionError when the stored digits
+        cannot resolve it.  Integers of two FieldDescs with different e are
+        on different scales."""
         if self.exact_zero:
             return float("inf")
         v = self._poly_valuation()
@@ -300,7 +302,13 @@ class FieldElem:
                 f"valuation >= {Fraction(self.shift + self.prec, self.desc.e)}; "
                 "increase N to resolve"
             )
-        return Fraction(self.shift + v, self.desc.e)
+        return self.shift + v
+
+    def valuation(self):
+        """Exact valuation as a Fraction, +inf for the exact zero.
+        Raises PrecisionError when the stored digits cannot resolve it."""
+        v = self.pi_valuation()
+        return v if self.exact_zero else Fraction(v, self.desc.e)
 
     def valuation_at_least(self, q):
         """True if v(self) >= q can be certified (q a Fraction in p-units)."""
@@ -308,7 +316,7 @@ class FieldElem:
             return True
         v = self._poly_valuation()
         bound = self.shift + (self.prec if v is None else v)
-        return Fraction(bound, self.desc.e) >= Fraction(q)
+        return bound >= q * self.desc.e
 
     # -- arithmetic ----------------------------------------------------------
 

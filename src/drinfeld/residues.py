@@ -105,16 +105,17 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
     out = {}
     for a in covectors:
         lift = _lift(a)
+        # the samples sit 1/e_oracle apart in the edge parameter, so the
+        # slope is the difference of their pi-valuations in the oracle field
         dv = (
-            linear_form(lift, raw2).valuation()
-            - linear_form(lift, raw1).valuation()
+            linear_form(lift, raw2).pi_valuation()
+            - linear_form(lift, raw1).pi_valuation()
         )
-        scaled = dv * e_oracle
-        if scaled.denominator != 1 or int(scaled) not in (0, 1):
+        if dv not in (0, 1):
             raise PrecisionError(
-                f"sampled slope {scaled} is not a 0/1 integer; increase N"
+                f"sampled slope {dv} is not a 0/1 integer; increase N"
             )
-        out[a] = int(scaled)
+        out[a] = dv
     return out
 
 

@@ -4,8 +4,15 @@ library code that a faster implementation replaced."""
 from dataclasses import dataclass
 from fractions import Fraction
 
-from drinfeld.building import standard_simplex
-from drinfeld.covers import SymmetricSpacePoint
+from drinfeld.building import Lattice, PointedSimplex, standard_simplex
+from drinfeld.covers import (
+    MAX_CERTIFY_LEVEL,
+    BuildingPoint,
+    SymmetricSpacePoint,
+    member_tube,
+    t_profile,
+    tube_test_covectors,
+)
 from drinfeld.intlinalg import (
     det_int,
     in_span_modp,
@@ -494,6 +501,90 @@ def reference_point_in_tube(desc, sigma, rng, spread=False):
         adjust = FieldElem.pi_power(desc, int(frac))
         coords = [c * adjust for c in coords]
     return SymmetricSpacePoint(coords)
+
+
+# Reference cover tests: covers.member_open_cover, member_closed_cover,
+# reduce_to_building and member_tube as they were when every section
+# valuation was a Fraction, kept verbatim.  The names they call come from
+# drinfeld.covers: t_profile (the public Fraction profile), member_tube (the
+# reduction's self-check) and tube_test_covectors.
+
+
+def reference_member_open_cover(z, n, profile=None):
+    """Whether every level-n section valuation spread stays below n."""
+    profile = profile if profile is not None else t_profile(z, n)
+    vals = profile.values()
+    return max(vals) - min(vals) < n
+
+
+def reference_member_closed_cover(z, n):
+    """Closed variant: spread at most n, certified by level n+1 sections."""
+    profile = t_profile(z, n + 1)
+    vals = profile.values()
+    return max(vals) - min(vals) <= n
+
+
+def reference_reduce_to_building(z, level=None, self_check=True):
+    """The reduction map at a certified level.
+
+    With level=None the smallest certifying level up to MAX_CERTIFY_LEVEL
+    is chosen.  Raises ValueError when the requested level cannot certify
+    the point (valuation spread too large)."""
+    if level is not None:
+        levels = [level]
+    else:
+        levels = range(1, MAX_CERTIFY_LEVEL + 1)
+    profile = None
+    used = None
+    for n in levels:
+        profile = t_profile(z, n)
+        if max(profile.values()) < n:  # min is 0 after normalization
+            used = n
+            break
+    if used is None:
+        raise ValueError(
+            "level cannot certify the reduction; the point sits too deep"
+        )
+    p = z.desc.p
+    candidates = sorted({v - v.__floor__() for v in profile.values()})
+    lattices = []
+    for c in candidates:
+        rows = []
+        exps = []
+        for a, t in profile.items():
+            m = (c - t).__ceil__()
+            exps.append((a, m))
+        shift = -min(m for _, m in exps)
+        if shift < 0:
+            shift = 0
+        for a, m in exps:
+            scale = p ** (m + shift)
+            rows.append([scale * x for x in a.lift_vector()])
+        lattices.append(Lattice.from_rows(p, rows, scale=-shift))
+    simplex = PointedSimplex.from_chain(lattices)
+    bounds = list(candidates) + [Fraction(1)]
+    weights = tuple(bounds[i + 1] - bounds[i] for i in range(len(candidates)))
+    result = BuildingPoint(simplex, weights, used)
+    if self_check and not member_tube(z, simplex, open_tube=True):
+        raise AssertionError("reduction output fails its own tube test")
+    return result
+
+
+def reference_member_tube(z, sigma, open_tube=True):
+    """Tube membership: within each chain layer all test classes share one
+    section valuation, and the layer valuations step up through a single
+    unit of the point's scale."""
+    values = []
+    for lifts in tube_test_covectors(sigma):
+        vals = {z.section_valuation(a) for a in lifts}
+        if len(vals) != 1:
+            return False
+        values.append(vals.pop())
+    for lo, hi in zip(values, values[1:]):
+        if not (lo < hi if open_tube else lo <= hi):
+            return False
+    top, bottom = values[-1], values[0] + 1
+    return top < bottom if open_tube else top <= bottom
 
 
 # Tube-test covectors as computed on every member_tube call, scanning all

@@ -13,7 +13,10 @@ from drinfeld.building import (
     tree_ball_size,
 )
 from drinfeld.intlinalg import (
+    det_int,
     gaussian_binomial,
+    hnf_det,
+    hnf_rows,
     in_span_modp,
     inv_scaled,
     matmul,
@@ -29,6 +32,23 @@ def test_saturation_removes_prime_to_p_index():
     lat = Lattice.from_rows(3, [[2, 1], [0, 5]])
     assert lat.det_exponent == 0
     assert lat == Lattice.standard(3, 1)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_hermite_diagonal_is_the_determinant(p, d, seed):
+    """A full-rank Hermite basis is upper triangular, so the product of its
+    diagonal is the cofactor determinant, before and after saturation."""
+    rng = random.Random(seed)
+    rows = random_gl_integer(d + 1, rng, bound=2 * p)
+    h = hnf_rows(rows)
+    assert hnf_det(h) == det_int(h) == abs(det_int(rows))
+    lat = Lattice.from_rows(p, rows, scale=rng.randint(-2, 2))
+    assert hnf_det(lat.rows) == det_int(lat.rows) == p**lat.det_exponent
+    assert lat.det_exponent == pval(det_int(lat.rows), p)
 
 
 def test_primitive_scaling():

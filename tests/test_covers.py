@@ -30,7 +30,11 @@ from helpers import (
     random_pointed_simplex,
     random_unimodular_integer,
     reference_linear_form,
+    reference_member_closed_cover,
+    reference_member_open_cover,
+    reference_member_tube,
     reference_point_in_tube,
+    reference_reduce_to_building,
     reference_tube_test_covectors,
 )
 
@@ -489,6 +493,97 @@ def test_each_section_is_computed_once(monkeypatch):
     tube_coordinates(z, bp.simplex)
     tube_coordinates(z, bp.simplex)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_the_valuation_memo_holds_only_ints():
+    for z in _memo_points():
+        for level in (1, 2):
+            t_profile(z, level)
+        bp = reduce_to_building(z)
+        member_tube(z, bp.simplex, open_tube=False)
+        assert z._valuations
+        assert all(type(v) is int for v in z._valuations.values())
+
+
+# --- integer cover tests against the Fraction ones ---------------------------
+
+
+def _cover_outcome(fn, *args):
+    """The value of a cover test, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (ValueError, PrecisionError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _cover_cases():
+    """Tube points of every criterion 10 shape, each with its simplex (and
+    so the rotations and proper faces); the memo points, each with its
+    reduction's simplex; and the point (1, 2 omega), on the boundary of the
+    standard edge's tube, at e = 1 and 2."""
+    rng = random.Random(12)
+    for desc, sigma in _tube_configs():
+        yield point_in_tube(desc, sigma, rng), sigma
+    for z in _memo_points():
+        yield z, reference_reduce_to_building(z).simplex
+    for e in (1, 2):
+        desc = FieldDesc(p=2, e=e, f=2, N=30)
+        boundary = point(desc, 1, 2 * FieldElem.omega(desc))
+        yield boundary, simplex(2, ((1, 0), (0, 1)), ((2, 0), (0, 1)))
+
+
+def test_integer_cover_tests_match_the_fraction_reference():
+    for z, sigma in _cover_cases():
+        for level in (None, 1, 2, 3):
+            assert _cover_outcome(reduce_to_building, z, level) == \
+                _cover_outcome(reference_reduce_to_building, z, level)
+        for n in (1, 2, 3):  # both covers read levels 1 to 3
+            assert _cover_outcome(member_open_cover, z, n) == \
+                _cover_outcome(reference_member_open_cover, z, n)
+            assert _cover_outcome(member_closed_cover, z, n - 1) == \
+                _cover_outcome(reference_member_closed_cover, z, n - 1)
+        for tau in sigma.rotations() + tuple(proper_faces(sigma)):
+            for open_tube in (True, False):
+                assert member_tube(z, tau, open_tube) == \
+                    reference_member_tube(z, tau, open_tube)
+
+
+def _points_over(desc, pi, plane):
+    """Points off every rational hyperplane, written with a given pi; with
+    plane, one point of dimension 2 too, which needs degree 4 over Q_p."""
+    u = FieldElem.omega(desc) if desc.f > 1 else FieldElem.one(desc)
+    points = [
+        point(desc, 1, u * pi),
+        point(desc, 1, u * pi + pi ** 3),
+        point(desc, 1, u * pi ** 3),
+    ]
+    if plane:
+        points.append(point(desc, 1, pi, u * pi * pi))
+    return points
+
+
+@pytest.mark.parametrize("p, e, f", [(2, 1, 2), (3, 1, 2), (2, 2, 1), (3, 2, 1),
+                                     (2, 2, 2)])
+def test_pi_valuations_stay_inside_one_field(p, e, f):
+    """The same points over ramification e and 2e, with pi_e = pi_2e^2:
+    every pi-valuation doubles and no answer moves, so no test compares
+    integers of two fields."""
+    lo = FieldDesc(p=p, e=e, f=f, N=12 * e)
+    hi = FieldDesc(p=p, e=2 * e, f=f, N=24 * e)
+    plane = e * f >= 4
+    pairs = zip(_points_over(lo, FieldElem.pi(lo), plane),
+                _points_over(hi, FieldElem.pi(hi) ** 2, plane))
+    for z_lo, z_hi in pairs:
+        for a in enumerate_points(p, 2, z_lo.dim):
+            assert z_hi.section_pi_valuation(a) == 2 * z_lo.section_pi_valuation(a)
+            assert z_hi.section_valuation(a) == z_lo.section_valuation(a)
+        bp = reduce_to_building(z_lo)
+        assert reduce_to_building(z_hi) == bp
+        for n in (1, 2):
+            assert member_open_cover(z_hi, n) == member_open_cover(z_lo, n)
+            assert member_closed_cover(z_hi, n) == member_closed_cover(z_lo, n)
+        for tau in bp.simplex.rotations() + tuple(proper_faces(bp.simplex)):
+            assert member_tube(z_hi, tau) == member_tube(z_lo, tau)
 
 
 # --- serialization -----------------------------------------------------------

@@ -435,6 +435,47 @@ def core_elements(draw, desc, prec_over=0):
 
 
 @st.composite
+def valuation_cases(draw):
+    """An element of a field with p in {2, 3, 5}, e <= 4 and f <= 3, and a
+    rational bound q."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.integers(min_value=1, max_value=4))
+    f = draw(st.integers(min_value=1, max_value=3))
+    desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 30)))
+    q = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 4)))
+    return draw(core_elements(desc)), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuation_cases())
+def test_pi_valuation_is_the_valuation_in_pi_units(case):
+    x, q = case
+    e = x.desc.e
+    outcomes = []
+    for method in (x.valuation, x.pi_valuation):
+        try:
+            outcomes.append(method())
+        except PrecisionError:
+            outcomes.append(PrecisionError)
+    v, t = outcomes
+    if x.exact_zero:
+        assert v == t == float("inf")
+    elif v is PrecisionError:
+        assert t is PrecisionError
+    else:
+        assert type(t) is int and v == Fraction(t, e)
+        assert x.valuation_at_least(v)
+        assert not x.valuation_at_least(v + Fraction(1, e))
+    # valuation_at_least compares in pi-units as it did in Fractions
+    if not x.exact_zero:
+        pv = reference_poly_valuation(x)
+        bound = x.shift + (x.prec if pv is None else pv)
+        for bound_q in (q, q.numerator):
+            want = Fraction(bound, e) >= Fraction(bound_q)
+            assert x.valuation_at_least(bound_q) == want
+
+
+@st.composite
 def core_operands(draw):
     """A field shape, two elements and an integer scalar."""
     desc = draw(core_descs())

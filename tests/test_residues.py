@@ -304,6 +304,21 @@ def test_oracle_without_det_division_matches_reference(monkeypatch, check_member
         assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
+def test_oracle_table_does_not_depend_on_its_ramification(p, d):
+    """The oracle's slope is a difference of two pi-valuations inside its
+    own field, so fields with e_oracle = 3 and 4 give one table on every
+    standard edge.  e_oracle = 5 is above the field cap MAX_E and refused."""
+    classes = enumerate_points(p, 1, d)
+    for first in range(1, d + 1):
+        edge = standard_simplex(p, (first, d + 1 - first))
+        tables = [oracle_slope_table(edge, classes, e_oracle=e) for e in (3, 4)]
+        assert tables[0] == tables[1]
+        assert set(tables[0].values()) == {0, 1}
+        with pytest.raises(ValueError, match="ramification"):
+            oracle_slope_table(edge, classes, e_oracle=5)
+
+
 def test_oracle_validates_field_shape():
     with pytest.raises(ValueError):
         oracle_slope_table(std_edge(), [(1, 0)], e_oracle=1)
