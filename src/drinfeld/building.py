@@ -110,6 +110,24 @@ class Lattice:
         v = min(pval(c, self.p) for row in matmul(other.rows, n) for c in row if c)
         return self.scale + k - other.scale - v
 
+    def image_mod_p(self, other):
+        """The image of a sublattice other <= self in self/p self, as a
+        reduced-echelon basis (rref_modp) in the coordinates of the basis
+        of self: the rows of other times the adjugate, over p^k, before
+        the two scales."""
+        p = self.p
+        n, k = self.adj_data()
+        num = matmul(other.rows, n)
+        exp = k + self.scale - other.scale
+        if exp >= 0:
+            den = p**exp
+            coords = [[c // den for c in row] for row in num]
+        else:
+            # other <= p self, as p M_0 is for a vertex, maps to zero
+            mul = p**-exp
+            coords = [[c * mul for c in row] for row in num]
+        return rref_modp(coords, p)
+
     def contains(self, other, strict=False):
         """Z_p-inclusion other <= self (with scales)."""
         if self.fit_exponent(other) > 0:
@@ -221,17 +239,9 @@ class PointedSimplex:
     @cached_property
     def _chain_mod_p(self):
         m0 = self.lattices[0]
-        n, k0 = m0.adj_data()
-        p = self.p
-        out = []
-        for lat in self.lattices:
-            num = matmul(lat.rows, n)
-            exp = k0 - lat.scale
-            assert exp >= 0
-            denom = p**exp
-            coords = [[c // denom for c in row] for row in num]
-            out.append(rref_modp(coords, p))
-        return tuple(out)
+        k0 = m0.adj_data()[1]
+        assert all(lat.scale <= k0 for lat in self.lattices)
+        return tuple(m0.image_mod_p(lat) for lat in self.lattices)
 
     def type_vector(self):
         """(e_0, ..., e_k) with e_i the jumps of the mod-p flag dimensions."""
@@ -298,17 +308,7 @@ class PointedSimplex:
         chain = self.lattices + (self.lattices[0].scaled(1),)
         out = []
         for mi, mnext in zip(chain, chain[1:]):
-            # the image of M_{i+1} in M_i/pM_i, in M_i-coordinates
-            n_adj, k_i = mi.adj_data()
-            num = matmul(mnext.rows, n_adj)
-            exp = k_i + mi.scale - mnext.scale
-            if exp >= 0:
-                den = p**exp
-                coords = [[c // den for c in row] for row in num]
-            else:
-                mul = p**-exp
-                coords = [[c * mul for c in row] for row in num]
-            sub, piv = rref_modp(coords, p)
+            sub, piv = mi.image_mod_p(mnext)
             scale = p**mi.scale
             out.append(tuple(
                 tuple(scale * c for c in vecmat(x, mi.rows))

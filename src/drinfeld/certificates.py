@@ -57,17 +57,17 @@ def _two_point_ratio(u_top, u_bottom, z1, z2, certified_level):
     return top / bottom
 
 
-def convergence_certificate(fam, z1, z2, i, n, nprime, rep_system="lex"):
+def convergence_certificate(fam, z1, z2, i, n, nprime):
     """Level-refinement congruence: the degree-n and degree-n' truncations
     of the integrated family agree up to a constant and a 1-unit of order
     n - i at points certified at level i."""
     if not (i < n < nprime):
         raise ValueError("need i < n < n'")
-    upper = alpha_level(fam.at(nprime), rep_system)
-    lower = alpha_level(fam.at(n), rep_system)
+    upper = alpha_level(fam.at(nprime))
+    lower = alpha_level(fam.at(n))
     ratio = _two_point_ratio(upper, lower, z1, z2, i)
     inputs = {
-        "i": i, "n": n, "n_prime": nprime, "rep_system": rep_system,
+        "i": i, "n": n, "n_prime": nprime, "rep_system": "lex",
         "support": len(fam.at(nprime).support()),
     }
     return _margin_record("level-refinement", inputs, n - i, ratio)
@@ -99,7 +99,7 @@ def lift_congruence_certificate(cls, z1, z2, i):
     return _margin_record("lift-congruence", inputs, n - i, ra / rb)
 
 
-def restriction_certificate(fam, z1, z2, i, n, nprime, rep_system="lex"):
+def restriction_certificate(fam, z1, z2, i, n, nprime):
     """Domain-restriction compatibility between the level-i and level-(i+1)
     covers.
 
@@ -114,18 +114,18 @@ def restriction_certificate(fam, z1, z2, i, n, nprime, rep_system="lex"):
     for z in (z1, z2):
         if not member_open_cover(z, i + 1):
             raise ValueError("point is not certified for the larger cover")
-    u_small = alpha_level(fam.at(n), rep_system)
-    u_large = alpha_level(fam.at(n), rep_system)
+    u_small = alpha_level(fam.at(n))
+    u_large = alpha_level(fam.at(n))
     exact = u_small == u_large
     for z in (z1, z2):
         exact = exact and evaluate_product(u_small, z, certified_level=i).agrees_with(
             evaluate_product(u_large, z)
         )
-    upper = alpha_level(fam.at(nprime), rep_system)
+    upper = alpha_level(fam.at(nprime))
     ratio = _two_point_ratio(upper, u_small, z1, z2, i)
     record = _margin_record(
         "restriction",
-        {"i": i, "n": n, "n_prime": nprime, "rep_system": rep_system},
+        {"i": i, "n": n, "n_prime": nprime, "rep_system": "lex"},
         n - i,
         ratio,
     )
@@ -135,14 +135,14 @@ def restriction_certificate(fam, z1, z2, i, n, nprime, rep_system="lex"):
     return record
 
 
-def equivariance_certificate(g, g_inverse, mu, z1, z2, i, rep_system="lex"):
+def equivariance_certificate(g, g_inverse, mu, z1, z2, i):
     """Moving the vector by g and the points by g^{-1} integrates to the
     same function up to a constant and a 1-unit of order n - i."""
     n = mu.level
     if not i < n:
         raise ValueError("need i < level")
-    moved = alpha_level(mu.transport(g), rep_system)
-    still = alpha_level(mu, rep_system)
+    moved = alpha_level(mu.transport(g))
+    still = alpha_level(mu)
     q_moved = evaluate_ratio(moved, z1, z2, i)
     q_still = evaluate_ratio(
         still, z1.apply_matrix(g_inverse), z2.apply_matrix(g_inverse), i

@@ -53,10 +53,10 @@ POINTS_PER_CONFIG = 100
 TRANSLATES = 50
 
 
-def random_unimodular(size, rng, steps=12):
-    """Product of random elementary row operations: determinant +-1."""
+def random_unimodular(size, rng):
+    """Product of 12 random elementary row operations: determinant +-1."""
     mat = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for _ in range(steps if size > 1 else 0):
+    for _ in range(12 if size > 1 else 0):
         i, j = rng.sample(range(size), 2)
         c = rng.choice([-2, -1, 1, 2])
         for k in range(size):
@@ -64,9 +64,9 @@ def random_unimodular(size, rng, steps=12):
     return mat
 
 
-def _dual_pair(p, e=2, N=40):
+def _dual_pair(p, N=40):
     """Two distinct certified points on the middle of the base edge."""
-    desc = FieldDesc(p=p, e=e, N=N)
+    desc = FieldDesc(p=p, e=2, N=N)
     pi = FieldElem.pi(desc)
     one = FieldElem.one(desc)
     z1 = SymmetricSpacePoint([one, pi])

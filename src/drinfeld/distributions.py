@@ -123,11 +123,11 @@ class MassZeroVector:
         return MassZeroVector(p, obj["level"], dim, entries)
 
 
-def basis_mass_zero(p, n, d, basepoint=None):
-    """The standard basis delta_x - delta_x0 of the mass-zero lattice."""
-    pts = enumerate_points(p, n, d)
-    x0 = basepoint if basepoint is not None else pts[0]
-    return [MassZeroVector.dirac_pair(x, x0) for x in pts if x != x0]
+def basis_mass_zero(p, n, d):
+    """The standard basis delta_x - delta_x0 of the mass-zero lattice, with
+    x0 the first canonical point."""
+    x0, *rest = enumerate_points(p, n, d)
+    return [MassZeroVector.dirac_pair(x, x0) for x in rest]
 
 
 def random_mass_zero(p, n, d, rng, size=4, coeff_bound=5):
@@ -164,6 +164,6 @@ class DistributionFamily:
         return sorted(self.layers)
 
 
-def random_family(p, top_level, d, rng, size=4, coeff_bound=5):
-    top = random_mass_zero(p, top_level, d, rng, size=size, coeff_bound=coeff_bound)
+def random_family(p, top_level, d, rng):
+    top = random_mass_zero(p, top_level, d, rng)
     return DistributionFamily.from_top(top, range(1, top_level + 1))

@@ -78,7 +78,7 @@ def inv_scaled(mat):
     return tuple(tuple(row) for row in adj), d
 
 
-def hnf_rows(rows, expect_full_rank=False):
+def hnf_rows(rows):
     """Row-style Hermite normal form of an integer matrix.
 
     Returns the canonical basis of the row lattice: pivots on strictly
@@ -117,10 +117,7 @@ def hnf_rows(rows, expect_full_rank=False):
             q = m[i][c] // m[r][c]
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-    result = tuple(tuple(m[r]) for r, _ in pivots)
-    if expect_full_rank and len(result) != ncols:
-        raise ValueError("row lattice does not have full rank")
-    return result
+    return tuple(tuple(m[r]) for r, _ in pivots)
 
 
 def hnf_det(rows):

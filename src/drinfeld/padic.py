@@ -255,13 +255,6 @@ class FieldElem:
             )
         return FieldElem(desc, shift, coeffs, desc.work_prec)
 
-    @staticmethod
-    def from_rational(desc, q):
-        q = Fraction(q)
-        return FieldElem.from_int(desc, q.numerator) / FieldElem.from_int(
-            desc, q.denominator
-        )
-
     # -- structure helpers ---------------------------------------------------
 
     def _poly_valuation(self):
@@ -426,17 +419,10 @@ class FieldElem:
 
     # -- comparisons ---------------------------------------------------------
 
-    def agrees_with(self, other, pi_prec=None):
-        """True when self - other vanishes to the joint trusted precision
-        (optionally capped at pi_prec pi-units)."""
+    def agrees_with(self, other):
+        """True when self - other vanishes to the joint trusted precision."""
         diff = self - _coerce(self.desc, other)
-        if diff.exact_zero:
-            return True
-        cap = diff.shift + diff.prec
-        if pi_prec is not None:
-            cap = min(cap, pi_prec)
-        v = diff._poly_valuation()
-        return v is None or diff.shift + v >= cap
+        return diff.exact_zero or diff._poly_valuation() is None
 
     def to_json(self):
         return {
@@ -453,8 +439,6 @@ def _coerce(desc, x):
         return x
     if isinstance(x, int):
         return FieldElem.from_int(desc, x)
-    if isinstance(x, Fraction):
-        return FieldElem.from_rational(desc, x)
     raise TypeError(f"cannot coerce {type(x).__name__} into FieldElem")
 
 
@@ -604,19 +588,21 @@ def _unit_inverse(desc, unit_coeffs):
 
 
 def linear_form(a, z):
-    """sum a_i z_i for integer (or Fraction) scalars a and FieldElem vector z.
+    """sum a_i z_i for integer scalars a and FieldElem vector z.
 
-    With integer scalars the sum is fused: each digit vector moves to the
-    least shift of the nonzero terms once, the integer dot product of each
-    digit position is reduced once, and prec is the least term precision
-    at that shift, capped at work_prec as a chain of adds would give.
-    Scaling, pi-shifts and adds are ring maps mod p^coeff_exponent, so the
-    digits are those of the chain of adds."""
+    The sum is fused: each digit vector moves to the least shift of the
+    nonzero terms once, the integer dot product of each digit position is
+    reduced once, and prec is the least term precision at that shift,
+    capped at work_prec as a chain of adds would give.  Scaling, pi-shifts
+    and adds are ring maps mod p^coeff_exponent, so the digits are those
+    of the chain of adds."""
     desc = z[0].desc
     scalars, terms = [], []
     for ai, zi in zip(a, z):
         if ai.__class__ is not int:
-            return _linear_form_chain(desc, a, z)
+            raise TypeError(
+                f"linear_form takes int scalars, not {type(ai).__name__}"
+            )
         if not ai:
             continue
         if zi.desc is not desc and zi.desc != desc:
@@ -645,28 +631,10 @@ def linear_form(a, z):
     )
 
 
-def _linear_form_chain(desc, a, z):
-    """linear_form as a chain of scale-and-add, for Fraction scalars."""
-    acc = FieldElem.zero(desc)
-    for ai, zi in zip(a, z):
-        if isinstance(ai, Fraction):
-            if ai == 0:
-                continue
-            acc = acc + FieldElem.from_rational(desc, ai) * zi
-        elif ai:
-            acc = acc + ai * zi
-    return acc
-
-
 def normalize_unimodular(vec):
     """Scale a vector of FieldElems so the minimum valuation is 0 and the
     first coordinate attaining it is exactly 1."""
-    vals = []
-    for x in vec:
-        if x.exact_zero:
-            vals.append(float("inf"))
-        else:
-            vals.append(x.valuation())
+    vals = [x.pi_valuation() for x in vec]
     finite = [v for v in vals if v != float("inf")]
     if not finite:
         raise ValueError("cannot normalize the zero vector")

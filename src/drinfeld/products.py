@@ -80,12 +80,12 @@ class FormalProduct:
         }
 
 
-def alpha_level(mu, rep_system="lex", basepoint=None):
-    """The integration map at the vector's level: exponents are the masses."""
+def alpha_level(mu, rep_system="lex"):
+    """The integration map at the vector's level: exponents are the masses,
+    relative to the first canonical point."""
     if not isinstance(mu, MassZeroVector):
         raise TypeError("expected a mass-zero vector")
-    if basepoint is None:
-        basepoint = enumerate_points(mu.p, mu.level, mu.dim)[0]
+    basepoint = enumerate_points(mu.p, mu.level, mu.dim)[0]
     factors = {a: c for a, c in mu.items() if a != basepoint}
     return FormalProduct(
         mu.p, mu.level, mu.dim, basepoint, factors, rep_system

@@ -27,13 +27,7 @@ def canonicalize(p, n, vec):
 
 def canonicalize_last(p, n, vec):
     """Variant normal form: the last unit coordinate is scaled to 1."""
-    mod = p**n
-    v = [c % mod for c in vec]
-    for i in range(len(v) - 1, -1, -1):
-        if v[i] % p:
-            inv = pow(v[i], -1, mod)
-            return tuple((inv * x) % mod for x in v)
-    raise ValueError("vector is not unimodular")
+    return canonicalize(p, n, tuple(vec)[::-1])[::-1]
 
 
 @dataclass(frozen=True)

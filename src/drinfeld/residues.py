@@ -162,7 +162,7 @@ def edges_at_vertex(lattice):
     its p-multiple before forming the chain."""
     base = lattice.homothety_rep()
     return tuple(
-        PointedSimplex((base, nb.scaled(base.fit_exponent(nb))))
+        PointedSimplex.from_homothety_chain([base, nb])
         for nb in base.neighbors()
     )
 
@@ -178,12 +178,12 @@ def check_kirchhoff(lattice, classes):
     return {x: sum(slope(x, edge) for edge in edges) for x in classes}
 
 
-def pairing_matrix(edges, level, p, d, basepoint=None):
+def pairing_matrix(edges, level, p, d):
     """Integer matrix of slope pairings: rows = pointed edges, columns = the
     dirac-pair basis of the mass-zero module at the level."""
     from .distributions import basis_mass_zero
 
-    basis = basis_mass_zero(p, level, d, basepoint=basepoint)
+    basis = basis_mass_zero(p, level, d)
     rows = []
     for edge in edges:
         rows.append([

@@ -212,6 +212,28 @@ def test_conjugacy_witness(pd, seed):
     assert standard_simplex(p, sigma.type_vector()).right_multiplied(f) == sigma
 
 
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_image_mod_p_has_the_index_codimension(pd, seed):
+    """For pM <= N <= M the image of N in M/pM has dimension
+    n - log_p [M : N]: every lattice of a pointed chain in each earlier
+    one, and each pM_j (j <= i) in M_i."""
+    p, d = pd
+    sigma = random_pointed_simplex(p, d, random.Random(seed))
+    lats = sigma.lattices
+    for i, mi in enumerate(lats):
+        for sub in lats[i:] + tuple(lat.scaled(1) for lat in lats[: i + 1]):
+            rref, piv = mi.image_mod_p(sub)
+            assert len(rref) == len(piv) == d + 1 - mi.index_exponent(sub)
+            assert (rref, piv) == rref_modp(rref, p)
+    # at det exponent 0, pM takes the exp < 0 branch and maps to zero
+    std = Lattice.standard(p, d)
+    assert std.image_mod_p(std.scaled(1)) == ((), ())
+    assert std.image_mod_p(std) == rref_modp(std.rows, p)
+
+
 def test_from_homothety_chain_unique_scaling():
     std = Lattice.standard(2, 1)
     for nb in std.neighbors():
