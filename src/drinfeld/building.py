@@ -382,10 +382,12 @@ class Ball:
         dist = {self.center: 0}
         order = [self.center]
         frontier = [self.center]
+        nbrs = {}
         for r in range(1, radius + 1):
             nxt = []
             for lat in frontier:
-                for nb in lat.neighbors():
+                nbrs[lat] = lat.neighbors()
+                for nb in nbrs[lat]:
                     if nb not in dist:
                         dist[nb] = r
                         order.append(nb)
@@ -393,10 +395,11 @@ class Ball:
             frontier = nxt
         self.distance = dist
         self.vertices = order
-        self.adjacency = {}
-        vset = set(order)
-        for lat in order:
-            self.adjacency[lat] = [nb for nb in lat.neighbors() if nb in vset]
+        for lat in frontier:  # the outer shell, never expanded
+            nbrs[lat] = lat.neighbors()
+        self.adjacency = {
+            lat: [nb for nb in nbrs[lat] if nb in dist] for lat in order
+        }
 
     def edges(self):
         """Unordered adjacent pairs inside the ball, deterministic order."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .covers import member_open_cover
 from .padic import FieldElem, PrecisionError
-from .products import alpha_level, evaluate_product, evaluate_ratio
+from .products import alpha_level, evaluate_ratio
 
 
 def unit_margin(value):
@@ -104,8 +104,9 @@ def restriction_certificate(fam, z1, z2, i, n, nprime):
     covers.
 
     At a fixed truncation level the two domain indices select where one may
-    evaluate, not what is evaluated: the literal restriction is the same
-    formal product, checked exactly.  The measurable content is that the
+    evaluate, not what is evaluated: the literal restriction, the level-n'
+    layer pushed forward to level n, must integrate to the level-n product,
+    checked exactly without evaluation.  The measurable content is that the
     refinement congruence, taken at points certified for the smaller cover,
     clears the stronger n - i threshold (the weaker n - i - 1 one of the
     larger cover follows and is reported)."""
@@ -114,15 +115,10 @@ def restriction_certificate(fam, z1, z2, i, n, nprime):
     for z in (z1, z2):
         if not member_open_cover(z, i + 1):
             raise ValueError("point is not certified for the larger cover")
-    u_small = alpha_level(fam.at(n))
-    u_large = alpha_level(fam.at(n))
-    exact = u_small == u_large
-    for z in (z1, z2):
-        exact = exact and evaluate_product(u_small, z, certified_level=i).agrees_with(
-            evaluate_product(u_large, z)
-        )
+    lower = alpha_level(fam.at(n))
+    exact = lower == alpha_level(fam.at(nprime).pushforward(n))
     upper = alpha_level(fam.at(nprime))
-    ratio = _two_point_ratio(upper, u_small, z1, z2, i)
+    ratio = _two_point_ratio(upper, lower, z1, z2, i)
     record = _margin_record(
         "restriction",
         {"i": i, "n": n, "n_prime": nprime, "rep_system": "lex"},

@@ -160,9 +160,6 @@ class DistributionFamily:
     def at(self, level):
         return self.layers[level]
 
-    def levels(self):
-        return sorted(self.layers)
-
 
 def random_family(p, top_level, d, rng):
     top = random_mass_zero(p, top_level, d, rng)

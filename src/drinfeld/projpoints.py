@@ -46,13 +46,6 @@ class ProjPoint:
     def dim(self):
         return len(self.rep) - 1
 
-    @property
-    def pivot(self):
-        for i, c in enumerate(self.rep):
-            if c % self.p:
-                return i
-        raise AssertionError("canonical point with no unit coordinate")
-
     def reduce(self, m):
         """Image under P^d(Z/p^level) -> P^d(Z/p^m) for m <= level."""
         if not 1 <= m <= self.level:
@@ -108,27 +101,6 @@ def enumerate_points(p, n, d):
                 t //= prefix_choices
             rep[pivot] = 1
             out.append(ProjPoint(p, n, tuple(rep)))
-    return out
-
-
-def fiber(pt, n):
-    """All level-n canonical points reducing to pt (n >= pt.level)."""
-    if n < pt.level:
-        raise ValueError("fiber level must be >= point level")
-    p, m = pt.p, pt.level
-    step = p**m
-    count = p ** (n - m)
-    pivot = pt.pivot
-    d = pt.dim
-    out = []
-    free = [j for j in range(d + 1) if j != pivot]
-    for idx in range(count ** len(free)):
-        rep = list(pt.rep)
-        t = idx
-        for j in free:
-            rep[j] = rep[j] + step * (t % count)
-            t //= count
-        out.append(ProjPoint(p, n, tuple(rep)))
     return out
 
 

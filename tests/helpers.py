@@ -30,6 +30,7 @@ from drinfeld.padic import (
     _poly_mul,
     _times_omega,
 )
+from drinfeld.projpoints import ProjPoint
 from drinfeld.residues import slope
 
 
@@ -645,8 +646,32 @@ def reference_tube_test_covectors(sigma):
     return out
 
 
-# Test-only helpers: a rank over Q and a table of edge residues, which no
-# library code uses.
+# Test-only helpers: the fiber of a level map, a rank over Q and a table of
+# edge residues, which no library code uses.
+
+
+def pivot(pt):
+    """Position of the first unit coordinate of a canonical point."""
+    return next(i for i, c in enumerate(pt.rep) if c % pt.p)
+
+
+def fiber(pt, n):
+    """All level-n canonical points reducing to pt (n >= pt.level)."""
+    if n < pt.level:
+        raise ValueError("fiber level must be >= point level")
+    p, m = pt.p, pt.level
+    step = p**m
+    count = p ** (n - m)
+    free = [j for j in range(pt.dim + 1) if j != pivot(pt)]
+    out = []
+    for idx in range(count ** len(free)):
+        rep = list(pt.rep)
+        t = idx
+        for j in free:
+            rep[j] = rep[j] + step * (t % count)
+            t //= count
+        out.append(ProjPoint(p, n, tuple(rep)))
+    return out
 
 
 def rank_int(rows):

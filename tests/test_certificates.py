@@ -148,6 +148,17 @@ def test_restriction_certificate_reports_exactness():
     assert rec["pass"]
 
 
+def test_restriction_detects_a_layer_that_is_not_the_pushforward():
+    desc, z1, z2 = _dual_pair(3)
+    fam = fixed_family(3)
+    fam.layers[2] = MassZeroVector.dirac_pair(
+        ProjPoint.make(3, 2, (1, 1)), ProjPoint.make(3, 2, (0, 1))
+    )
+    rec = restriction_certificate(fam, z1, z2, 1, 2, 3)
+    assert rec["exact_restriction"] is False
+    assert rec["pass"] is False
+
+
 def test_restriction_needs_certified_points():
     desc, z1, z2 = _dual_pair(2)
     shallow = SymmetricSpacePoint(

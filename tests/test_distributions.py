@@ -89,7 +89,6 @@ def test_transport_is_an_action():
 def test_family_compatibility_checked():
     rng = random.Random(3)
     fam = random_family(2, 3, 1, rng)
-    assert fam.levels() == [1, 2, 3]
     assert fam.at(3).pushforward(1) == fam.at(1)
     bad_top = random_mass_zero(2, 2, 1, rng)
     while len(bad_top.pushforward(1)) == 0:

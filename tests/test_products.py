@@ -20,7 +20,7 @@ from drinfeld.products import (
     evaluate_ratio,
     residue_round_trip,
 )
-from drinfeld.projpoints import ProjPoint, enumerate_points
+from drinfeld.projpoints import ProjPoint
 from drinfeld.residues import pair_distribution
 
 
@@ -38,19 +38,22 @@ def dirac(p, n, a, b):
 
 
 def test_alpha_builds_the_section_quotient():
-    u = alpha_level(dirac(2, 1, (1, 1), (0, 1)))
-    assert u.level == 1 and u.degree() == 0
-    net = {tuple(k.rep): v for k, v in u.net_exponents().items()}
-    assert net == {(1, 1): 1, (0, 1): -1}
+    mu = dirac(2, 1, (1, 1), (0, 1))
+    u = alpha_level(mu)
+    assert u.level == 1 and u.mu == mu
+    exponents = {tuple(k.rep): v for k, v in u.mu.items()}
+    assert exponents == {(1, 1): 1, (0, 1): -1}
 
 
-def test_alpha_on_basepoint_class_uses_net_exponents():
-    # a factor equal to the basepoint disappears from the factor table but
-    # survives in the net exponents
+def test_alpha_on_basepoint_class_keeps_its_exponent():
+    # the first canonical point is an ordinary factor of the product; only
+    # the JSON layout lists it as the basepoint, off the factor table
     u = alpha_level(dirac(2, 1, (1, 0), (0, 1)))
-    assert tuple(u.basepoint.rep) == (1, 0)
-    net = {tuple(k.rep): v for k, v in u.net_exponents().items()}
-    assert net == {(1, 0): 1, (0, 1): -1}
+    exponents = {tuple(k.rep): v for k, v in u.mu.items()}
+    assert exponents == {(1, 0): 1, (0, 1): -1}
+    blob = u.to_json()
+    assert blob["basepoint"] == [1, 0]
+    assert blob["factors"] == [{"point": [0, 1], "exponent": -1}]
 
 
 def test_frozen_evaluation_valuation():
@@ -72,7 +75,7 @@ def test_alpha_is_additive():
 
 def test_zero_vector_integrates_to_one():
     u = alpha_level(MassZeroVector.zero(2, 1, 1))
-    assert not u.factors
+    assert len(u.mu) == 0
     z = ramified_point()
     value = evaluate_product(u, z)
     one = FieldElem.one(z.desc)
@@ -104,11 +107,12 @@ def test_mixed_windows_do_not_multiply():
 
 
 def test_factor_window_validated():
-    bp = enumerate_points(2, 1, 1)[0]
     with pytest.raises(ValueError):
-        FormalProduct(2, 1, 1, bp, {ProjPoint.make(2, 2, (1, 0)): 1})
+        FormalProduct(dirac(2, 1, (1, 1), (0, 1)), rep_system="weird")
     with pytest.raises(ValueError):
-        FormalProduct(2, 1, 1, bp, {}, rep_system="weird")
+        MassZeroVector(2, 1, 1, {
+            ProjPoint.make(2, 2, (1, 0)): 1, ProjPoint.make(2, 1, (0, 1)): -1,
+        })
 
 
 def test_rep_systems_change_lifts_not_residues():

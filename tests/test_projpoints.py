@@ -13,9 +13,9 @@ from drinfeld.projpoints import (
     canonicalize,
     canonicalize_last,
     enumerate_points,
-    fiber,
     point_count,
 )
+from helpers import fiber, pivot
 
 
 def brute_force_points(p, n, d):
@@ -59,7 +59,7 @@ def test_known_counts():
 
 def test_canonical_form_shape():
     for pt in enumerate_points(3, 2, 2):
-        i = pt.pivot
+        i = pivot(pt)
         assert pt.rep[i] == 1
         assert all(c % 3 == 0 for c in pt.rep[:i])
 
