@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import gcd
 
 from .intlinalg import (
     complete_basis_modp,
+    hnf_adjugate,
     hnf_det,
     hnf_rows,
     identity,
@@ -53,7 +55,7 @@ class Lattice:
             ]
             h = hnf_rows(stacked)
         # primitive representative: factor the common p-power into the scale
-        shift = min(pval(c, p) for row in h for c in row if c)
+        shift = pval(gcd(*(c for row in h for c in row)), p)
         if shift:
             h = tuple(tuple(c // p**shift for c in row) for row in h)
         return Lattice(p, tuple(tuple(row) for row in h), scale + shift)
@@ -95,7 +97,7 @@ class Lattice:
     # it lives exactly as long as the value.
     @cached_property
     def _adj_data(self):
-        n, det = inv_scaled(self.rows)
+        n, det = hnf_adjugate(self.rows)
         k = pval(det, self.p)
         assert det == self.p**k
         return n, k
@@ -107,8 +109,18 @@ class Lattice:
         if self.p != other.p:
             raise ValueError("mixed primes")
         n, k = self.adj_data()
-        v = min(pval(c, self.p) for row in matmul(other.rows, n) for c in row if c)
+        v = pval(gcd(*(c for row in matmul(other.rows, n) for c in row)), self.p)
         return self.scale + k - other.scale - v
+
+    def valuation(self, a):
+        """Largest m with the integer covector a in p^m self: a times the
+        adjugate, over p^k, is a in the coordinates of the basis of self,
+        before the scale."""
+        n, k = self.adj_data()
+        g = gcd(*vecmat(a, n))
+        if not g:
+            raise ValueError("zero covector")
+        return pval(g, self.p) - k - self.scale
 
     def image_mod_p(self, other):
         """The image of a sublattice other <= self in self/p self, as a
@@ -316,18 +328,6 @@ class PointedSimplex:
                 if not in_span_modp(sub, piv, x, p)
             ))
         return tuple(out)
-
-    def covector_coordinates(self, a):
-        """Express an integer covector in M_0: returns (x, m) with x the
-        p-primitive coordinate vector and a in p^m M_0 \\ p^{m+1} M_0."""
-        m0 = self.lattices[0]
-        n, k0 = m0.adj_data()
-        x = vecmat(a, n)
-        if not any(x):
-            raise ValueError("zero covector")
-        v = min(pval(c, self.p) for c in x if c)
-        prim = tuple(c // self.p**v for c in x)
-        return prim, v - k0
 
     def rotate(self):
         """Move the point one step along the chain: [M_1, ..., M_k, p M_0]."""

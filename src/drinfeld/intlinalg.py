@@ -11,15 +11,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 
 def pval(x, p):
     """p-adic valuation of a nonzero int or Fraction.  Raises on zero."""
     if x == 0:
         raise ValueError("valuation of zero is undefined")
-    if isinstance(x, Fraction):
-        return pval(x.numerator, p) - pval(x.denominator, p)
-    x = abs(int(x))
+    # ints first: the Fraction check is an ABC isinstance, slow on the hot path
+    if not isinstance(x, int):
+        if isinstance(x, Fraction):
+            return pval(x.numerator, p) - pval(x.denominator, p)
+        x = int(x)
     v = 0
     while x % p == 0:
         x //= p
@@ -33,14 +36,12 @@ def identity(n):
 
 def matmul(a, b):
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def vecmat(v, m):
     """Row vector times matrix."""
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def det_int(mat):
@@ -124,6 +125,28 @@ def hnf_det(rows):
     """Determinant of a full-rank Hermite basis (hnf_rows): its pivots sit
     on the diagonal of an upper triangular matrix."""
     return prod(row[i] for i, row in enumerate(rows))
+
+
+def hnf_adjugate(rows):
+    """(adj, det) of an upper triangular matrix with nonzero diagonal, such
+    as a full-rank Hermite basis: the same pair as inv_scaled, by back
+    substitution.  Column j of adj solves rows . x = det e_j from the
+    bottom up; every division is exact because adj is an integer matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    if any(rows[i][j] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not upper triangular")
+    det = hnf_det(rows)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = det // rows[j][j]
+        for i in range(j - 1, -1, -1):
+            row = rows[i]
+            adj[i][j] = -sum(row[k] * adj[k][j] for k in range(i + 1, j + 1)) // row[i]
+    return tuple(map(tuple, adj)), det
 
 
 def snf_divisors(rows):

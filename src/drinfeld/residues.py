@@ -3,10 +3,13 @@ vectors, and an independent valuation-sampling oracle.
 
 For a pointed edge (a chain M_0 > M_1 > pM_0) the valuation of a linear form
 l_a along the open edge tube is affine in the edge parameter with integer
-slope 0 or 1.  The combinatorial rule computes that slope from the class of
-the normalized covector in M_0/pM_0; the oracle measures it by evaluating
-section valuations at two interior points over a ramified cubic extension
-and never consults the combinatorial rule.
+slope 0 or 1.  The combinatorial rule computes that slope as a valuation
+jump, 1 + v_{M_1}(a) - v_{M_0}(a), where v_M(a) is the largest m with a in
+p^m M.  M_1 < M_0 and pM_0 < M_1 pin the difference to {-1, 0}, and it is 0
+exactly when the normalized covector p^{-v_{M_0}(a)} a lies in M_1, which is
+when its class in M_0/pM_0 lies in the image of M_1.  The oracle measures
+the slope by evaluating section valuations at two interior points over a
+ramified cubic extension and never consults the combinatorial rule.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .building import PointedSimplex
 from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
 from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
-from .intlinalg import in_span_modp, inv_scaled  # noqa: F401
+from .intlinalg import inv_scaled  # noqa: F401
 from .padic import FieldDesc, FieldElem, PrecisionError, linear_form
 from .projpoints import ProjPoint
 
@@ -41,13 +44,15 @@ def _lift(x):
 def slope(a, sigma):
     """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
 
-    Combinatorial rule: normalize the covector to M_0 \\ pM_0 and return 1
-    exactly when its class mod p lies in the image of M_1."""
+    Combinatorial rule, as a valuation jump: 1 + v_{M_1}(a) - v_{M_0}(a).
+    The normalized covector p^{-v_{M_0}(a)} a has a class mod p in the image
+    of M_1 exactly when it lies in M_1 (which contains pM_0), that is when
+    v_{M_1}(a) = v_{M_0}(a); otherwise v_{M_1}(a) = v_{M_0}(a) - 1, since
+    pM_0 < M_1."""
     _require_edge(sigma)
-    prim, _ = sigma.covector_coordinates(_lift(a))
-    rref, piv = sigma.chain_mod_p()[1]
-    p = sigma.p
-    return 1 if in_span_modp(rref, piv, [c % p for c in prim], p) else 0
+    a = _lift(a)
+    m0, m1 = sigma.lattices
+    return 1 + m1.valuation(a) - m0.valuation(a)
 
 
 def lambda_edge(sigma, a, b):

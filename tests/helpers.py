@@ -18,9 +18,11 @@ from drinfeld.intlinalg import (
     in_span_modp,
     inv_scaled,
     matmul,
+    pval,
     rref_modp,
     snf_divisors,
     solve_mod,
+    vecmat,
 )
 from drinfeld.padic import (
     FieldDesc,
@@ -31,7 +33,7 @@ from drinfeld.padic import (
     _times_omega,
 )
 from drinfeld.projpoints import ProjPoint
-from drinfeld.residues import slope
+from drinfeld.residues import _lift, _require_edge, slope
 
 
 def random_gl_integer(size, rng, p=None, bound=4):
@@ -644,6 +646,36 @@ def reference_tube_test_covectors(sigma):
             lifts.append(tuple(scale * c for c in row))
         out.append(lifts)
     return out
+
+
+# Reference slope rule: PointedSimplex.covector_coordinates and
+# residues.slope as they were when the slope was read off the class of the
+# normalized covector in M_0/pM_0, kept verbatim as functions of the simplex.
+
+
+def covector_coordinates(self, a):
+    """Express an integer covector in M_0: returns (x, m) with x the
+    p-primitive coordinate vector and a in p^m M_0 \\ p^{m+1} M_0."""
+    m0 = self.lattices[0]
+    n, k0 = m0.adj_data()
+    x = vecmat(a, n)
+    if not any(x):
+        raise ValueError("zero covector")
+    v = min(pval(c, self.p) for c in x if c)
+    prim = tuple(c // self.p**v for c in x)
+    return prim, v - k0
+
+
+def reference_slope(a, sigma):
+    """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
+
+    Combinatorial rule: normalize the covector to M_0 \\ pM_0 and return 1
+    exactly when its class mod p lies in the image of M_1."""
+    _require_edge(sigma)
+    prim, _ = covector_coordinates(sigma, _lift(a))
+    rref, piv = sigma.chain_mod_p()[1]
+    p = sigma.p
+    return 1 if in_span_modp(rref, piv, [c % p for c in prim], p) else 0
 
 
 # Test-only helpers: the fiber of a level map, a rank over Q and a table of

@@ -15,6 +15,7 @@ from drinfeld.building import (
 from drinfeld.intlinalg import (
     det_int,
     gaussian_binomial,
+    hnf_adjugate,
     hnf_det,
     hnf_rows,
     in_span_modp,
@@ -23,7 +24,12 @@ from drinfeld.intlinalg import (
     pval,
     rref_modp,
 )
-from helpers import random_gl_integer, random_pointed_simplex, random_unimodular_integer
+from helpers import (
+    covector_coordinates,
+    random_gl_integer,
+    random_pointed_simplex,
+    random_unimodular_integer,
+)
 
 
 def test_saturation_removes_prime_to_p_index():
@@ -49,6 +55,24 @@ def test_hermite_diagonal_is_the_determinant(p, d, seed):
     lat = Lattice.from_rows(p, rows, scale=rng.randint(-2, 2))
     assert hnf_det(lat.rows) == det_int(lat.rows) == p**lat.det_exponent
     assert lat.det_exponent == pval(det_int(lat.rows), p)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_back_substituted_adjugate_is_the_cofactor_one(p, d, seed):
+    """On a Hermite basis, back substitution gives the cofactor adjugate and
+    determinant, and so the same adj_data, before and after saturation."""
+    rng = random.Random(seed)
+    rows = random_gl_integer(d + 1, rng, bound=2 * p)
+    h = hnf_rows(rows)
+    assert hnf_adjugate(h) == inv_scaled(h)
+    lat = Lattice.from_rows(p, rows, scale=rng.randint(-2, 2))
+    n, det = inv_scaled(lat.rows)
+    assert hnf_adjugate(lat.rows) == (n, det)
+    assert lat.adj_data() == (n, lat.det_exponent)
 
 
 def test_primitive_scaling():
@@ -190,7 +214,7 @@ def test_adapted_basis_spans_the_flag(pd, seed):
     m0 = sigma.lattices[0]
     for i, (rref, piv) in enumerate(chain):
         block = basis[ds[i] :]
-        coords = [sigma.covector_coordinates(f)[0] for f in block]
+        coords = [covector_coordinates(sigma, f)[0] for f in block]
         reduced = [[c % p for c in x] for x in coords]
         r2, piv2 = rref_modp(reduced, p)
         assert len(r2) == len(rref)
@@ -381,11 +405,11 @@ def test_simplex_transport_preserves_type():
 def test_covector_coordinates_frozen_examples():
     m0 = Lattice.from_rows(2, [(0, 1), (4, 0)])
     sigma = PointedSimplex.vertex(m0)
-    assert sigma.covector_coordinates((0, 1)) == ((0, 1), 0)
-    assert sigma.covector_coordinates((2, 1)) == ((1, 2), -1)
-    assert sigma.covector_coordinates((1, 0)) == ((1, 0), -2)
+    assert covector_coordinates(sigma, (0, 1)) == ((0, 1), 0)
+    assert covector_coordinates(sigma, (2, 1)) == ((1, 2), -1)
+    assert covector_coordinates(sigma, (1, 0)) == ((1, 0), -2)
     with pytest.raises(ValueError):
-        sigma.covector_coordinates((0, 0))
+        covector_coordinates(sigma, (0, 0))
 
 
 def test_lattice_json():

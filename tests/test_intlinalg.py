@@ -10,6 +10,7 @@ from drinfeld.intlinalg import (
     complete_basis_modp,
     det_int,
     gaussian_binomial,
+    hnf_adjugate,
     hnf_rows,
     in_span_modp,
     inv_scaled,
@@ -48,6 +49,8 @@ def test_pval():
     assert pval(5, 3) == 0
     assert pval(Fraction(1, 9), 3) == -2
     assert pval(Fraction(18, 5), 3) == 2
+    assert pval(Fraction(10, 9), 3) == -2
+    assert pval(-12, 2) == 2
     with pytest.raises(ValueError):
         pval(0, 2)
 
@@ -59,6 +62,13 @@ def test_det_and_inverse():
     assert dd == d
     prod = matmul(m, n)
     assert prod == T([[d if i == j else 0 for j in range(3)] for i in range(3)])
+
+
+def test_hnf_adjugate_refuses_singular_and_non_triangular():
+    for bad in ([[2, 1], [0, 0]], [[0, 1], [0, 3]], [[2, 1], [1, 4]],
+                [[1, 0, 0], [0, 1, 0], [0, 5, 1]], [[1, 2], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            hnf_adjugate(bad)
 
 
 # HNF of an already-triangular basis

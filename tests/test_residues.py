@@ -23,7 +23,13 @@ from drinfeld.residues import (
     sweep_oracle,
 )
 
-from helpers import CochainTable, random_pointed_simplex, reference_oracle_points
+from helpers import (
+    CochainTable,
+    random_pointed_simplex,
+    random_unimodular_integer,
+    reference_oracle_points,
+    reference_slope,
+)
 
 
 def std_edge(p=2):
@@ -63,6 +69,42 @@ def test_slope_rejects_longer_chains():
 def test_slope_rejects_zero_covector():
     with pytest.raises(ValueError):
         slope((0, 0), std_edge())
+
+
+def _slope_test_covectors(p, d, rng):
+    """Point classes at levels 1 and 2, and raw covectors whose entries are
+    all divisible by p, some by higher powers."""
+    covectors = list(enumerate_points(p, 1, d)) + list(enumerate_points(p, 2, d))
+    for _ in range(12):
+        a = tuple(p ** rng.randint(1, 3) * rng.randint(-4, 4) for _ in range(d + 1))
+        if any(a):
+            covectors.append(a)
+    return covectors
+
+
+def _frame_with_a_scaled_row(p, size, rng):
+    frame = random_unimodular_integer(size, rng)
+    row = rng.randrange(size)
+    frame[row] = [p * c for c in frame[row]]
+    return frame
+
+
+@pytest.mark.parametrize("p, d, radius", [(2, 1, 3), (3, 1, 2), (5, 1, 2),
+                                          (2, 2, 2), (3, 2, 1)])
+def test_valuation_jump_is_the_class_rule(p, d, radius):
+    """slope as 1 + v_{M_1}(a) - v_{M_0}(a) against the reference rule, the
+    class of the normalized covector in M_0/pM_0, on every pointed edge of
+    a ball and on those edges moved by frames of determinant +-p."""
+    rng = random.Random(1000 * p + 10 * d + radius)
+    covectors = _slope_test_covectors(p, d, rng)
+    edges = Ball(Lattice.standard(p, d), radius).pointed_edges()
+    moved = [edge.right_multiplied(_frame_with_a_scaled_row(p, d + 1, rng))
+             for edge in rng.sample(edges, min(len(edges), 40))]
+    for edge in edges + moved:
+        for a in covectors:
+            assert slope(a, edge) == reference_slope(a, edge)
+        with pytest.raises(ValueError):
+            slope((0,) * (d + 1), edge)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
