@@ -68,7 +68,7 @@ class Lattice:
     def dim(self):
         return len(self.rows)
 
-    @property
+    @cached_property
     def det_exponent(self):
         return pval(hnf_det(self.rows), self.p)
 
@@ -79,13 +79,15 @@ class Lattice:
         return self._at_scale(0)
 
     def _at_scale(self, scale):
-        """The same rows at another scale.  The adjugate depends only on
-        the rows, so one already computed carries over."""
+        """The same rows at another scale.  The determinant exponent and
+        the adjugate depend only on the rows, so those already computed
+        carry over."""
         if scale == self.scale:
             return self
         lat = Lattice(self.p, self.rows, scale)
-        if "_adj_data" in self.__dict__:
-            lat.__dict__["_adj_data"] = self._adj_data
+        for name in ("det_exponent", "_adj_data"):
+            if name in self.__dict__:
+                lat.__dict__[name] = self.__dict__[name]
         return lat
 
     def adj_data(self):
@@ -98,19 +100,16 @@ class Lattice:
     @cached_property
     def _adj_data(self):
         n, det = hnf_adjugate(self.rows)
-        k = pval(det, self.p)
+        k = self.det_exponent
         assert det == self.p**k
         return n, k
 
     def fit_exponent(self, other):
-        """Smallest j with other.scaled(j) <= self.  The rows of other times
-        the adjugate, over p^k, are the basis of other in the coordinates of
-        the basis of self, before the two scales."""
+        """Smallest j with other.scaled(j) <= self: minus the least
+        valuation in self of a basis row of other, before other's scale."""
         if self.p != other.p:
             raise ValueError("mixed primes")
-        n, k = self.adj_data()
-        v = pval(gcd(*(c for row in matmul(other.rows, n) for c in row)), self.p)
-        return self.scale + k - other.scale - v
+        return -min(map(self.valuation, other.rows)) - other.scale
 
     def valuation(self, a):
         """Largest m with the integer covector a in p^m self: a times the
@@ -285,11 +284,9 @@ class PointedSimplex:
         current = []
         for i in range(self.k, -1, -1):
             rref, _ = chain[i]
-            added = complete_basis_modp(
-                [list(r) for r in current], [list(r) for r in rref], p
-            )
+            added = complete_basis_modp(current, rref, p)
             blocks.append(added)
-            current = [list(r) for r in current] + [list(r) for r in added]
+            current += added
         blocks.reverse()  # block i first
         m0 = self.lattices[0]
         out = []

@@ -123,7 +123,10 @@ def check_edge_residues(seed, p, d):
     bad = sum(not agrees for _, _, agrees in sweep_oracle(edges, classes, rng))
     a, b, c = classes[0], classes[1], classes[2]
     s = {x: slope(x, edges[0]) for x in (a, b, c)}
-    antisym = (s[b] - s[a]) == -(s[a] - s[b])
+    # reversing the edge turns M_0 > M_1 into M_1 > pM_0, and v_{pM_0} is
+    # v_{M_0} - 1, so every slope becomes 1 - slope
+    reverse = edges[0].rotate()
+    antisym = all(slope(x, reverse) == 1 - slope(x, edges[0]) for x in classes)
     additive = (s[c] - s[a]) == (s[b] - s[a]) + (s[c] - s[b])
     return {
         "p": p, "d": d,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 
@@ -150,61 +150,23 @@ def hnf_adjugate(rows):
 
 
 def snf_divisors(rows):
-    """Elementary divisors (Smith normal form diagonal), nonneg, divisibility chain."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    divisors = []
-    t = 0
-    while t < min(nr, nc):
-        # locate a nonzero entry in the trailing block
-        entries = [
-            (abs(m[i][j]), i, j)
-            for i in range(t, nr)
-            for j in range(t, nc)
-            if m[i][j] != 0
-        ]
-        if not entries:
-            break
-        while True:
-            _, i0, j0 = min(entries)
-            m[t], m[i0] = m[i0], m[t]
-            for row in m:
-                row[t], row[j0] = row[j0], row[t]
-            # clear column t then row t
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    dirty = dirty or m[i][t] != 0
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    for row in m:
-                        row[j] -= q * row[t]
-                    dirty = dirty or m[t][j] != 0
-            if not dirty:
-                # enforce divisibility of the trailing block by the pivot
-                bad = None
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if m[i][j] % m[t][t] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                m[t] = [a + b for a, b in zip(m[t], m[bad])]
-            entries = [
-                (abs(m[i][j]), i, j)
-                for i in range(t, nr)
-                for j in range(t, nc)
-                if m[i][j] != 0
-            ]
-        divisors.append(abs(m[t][t]))
-        t += 1
+    """Elementary divisors (Smith normal form diagonal): positive, one per
+    unit of rank, each dividing the next.  The input is not mutated.
+
+    Hermite reduction of the columns and then of the rows alternates until
+    the matrix is diagonal (Kannan-Bachem): the (0, 0) pivot is a positive
+    integer that can only shrink, and once it stops shrinking it divides
+    its row and column, which the next pass clears; the same argument then
+    holds for the rest of the matrix.  Replacing each pair of diagonal
+    entries by their gcd and lcm leaves a divisibility chain."""
+    m = hnf_rows(rows)
+    while any(c for i, row in enumerate(m) for j, c in enumerate(row) if i != j):
+        m = hnf_rows(list(zip(*hnf_rows(list(zip(*m))))))
+    divisors = [row[i] for i, row in enumerate(m)]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            g = gcd(divisors[i], divisors[j])
+            divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return divisors
 
 
@@ -264,10 +226,6 @@ def rref_modp(rows, p):
     return tuple(tuple(m[i]) for i in range(r)), tuple(pivots)
 
 
-def rank_modp(rows, p):
-    return len(rref_modp(rows, p)[0])
-
-
 def in_span_modp(basis_rref, pivots, v, p):
     """Membership of v in the row space given by a precomputed RREF."""
     v = [x % p for x in v]
@@ -281,18 +239,15 @@ def in_span_modp(basis_rref, pivots, v, p):
 def complete_basis_modp(current, candidates, p):
     """Greedily extend `current` by rows from `candidates` to a larger independent set.
 
-    Returns the list of candidate rows actually added (in order).
+    A candidate is added exactly when it lies outside the span of the rows
+    so far.  Returns the added rows reduced mod p, in order.
     """
-    rows = [list(r) for r in current]
     added = []
-    base_rank = rank_modp(rows, p) if rows else 0
+    echelon = rref_modp(current, p)
     for cand in candidates:
-        trial = rows + [list(cand)]
-        r = rank_modp(trial, p)
-        if r > base_rank:
-            rows = trial
-            base_rank = r
+        if not in_span_modp(*echelon, cand, p):
             added.append(tuple(x % p for x in cand))
+            echelon = rref_modp([*current, *added], p)
     return added
 
 

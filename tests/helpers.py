@@ -711,6 +711,66 @@ def rank_int(rows):
     return len(snf_divisors(rows))
 
 
+def reference_snf_divisors(rows):
+    """Elementary divisors (Smith normal form diagonal), nonneg, divisibility
+    chain, by the pivot search that alternating Hermite reduction replaced."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    divisors = []
+    t = 0
+    while t < min(nr, nc):
+        # locate a nonzero entry in the trailing block
+        entries = [
+            (abs(m[i][j]), i, j)
+            for i in range(t, nr)
+            for j in range(t, nc)
+            if m[i][j] != 0
+        ]
+        if not entries:
+            break
+        while True:
+            _, i0, j0 = min(entries)
+            m[t], m[i0] = m[i0], m[t]
+            for row in m:
+                row[t], row[j0] = row[j0], row[t]
+            # clear column t then row t
+            dirty = False
+            for i in range(t + 1, nr):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    dirty = dirty or m[i][t] != 0
+            for j in range(t + 1, nc):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    for row in m:
+                        row[j] -= q * row[t]
+                    dirty = dirty or m[t][j] != 0
+            if not dirty:
+                # enforce divisibility of the trailing block by the pivot
+                bad = None
+                for i in range(t + 1, nr):
+                    for j in range(t + 1, nc):
+                        if m[i][j] % m[t][t] != 0:
+                            bad = i
+                            break
+                    if bad is not None:
+                        break
+                if bad is None:
+                    break
+                m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            entries = [
+                (abs(m[i][j]), i, j)
+                for i in range(t, nr)
+                for j in range(t, nc)
+                if m[i][j] != 0
+            ]
+        divisors.append(abs(m[t][t]))
+        t += 1
+    return divisors
+
+
 class CochainTable:
     """Edge-residue values over a finite window of pointed edges and ordered
     class pairs; values are always in {-1, 0, 1} and antisymmetric."""

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import drinfeld.certify as certify
+from drinfeld.building import PointedSimplex
 from drinfeld.cli import main
 
 _CAPSYS = None
@@ -81,6 +82,16 @@ def test_criterion_04_edge_residues_vs_oracle():
     }
     assert all(c["oracle_disagreements"] == 0 for c in result["checks"])
     assert all(c["antisymmetric"] and c["additive"] for c in result["checks"])
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 2)])
+def test_criterion_04_fails_when_reversing_keeps_the_edge(monkeypatch, p, d):
+    """Antisymmetry compares the slopes on an edge with those on its
+    reversal, so a reversal that returns the edge itself must fail it."""
+    monkeypatch.setattr(PointedSimplex, "rotate", lambda self: self)
+    record = certify.check_edge_residues(0, p, d)
+    assert record["antisymmetric"] is False
+    assert record["pass"] is False
 
 
 def test_criterion_05_flow_conservation():

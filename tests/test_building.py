@@ -200,6 +200,16 @@ def test_rescaled_lattices_carry_their_adjugate():
         assert other.adj_data() == (n, pval(det, 3))
 
 
+def test_rescaled_lattices_carry_their_det_exponent():
+    lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
+    assert "det_exponent" not in lat.scaled(1).__dict__  # carried, never computed
+    assert lat.det_exponent == 3
+    for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
+                  lat.scaled(2).homothety_rep()):
+        assert other.rows == lat.rows and other.__dict__["det_exponent"] == 3
+        assert "_adj_data" not in other.__dict__
+
+
 @given(
     st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
     st.integers(min_value=0, max_value=10**6),

@@ -12,7 +12,7 @@ from drinfeld.distributions import (
     random_family,
     random_mass_zero,
 )
-from drinfeld.intlinalg import det_int
+from drinfeld.intlinalg import det_int, matmul
 from drinfeld.projpoints import ProjPoint, act, enumerate_points, point_count
 
 
@@ -69,21 +69,29 @@ def test_basis_spans_with_correct_size():
         assert len(mu) == 2
 
 
-def test_transport_is_an_action():
-    rng = random.Random(5)
-    p, n, d = 3, 2, 1
+def random_invertible_mod_p(p, n, d, rng):
     while True:
         g = [[rng.randrange(p**n) for _ in range(d + 1)] for _ in range(d + 1)]
         if det_int(g) % p:
-            break
-    mu = random_mass_zero(p, n, d, rng)
-    moved = mu.transport(g)
-    assert sum(c for _, c in moved.items()) == 0
-    for pt, c in mu.items():
-        assert moved.coeff(act(g, pt)) >= c or True  # collisions may merge
-    total_abs_in = sum(abs(c) for _, c in mu.items())
-    total_abs_out = sum(abs(c) for _, c in moved.items())
-    assert total_abs_out <= total_abs_in
+            return g
+
+
+def test_transport_is_an_action():
+    """act(g, .) permutes the points, so transport keeps every coefficient,
+    and transporting by g then h is transporting by hg."""
+    rng = random.Random(5)
+    for p, n, d in [(3, 2, 1), (2, 2, 2), (2, 3, 1)]:
+        points = enumerate_points(p, n, d)
+        for _ in range(10):
+            g = random_invertible_mod_p(p, n, d, rng)
+            h = random_invertible_mod_p(p, n, d, rng)
+            assert len({act(g, pt) for pt in points}) == len(points)
+            mu = random_mass_zero(p, n, d, rng)
+            moved = mu.transport(g)
+            assert len(moved) == len(mu)
+            for pt, c in mu.items():
+                assert moved.coeff(act(g, pt)) == c
+            assert moved.transport(h) == mu.transport(matmul(h, g))
 
 
 def test_family_compatibility_checked():

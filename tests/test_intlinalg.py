@@ -17,14 +17,17 @@ from drinfeld.intlinalg import (
     matinv_mod,
     matmul,
     pval,
-    rank_modp,
     rref_modp,
     snf_divisors,
     subspaces_modp,
     vecmat,
 )
 
-from helpers import rank_int
+from drinfeld.building import Ball, Lattice
+from drinfeld.projpoints import point_count
+from drinfeld.residues import pairing_matrix
+
+from helpers import rank_int, reference_snf_divisors
 
 
 def T(m):
@@ -102,13 +105,66 @@ def test_snf_divisors():
     assert snf_divisors([[2, 0], [0, 3]]) == [1, 6]
     assert snf_divisors([[1, 0], [0, 1]]) == [1, 1]
     assert snf_divisors([[2, 4], [4, 8]]) == [2]
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 3)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        divs = snf_divisors(rows)
-        for a, b in zip(divs, divs[1:]):
-            assert b % a == 0
+    assert snf_divisors([[2, 4], [6, 8]]) == [2, 4]
+    assert snf_divisors([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
+    assert snf_divisors([[0, 2, 0]]) == [2]
+    assert snf_divisors([[0, 0, 0], [0, 0, 0]]) == []
+    assert snf_divisors([]) == []
+    # one column and one row reduction leave these two off the diagonal
+    assert snf_divisors([[0, 3, 4], [12, 3, 0]]) == [1, 12]
+    assert snf_divisors([[-8, 8, 0], [8, -1, 2], [0, 0, 7]]) == [1, 1, 392]
+
+
+# entry pools: small integers, mostly zeros, and entries sharing factors
+SNF_POOLS = (
+    tuple(range(-9, 10)),
+    (0, 0, 0, 0, 0, 1, -1, 2),
+    (0, 0, 4, -6, 6, 10, 12, -15, 30),
+)
+
+
+def random_snf_input(rng, nrows, ncols):
+    pool = rng.choice(SNF_POOLS)
+    rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    if rng.random() < 0.3:
+        factor = rng.choice([2, 3, 6])
+        rows = [[factor * c for c in row] for row in rows]
+    return rows
+
+
+def assert_snf_matches_reference(rows):
+    before = [list(r) for r in rows]
+    divisors = snf_divisors(rows)
+    assert rows == before
+    assert divisors == reference_snf_divisors(rows)
+    assert all(c > 0 for c in divisors)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_snf_divisors_match_the_pivot_search(nrows, ncols, seed):
+    assert_snf_matches_reference(random_snf_input(random.Random(seed), nrows, ncols))
+
+
+def test_snf_divisors_match_the_pivot_search_on_tall_matrices():
+    rng = random.Random(40)
+    for _ in range(30):
+        assert_snf_matches_reference(random_snf_input(rng, 40, 5))
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
+def test_snf_divisors_of_the_pairing_matrices(p, d):
+    """Criterion 9's matrices: the image of the pairing is saturated."""
+    edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
+    matrix = pairing_matrix(edges, 1, p, d)
+    assert_snf_matches_reference(matrix)
+    assert snf_divisors(matrix) == [1] * (point_count(p, 1, d) - 1)
 
 
 def test_matinv_mod_roundtrip():
@@ -120,7 +176,7 @@ def test_matinv_mod_roundtrip():
             while True:
                 m = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
                 # det(m) is a unit mod p; cofactor det_int is too slow at n = 12
-                if rank_modp(m, p) == n:
+                if len(rref_modp(m, p)[0]) == n:
                     break
             inv = matinv_mod(m, p, k)
             prod = matmul(m, inv)
@@ -138,7 +194,7 @@ def test_rref_and_span():
     assert in_span_modp(r, piv, [1, 2, 1], 3)
     assert in_span_modp(r, piv, [2, 4, 0], 3)
     assert not in_span_modp(r, piv, [0, 1, 0], 3)
-    assert rank_modp([[2, 4], [1, 2]], 3) == 1
+    assert len(rref_modp([[2, 4], [1, 2]], 3)[0]) == 1
 
 
 def test_complete_basis():
@@ -152,7 +208,7 @@ def test_complete_basis():
                 [1 if i == j else 0 for j in range(n)] for i in range(n)
             ]
             added = complete_basis_modp(start, cands, p)
-            assert rank_modp(start + added, p) == n
+            assert len(rref_modp(start + added, p)[0]) == n
 
 
 # subspace counts match the Gaussian binomial
