@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from .intlinalg import (
@@ -21,7 +21,6 @@ from .intlinalg import (
     hnf_det,
     hnf_rows,
     identity,
-    in_span_modp,
     inv_scaled,
     matmul,
     pval,
@@ -125,19 +124,15 @@ class Lattice:
         """The image of a sublattice other <= self in self/p self, as a
         reduced-echelon basis (rref_modp) in the coordinates of the basis
         of self: the rows of other times the adjugate, over p^k, before
-        the two scales."""
-        p = self.p
+        the two scales.  Requires other.scale - self.scale <= k, which
+        every lattice of a pointed chain meets in its M_0."""
         n, k = self.adj_data()
-        num = matmul(other.rows, n)
         exp = k + self.scale - other.scale
-        if exp >= 0:
-            den = p**exp
-            coords = [[c // den for c in row] for row in num]
-        else:
-            # other <= p self, as p M_0 is for a vertex, maps to zero
-            mul = p**-exp
-            coords = [[c * mul for c in row] for row in num]
-        return rref_modp(coords, p)
+        if exp < 0:
+            raise ValueError("sublattice scale exceeds the determinant exponent")
+        den = self.p**exp
+        coords = [[c // den for c in row] for row in matmul(other.rows, n)]
+        return rref_modp(coords, self.p)
 
     def contains(self, other, strict=False):
         """Z_p-inclusion other <= self (with scales)."""
@@ -215,10 +210,6 @@ class PointedSimplex:
         return self.lattices[0].dim - 1
 
     @staticmethod
-    def vertex(lat):
-        return PointedSimplex((lat.homothety_rep(),))
-
-    @staticmethod
     def from_chain(lattices):
         """The chain shifted so that its first lattice sits at scale 0."""
         shift = lattices[0].scale
@@ -250,25 +241,18 @@ class PointedSimplex:
     @cached_property
     def _chain_mod_p(self):
         m0 = self.lattices[0]
-        k0 = m0.adj_data()[1]
-        assert all(lat.scale <= k0 for lat in self.lattices)
         return tuple(m0.image_mod_p(lat) for lat in self.lattices)
 
     def type_vector(self):
-        """(e_0, ..., e_k) with e_i the jumps of the mod-p flag dimensions."""
-        n = self.dim + 1
-        dims = [len(rref) for rref, _ in self.chain_mod_p()]  # descending
-        ds = [n - dim for dim in dims] + [n]
-        return tuple(ds[i + 1] - ds[i] for i in range(len(self.lattices)))
+        """(e_0, ..., e_k) with e_i = d_{i+1} - d_i and d_{k+1} = d + 1."""
+        ds = self.boundary_indices() + (self.dim + 1,)
+        return tuple(b - a for a, b in zip(ds, ds[1:]))
 
     def boundary_indices(self):
-        """(d_0, ..., d_k): cumulative type offsets; block i of an adapted
-        basis occupies indices [d_i, d_{i+1})."""
-        t = self.type_vector()
-        ds = [0]
-        for e in t[:-1]:
-            ds.append(ds[-1] + e)
-        return tuple(ds)
+        """(d_0, ..., d_k) with d_i = log_p [M_0 : M_i]; block i of an
+        adapted basis occupies indices [d_i, d_{i+1})."""
+        m0 = self.lattices[0]
+        return tuple(m0.index_exponent(lat) for lat in self.lattices)
 
     def adapted_basis(self):
         """Integer row vectors f_0..f_d forming a basis of M_0 such that
@@ -306,7 +290,9 @@ class PointedSimplex:
         """For each chain index i, integer lifts of the classes of M_i/pM_i
         lying outside the image of M_{i+1}, one per projective class: the
         coordinates in the basis of M_i run over the vectors mod p whose
-        first nonzero entry is 1."""
+        first nonzero entry is 1.  Such a lift is primitive in M_i, and
+        pM_i <= M_{i+1}, so its class lies in that image exactly when the
+        lift lies in M_{i+1}, that is when its valuation there is >= 0."""
         p = self.p
         size = self.dim + 1
         classes = [
@@ -317,13 +303,11 @@ class PointedSimplex:
         chain = self.lattices + (self.lattices[0].scaled(1),)
         out = []
         for mi, mnext in zip(chain, chain[1:]):
-            sub, piv = mi.image_mod_p(mnext)
             scale = p**mi.scale
-            out.append(tuple(
-                tuple(scale * c for c in vecmat(x, mi.rows))
-                for x in classes
-                if not in_span_modp(sub, piv, x, p)
-            ))
+            lifts = (
+                tuple(scale * c for c in vecmat(x, mi.rows)) for x in classes
+            )
+            out.append(tuple(a for a in lifts if mnext.valuation(a) < 0))
         return tuple(out)
 
     def rotate(self):
@@ -357,11 +341,8 @@ def standard_simplex(p, type_vector):
     """The pointed simplex whose chain is diagonal in the standard basis:
     M_i = <p e_0, ..., p e_{d_i - 1}, e_{d_i}, ..., e_d>."""
     n = sum(type_vector)
-    ds = [0]
-    for e in type_vector[:-1]:
-        ds.append(ds[-1] + e)
     lats = []
-    for d_i in ds:
+    for d_i in accumulate(type_vector[:-1], initial=0):
         rows = [
             [(p if j < d_i else 1) if i == j else 0 for j in range(n)]
             for i in range(n)

@@ -270,7 +270,7 @@ def _proper_faces(sigma):
     if sigma.k == 0:
         return []
     lats = sigma.lattices
-    faces = [PointedSimplex.vertex(lat) for lat in lats]
+    faces = [PointedSimplex.from_chain((lat,)) for lat in lats]
     if sigma.k == 2:
         for i, j in ((0, 1), (1, 2), (0, 2)):
             faces.append(PointedSimplex.from_chain((lats[i], lats[j])))

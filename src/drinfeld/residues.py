@@ -22,7 +22,7 @@ from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
 from .padic import FieldDesc, FieldElem, PrecisionError, linear_form
-from .projpoints import ProjPoint
+from .projpoints import ProjPoint, enumerate_points
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
 # dlog of an exponent product equals +1 times the slope pairing of the
@@ -185,13 +185,12 @@ def check_kirchhoff(lattice, classes):
 
 def pairing_matrix(edges, level, p, d):
     """Integer matrix of slope pairings: rows = pointed edges, columns = the
-    dirac-pair basis of the mass-zero module at the level."""
-    from .distributions import basis_mass_zero
-
-    basis = basis_mass_zero(p, level, d)
+    dirac-pair basis delta_x - delta_x0 of the mass-zero module at the level
+    (distributions.basis_mass_zero), which pairs to s[x] - s[x0] from one
+    slope per (edge, class)."""
+    x0, *rest = enumerate_points(p, level, d)
     rows = []
     for edge in edges:
-        rows.append([
-            pair_distribution(mu, edge, require_local=False) for mu in basis
-        ])
+        s0 = slope(x0, edge)
+        rows.append([slope(x, edge) - s0 for x in rest])
     return rows

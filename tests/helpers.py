@@ -3,6 +3,7 @@ library code that a faster implementation replaced."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from drinfeld.building import Lattice, PointedSimplex, standard_simplex
 from drinfeld.covers import (
@@ -72,6 +73,17 @@ def random_composition(total, rng):
         parts.append(c - prev)
         prev = c
     return tuple(parts)
+
+
+def proper_faces(sigma):
+    """Every proper face of a pointed simplex: each nonempty proper subset
+    of its chain, pointed at its first lattice."""
+    lats = sigma.lattices
+    return [
+        PointedSimplex.from_chain([lats[i] for i in keep])
+        for size in range(1, len(lats))
+        for keep in combinations(range(len(lats)), size)
+    ]
 
 
 def random_pointed_simplex(p, d, rng, type_vector=None, bound=None):
@@ -646,6 +658,29 @@ def reference_tube_test_covectors(sigma):
             lifts.append(tuple(scale * c for c in row))
         out.append(lifts)
     return out
+
+
+# Reference type rule: PointedSimplex.type_vector and boundary_indices as
+# they were when the type was read off the dimensions of the mod-p flag
+# (chain_mod_p), kept verbatim as functions of the simplex.
+
+
+def reference_type_vector(self):
+    """(e_0, ..., e_k) with e_i the jumps of the mod-p flag dimensions."""
+    n = self.dim + 1
+    dims = [len(rref) for rref, _ in self.chain_mod_p()]  # descending
+    ds = [n - dim for dim in dims] + [n]
+    return tuple(ds[i + 1] - ds[i] for i in range(len(self.lattices)))
+
+
+def reference_boundary_indices(self):
+    """(d_0, ..., d_k): cumulative type offsets; block i of an adapted
+    basis occupies indices [d_i, d_{i+1})."""
+    t = reference_type_vector(self)
+    ds = [0]
+    for e in t[:-1]:
+        ds.append(ds[-1] + e)
+    return tuple(ds)
 
 
 # Reference slope rule: PointedSimplex.covector_coordinates and

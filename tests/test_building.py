@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.building import (
     Ball,
@@ -26,9 +26,12 @@ from drinfeld.intlinalg import (
 )
 from helpers import (
     covector_coordinates,
+    proper_faces,
     random_gl_integer,
     random_pointed_simplex,
     random_unimodular_integer,
+    reference_boundary_indices,
+    reference_type_vector,
 )
 
 
@@ -147,6 +150,26 @@ def test_standard_simplex_shapes():
         assert standard_simplex(3, tv).type_vector() == tv
 
 
+@settings(max_examples=30)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_type_from_indices_matches_the_mod_p_flag(p, d, seed):
+    """The type and boundary indices read off lattice indices agree with
+    the dimensions of the images in M_0/pM_0, on rotations, proper faces
+    and transports."""
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng)
+    g = random_gl_integer(d + 1, rng, p=p)
+    for tau in sigma.rotations() + tuple(proper_faces(sigma)) + (
+        sigma.transport(g),
+    ):
+        assert tau.type_vector() == reference_type_vector(tau)
+        assert tau.boundary_indices() == reference_boundary_indices(tau)
+
+
 def test_rotation_cycles_and_type():
     s = standard_simplex(2, (1, 1))
     assert s.rotate().rotate() == s
@@ -259,13 +282,22 @@ def test_image_mod_p_has_the_index_codimension(pd, seed):
     lats = sigma.lattices
     for i, mi in enumerate(lats):
         for sub in lats[i:] + tuple(lat.scaled(1) for lat in lats[: i + 1]):
+            if sub.scale - mi.scale > mi.det_exponent:
+                # outside the precondition, as pM is at det exponent 0
+                with pytest.raises(ValueError):
+                    mi.image_mod_p(sub)
+                continue
             rref, piv = mi.image_mod_p(sub)
             assert len(rref) == len(piv) == d + 1 - mi.index_exponent(sub)
             assert (rref, piv) == rref_modp(rref, p)
-    # at det exponent 0, pM takes the exp < 0 branch and maps to zero
     std = Lattice.standard(p, d)
-    assert std.image_mod_p(std.scaled(1)) == ((), ())
     assert std.image_mod_p(std) == rref_modp(std.rows, p)
+
+
+def test_image_mod_p_refuses_a_sublattice_below_p_times_the_lattice():
+    std = Lattice.standard(2, 1)
+    with pytest.raises(ValueError):
+        std.image_mod_p(std.scaled(1))
 
 
 def test_from_homothety_chain_unique_scaling():
@@ -414,7 +446,7 @@ def test_simplex_transport_preserves_type():
 
 def test_covector_coordinates_frozen_examples():
     m0 = Lattice.from_rows(2, [(0, 1), (4, 0)])
-    sigma = PointedSimplex.vertex(m0)
+    sigma = PointedSimplex.from_chain((m0,))
     assert covector_coordinates(sigma, (0, 1)) == ((0, 1), 0)
     assert covector_coordinates(sigma, (2, 1)) == ((1, 2), -1)
     assert covector_coordinates(sigma, (1, 0)) == ((1, 0), -2)

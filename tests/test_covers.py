@@ -24,9 +24,9 @@ from drinfeld.certify import TAU_CONFIGS, _dual_pair, _random_simplex_for
 from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from fractions import Fraction
-from itertools import combinations
 
 from helpers import (
+    proper_faces,
     random_pointed_simplex,
     random_unimodular_integer,
     reference_linear_form,
@@ -191,17 +191,6 @@ def test_tube_test_covectors_for_standard_edge():
     assert [sorted(layer) for layer in layers] == [
         [(1, 0), (1, 1)],
         [(0, 1), (2, 1)],
-    ]
-
-
-def proper_faces(sigma):
-    """Every proper face of a pointed simplex: each nonempty proper subset
-    of its chain, pointed at its first lattice."""
-    lats = sigma.lattices
-    return [
-        PointedSimplex.from_chain([lats[i] for i in keep])
-        for size in range(1, len(lats))
-        for keep in combinations(range(len(lats)), size)
     ]
 
 

@@ -18,6 +18,7 @@ from drinfeld.residues import (
     lambda_edge,
     oracle_slope_table,
     pair_distribution,
+    pairing_matrix,
     required_level,
     slope,
     sweep_oracle,
@@ -364,6 +365,21 @@ def test_oracle_table_does_not_depend_on_its_ramification(p, d):
 def test_oracle_validates_field_shape():
     with pytest.raises(ValueError):
         oracle_slope_table(std_edge(), [(1, 0)], e_oracle=1)
+
+
+@pytest.mark.parametrize(
+    "p, d, level", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2)]
+)
+def test_pairing_matrix_pairs_each_basis_vector(p, d, level):
+    """One slope per (edge, class) gives the matrix of pair_distribution
+    over the dirac-pair basis: criterion 9's balls, and a level-2 one."""
+    edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
+    basis = basis_mass_zero(p, level, d)
+    want = [
+        [pair_distribution(mu, edge, require_local=False) for mu in basis]
+        for edge in edges
+    ]
+    assert pairing_matrix(edges, level, p, d) == want
 
 
 def test_cochain_table_build_and_values():
