@@ -281,8 +281,9 @@ class PointedSimplex:
 
     @cached_property
     def frame_adjugate(self):
-        """(adj, det) of the adapted basis: adj = det * basis^{-1}, so a
-        point with frame sections det*w is adj*w, with no division."""
+        """(N, D) = inv_scaled(adapted basis): N = D * basis^{-1} with
+        D = |det(basis)|, so a point with frame sections D*w is N*w, with no
+        division."""
         return inv_scaled(self.adapted_basis())
 
     @cached_property

@@ -121,13 +121,24 @@ def check_edge_residues(seed, p, d):
     classes = enumerate_points(p, 1, d)
     edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
     bad = sum(not agrees for _, _, agrees in sweep_oracle(edges, classes, rng))
-    a, b, c = classes[0], classes[1], classes[2]
-    s = {x: slope(x, edges[0]) for x in (a, b, c)}
     # reversing the edge turns M_0 > M_1 into M_1 > pM_0, and v_{pM_0} is
     # v_{M_0} - 1, so every slope becomes 1 - slope
     reverse = edges[0].rotate()
     antisym = all(slope(x, reverse) == 1 - slope(x, edges[0]) for x in classes)
-    additive = (s[c] - s[a]) == (s[b] - s[a]) + (s[c] - s[b])
+    # around a chamber M_0 > ... > M_d > pM_0 = M_{d+1} the slopes of the
+    # d+1 boundary edges [M_i, M_{i+1}] telescope: the sum of
+    # 1 + v_{M_{i+1}} - v_{M_i} is d+1 + v_{pM_0} - v_{M_0} = d
+    chamber = standard_simplex(p, (1,) * (d + 1))
+    translate = chamber.transport(random_unimodular(d + 1, rng))
+    boundaries = [
+        [PointedSimplex.from_chain(r.lattices[:2]) for r in sigma.rotations()]
+        for sigma in (chamber, translate)
+    ]
+    additive = all(
+        sum(slope(x, edge) for edge in boundary) == d
+        for boundary in boundaries
+        for x in classes
+    )
     return {
         "p": p, "d": d,
         "edges": len(edges),

@@ -235,10 +235,10 @@ def random_unit(desc, rng, j=0):
 
 
 def tube_sample(sigma, w):
-    """The raw point adj(frame) w, whose adapted-frame sections are det*w
-    for (adj, det) = sigma.frame_adjugate."""
-    adj, _ = sigma.frame_adjugate
-    return [linear_form(row, w) for row in adj]
+    """The raw point N w, whose adapted-frame sections are D*w for
+    (N, D) = sigma.frame_adjugate."""
+    n, _ = sigma.frame_adjugate
+    return [linear_form(row, w) for row in n]
 
 
 def point_in_tube(desc, sigma, rng):

@@ -44,41 +44,6 @@ def vecmat(v, m):
     return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
-def det_int(mat):
-    """Exact signed determinant by cofactor expansion (n <= 4 in practice)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    rest = [row[1:] for row in mat]
-    for i in range(n):
-        minor = tuple(tuple(rest[r]) for r in range(n) if r != i)
-        term = mat[i][0] * det_int(minor)
-        total += term if i % 2 == 0 else -term
-    return total
-
-
-def inv_scaled(mat):
-    """Exact inverse as (N, D) with mat^{-1} = N / D, N integer, D = det(mat)."""
-    n = len(mat)
-    d = det_int(mat)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(mat[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            cof = det_int(minor) if minor else 1
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return tuple(tuple(row) for row in adj), d
-
-
 def hnf_rows(rows):
     """Row-style Hermite normal form of an integer matrix.
 
@@ -129,9 +94,9 @@ def hnf_det(rows):
 
 def hnf_adjugate(rows):
     """(adj, det) of an upper triangular matrix with nonzero diagonal, such
-    as a full-rank Hermite basis: the same pair as inv_scaled, by back
-    substitution.  Column j of adj solves rows . x = det e_j from the
-    bottom up; every division is exact because adj is an integer matrix."""
+    as a full-rank Hermite basis, by back substitution.  Column j of adj
+    solves rows . x = det e_j from the bottom up; every division is exact
+    because adj is an integer matrix."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -147,6 +112,22 @@ def hnf_adjugate(rows):
             row = rows[i]
             adj[i][j] = -sum(row[k] * adj[k][j] for k in range(i + 1, j + 1)) // row[i]
     return tuple(map(tuple, adj)), det
+
+
+def inv_scaled(mat):
+    """Exact inverse as (N, D) with mat^{-1} = N / D, N integer and
+    D = |det(mat)|.  The Hermite form of [mat | I] is [H | U] with
+    U . mat = H upper triangular and U unimodular (a nonsingular mat puts
+    all n pivots in its own n columns), so mat^{-1} = adj(H) . U / det(H);
+    a singular mat leaves a zero on the diagonal of H."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    h = hnf_rows(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    )
+    adj, det = hnf_adjugate([row[:n] for row in h])
+    return matmul(adj, [row[n:] for row in h]), det
 
 
 def snf_divisors(rows):

@@ -78,11 +78,12 @@ def _oracle_points(sigma, desc, rng):
     """Two interior tube samples at edge parameters 1/e and 2/e: the raw
     covers.tube_sample of generic units, those of block 1 lifted by pi^step.
 
-    A sample stays raw, adj(frame)·w: projective normalization would shift
-    its section valuations by a parameter-dependent constant, and the
-    integer det(frame) that a solve divides out shifts those of both
-    samples by v(det), which cancels in the slope.  The oracle reads the
-    adapted frame only, never the combinatorial slope rule."""
+    A sample stays raw, N·w for (N, D) = sigma.frame_adjugate: projective
+    normalization would shift its section valuations by a
+    parameter-dependent constant, and the integer D that a solve divides
+    out shifts those of both samples by v(D), which cancels in the slope.
+    The oracle reads the adapted frame only, never the combinatorial slope
+    rule."""
     d1 = sigma.boundary_indices()[1]
     samples = []
     for step in (1, 2):

@@ -15,9 +15,7 @@ from drinfeld.covers import (
     tube_test_covectors,
 )
 from drinfeld.intlinalg import (
-    det_int,
     in_span_modp,
-    inv_scaled,
     matmul,
     pval,
     rref_modp,
@@ -37,12 +35,53 @@ from drinfeld.projpoints import ProjPoint
 from drinfeld.residues import _lift, _require_edge, slope
 
 
+# Reference determinant and inverse: the cofactor expansions that intlinalg
+# replaced by Hermite reduction of [M | I] and back substitution, kept
+# verbatim.  reference_inv_scaled returns the signed det(mat), where
+# inv_scaled returns |det(mat)| and the numerator times its sign.
+
+
+def reference_det_int(mat):
+    """Exact signed determinant by cofactor expansion (n <= 4 in practice)."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    total = 0
+    rest = [row[1:] for row in mat]
+    for i in range(n):
+        minor = tuple(tuple(rest[r]) for r in range(n) if r != i)
+        term = mat[i][0] * reference_det_int(minor)
+        total += term if i % 2 == 0 else -term
+    return total
+
+
+def reference_inv_scaled(mat):
+    """Exact inverse as (N, D) with mat^{-1} = N / D, N integer, D = det(mat)."""
+    n = len(mat)
+    d = reference_det_int(mat)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = tuple(
+                tuple(mat[r][c] for c in range(n) if c != j)
+                for r in range(n)
+                if r != i
+            )
+            cof = reference_det_int(minor) if minor else 1
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return tuple(tuple(row) for row in adj), d
+
+
 def random_gl_integer(size, rng, p=None, bound=4):
     """Random integer matrix with nonzero determinant; if p is given the
     determinant is additionally prime to p."""
     while True:
         g = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
-        det = det_int(g)
+        det = reference_det_int(g)
         if det and (p is None or det % p):
             return g
 
@@ -98,7 +137,7 @@ def random_pointed_simplex(p, d, rng, type_vector=None, bound=None):
         f = [
             [rng.randint(-bound, bound) for _ in range(d + 1)] for _ in range(d + 1)
         ]
-        if det_int(f):
+        if reference_det_int(f):
             return std.right_multiplied(f)
 
 
@@ -437,7 +476,7 @@ def reference_oracle_points(sigma, desc, rng):
         return FieldElem.omega_power(desc, j) * (FieldElem.one(desc) + pi * bump)
 
     frame = [list(f) for f in sigma.adapted_basis()]
-    inv, det = inv_scaled(frame)
+    inv, det = reference_inv_scaled(frame)
     det_elem = FieldElem.from_int(desc, det)
     samples = []
     for step in (1, 2):
@@ -498,7 +537,7 @@ def reference_point_in_tube(desc, sigma, rng, spread=False):
             x = FieldElem.omega_power(desc, off + 1) * random_one_unit()
             w[j] = leader * x
     basis = sigma.adapted_basis()
-    n, det = inv_scaled([list(f) for f in basis])
+    n, det = reference_inv_scaled([list(f) for f in basis])
     det_elem = FieldElem.from_int(desc, det)
     coords = []
     for i in range(sigma.dim + 1):

@@ -94,6 +94,23 @@ def test_criterion_04_fails_when_reversing_keeps_the_edge(monkeypatch, p, d):
     assert record["pass"] is False
 
 
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 2)])
+def test_criterion_04_additivity_fails_for_slopes_off_the_chamber_cocycle(
+        monkeypatch, p, d):
+    """The slopes around a chamber's d+1 boundary edges must sum to d.  A
+    constant 0 sums to 0; 1 - slope sums to 1, which is d only at d = 1,
+    and it keeps the edge reversal antisymmetric."""
+    slope = certify.slope
+    monkeypatch.setattr(certify, "slope", lambda x, edge: 1 - slope(x, edge))
+    record = certify.check_edge_residues(0, p, d)
+    assert record["antisymmetric"] is True
+    assert record["additive"] is (d == 1)
+    monkeypatch.setattr(certify, "slope", lambda x, edge: 0)
+    record = certify.check_edge_residues(0, p, d)
+    assert record["additive"] is False
+    assert record["pass"] is False
+
+
 def test_criterion_05_flow_conservation():
     result = _run(5, 60)
     assert {c["p"] for c in result["checks"]} == {2, 3, 5}

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from drinfeld.intlinalg import (
     complete_basis_modp,
-    det_int,
     gaussian_binomial,
     hnf_adjugate,
     hnf_rows,
@@ -24,10 +23,16 @@ from drinfeld.intlinalg import (
 )
 
 from drinfeld.building import Ball, Lattice
+from drinfeld.certify import random_unimodular as group_element
 from drinfeld.projpoints import point_count
 from drinfeld.residues import pairing_matrix
 
-from helpers import rank_int, reference_snf_divisors
+from helpers import (
+    rank_int,
+    reference_det_int,
+    reference_inv_scaled,
+    reference_snf_divisors,
+)
 
 
 def T(m):
@@ -60,11 +65,68 @@ def test_pval():
 
 def test_det_and_inverse():
     m = [[2, 1, 0], [0, 3, 1], [1, 0, 1]]
-    d = det_int(m)
+    d = reference_det_int(m)
     n, dd = inv_scaled(m)
-    assert dd == d
+    assert dd == d == 7
     prod = matmul(m, n)
     assert prod == T([[d if i == j else 0 for j in range(3)] for i in range(3)])
+
+
+def assert_inverse_matches_cofactor(m):
+    """inv_scaled(m) is (sign(d) A, |d|) for the cofactor pair (A, d), so
+    m N = D I; a singular m raises."""
+    if reference_det_int(m) == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inv_scaled(m)
+        return
+    adj, det = reference_inv_scaled(m)
+    sign = 1 if det > 0 else -1
+    n, dd = inv_scaled(m)
+    assert (n, dd) == (T([[sign * a for a in row] for row in adj]), abs(det))
+    size = len(m)
+    assert matmul(m, n) == T(
+        [[dd if i == j else 0 for j in range(size)] for i in range(size)]
+    )
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_inverse_matches_the_cofactor_one(m):
+    assert_inverse_matches_cofactor(m)
+
+
+def test_inverse_of_singular_and_negative_determinant_matrices():
+    for m in ([[0]], [[2, 4], [1, 2]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+              [[0, 1], [1, 0]], [[-3]], [[1, 2], [3, 4]]):
+        assert_inverse_matches_cofactor(m)
+    assert inv_scaled([[0, 1], [1, 0]]) == (((0, 1), (1, 0)), 1)
+    assert inv_scaled([[-3]]) == (((-1,),), 3)
+
+
+@pytest.mark.parametrize("p, d, radius", [(2, 2, 2), (3, 2, 1), (2, 1, 3), (2, 3, 1)])
+def test_inverse_of_adapted_bases_matches_the_cofactor_one(p, d, radius):
+    for edge in Ball(Lattice.standard(p, d), radius).pointed_edges():
+        assert_inverse_matches_cofactor(edge.adapted_basis())
+
+
+def test_inverse_of_group_elements_matches_the_cofactor_one():
+    rng = random.Random(5)
+    for size in (2, 3):
+        for _ in range(100):
+            assert_inverse_matches_cofactor(group_element(size, rng))
+
+
+def test_inverse_refuses_non_square_matrices():
+    for bad in ([[1, 2]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            inv_scaled(bad)
 
 
 def test_hnf_adjugate_refuses_singular_and_non_triangular():
@@ -175,7 +237,7 @@ def test_matinv_mod_roundtrip():
             n = rng.randint(1, 12)
             while True:
                 m = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
-                # det(m) is a unit mod p; cofactor det_int is too slow at n = 12
+                # det(m) is a unit mod p; the cofactor determinant is too slow at n = 12
                 if len(rref_modp(m, p)[0]) == n:
                     break
             inv = matinv_mod(m, p, k)
