@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from math import gcd
+from operator import mul
 
 from .intlinalg import (
     complete_basis_modp,
@@ -84,7 +85,7 @@ class Lattice:
         if scale == self.scale:
             return self
         lat = Lattice(self.p, self.rows, scale)
-        for name in ("det_exponent", "_adj_data"):
+        for name in ("det_exponent", "_adj_data", "_adj_cols"):
             if name in self.__dict__:
                 lat.__dict__[name] = self.__dict__[name]
         return lat
@@ -103,6 +104,11 @@ class Lattice:
         assert det == self.p**k
         return n, k
 
+    @cached_property
+    def _adj_cols(self):
+        """The columns of the adjugate, read by every valuation."""
+        return tuple(zip(*self._adj_data[0]))
+
     def fit_exponent(self, other):
         """Smallest j with other.scaled(j) <= self: minus the least
         valuation in self of a basis row of other, before other's scale."""
@@ -114,11 +120,10 @@ class Lattice:
         """Largest m with the integer covector a in p^m self: a times the
         adjugate, over p^k, is a in the coordinates of the basis of self,
         before the scale."""
-        n, k = self.adj_data()
-        g = gcd(*vecmat(a, n))
+        g = gcd(*[sum(map(mul, a, col)) for col in self._adj_cols])
         if not g:
             raise ValueError("zero covector")
-        return pval(g, self.p) - k - self.scale
+        return pval(g, self.p) - self.det_exponent - self.scale
 
     def image_mod_p(self, other):
         """The image of a sublattice other <= self in self/p self, as a
@@ -159,17 +164,39 @@ class Lattice:
 
     def neighbors(self):
         """Homothety classes adjacent to this one: preimages of the proper
-        nonzero subspaces of L/pL."""
-        base = self.homothety_rep()
-        p, n = self.p, self.dim
+        nonzero subspaces W of L/pL, as primitive Hermite bases at scale 0.
+
+        In the basis of L the preimage of W has a triangular basis: row c
+        is the RREF row of W with pivot c, or p e_c off the pivots.  Times
+        the upper triangular Hermite rows H of L, row c is w H or p H_c;
+        the product stays upper triangular, with determinant
+        p^(det_exponent + n - dim W).  Reducing above the diagonal in
+        ascending column order and dividing out the common p-power gives
+        the Hermite basis: no Euclidean loop and no saturation."""
+        p, n, h = self.p, self.dim, self.rows
+        cols = tuple(zip(*h))
+        ph = [[p * c for c in row] for row in h]
         out = []
-        scaled = [[p * c for c in row] for row in base.rows]
         for k in range(1, n):
+            det_exponent = self.det_exponent + n - k
             for w_basis in subspaces_modp(n, k, p):
-                lifted = [vecmat(w, base.rows) for w in w_basis]
-                out.append(
-                    Lattice.from_rows(p, scaled + lifted).homothety_rep()
-                )
+                m = list(ph)
+                for w in w_basis:
+                    # the first nonzero entry of an RREF row is its pivot, 1
+                    m[w.index(1)] = [sum(map(mul, w, col)) for col in cols]
+                for c in range(1, n):
+                    row_c = m[c]
+                    pivot = row_c[c]
+                    for i in range(c):
+                        q = m[i][c] // pivot
+                        if q:
+                            m[i] = [a - q * b for a, b in zip(m[i], row_c)]
+                # g^n divides the p-power determinant, so g is a p-power and
+                # dividing by it leaves the primitive basis at scale 0
+                g = gcd(*(x for row in m for x in row))
+                nb = Lattice(p, tuple(tuple(x // g for x in row) for row in m))
+                nb.__dict__["det_exponent"] = det_exponent - n * pval(g, p)
+                out.append(nb)
         return out
 
     def to_json(self):

@@ -137,6 +137,26 @@ def _parse_point(args):
     return SymmetricSpacePoint([_parse_coord(desc, c) for c in parsed])
 
 
+def _parse_lattice(p, rows, what, scale=0):
+    """A lattice from a JSON row matrix: a non-empty list of equal-length,
+    non-empty lists of integers (JSON true and false are not integers
+    here) that spans a full-rank lattice."""
+    if not (
+        isinstance(rows, list) and rows
+        and all(isinstance(row, list) and row and len(row) == len(rows[0])
+                for row in rows)
+        and all(c.__class__ is int for row in rows for c in row)
+    ):
+        raise UsageError(
+            f"{what} must be a non-empty JSON list of equal-length lists of "
+            "integers"
+        )
+    try:
+        return Lattice.from_rows(p, rows, scale)
+    except ValueError as e:
+        raise UsageError(f"{what}: {e}")
+
+
 def _parse_chain(p, text, what="--edge"):
     obj = _load_json_arg(text, what)
     if isinstance(obj, dict):
@@ -146,9 +166,12 @@ def _parse_chain(p, text, what="--edge"):
     lats = []
     for item in obj:
         if isinstance(item, dict):
-            lat = Lattice.from_rows(p, item["hnf"], item.get("scale", 0))
+            scale = item.get("scale", 0)
+            if scale.__class__ is not int:
+                raise UsageError(f"{what}: scale must be an integer, got {scale!r}")
+            lat = _parse_lattice(p, item.get("hnf"), f"{what}: each hnf", scale)
         else:
-            lat = Lattice.from_rows(p, item)
+            lat = _parse_lattice(p, item, f"{what}: each lattice")
         lats.append(lat)
     try:
         return PointedSimplex.from_chain(lats)
@@ -188,11 +211,17 @@ def cmd_points(args):
     return 0
 
 
+def _degree(p, n):
+    """Neighbor count of a vertex of n x n rows: the proper nonzero
+    subspaces of F_p^n."""
+    return sum(gaussian_binomial(n, k, p) for k in range(1, n))
+
+
 def _check_ball_estimate(p, d, radius):
     if d == 1:
         estimate = tree_ball_size(p, radius)
     else:
-        degree = sum(gaussian_binomial(d + 1, k, p) for k in range(1, d + 1))
+        degree = _degree(p, d + 1)
         estimate = sum(degree**r for r in range(radius + 1))
     _check_cap(estimate, "DRINFELD_MAX_COUNT", "estimated vertex count")
 
@@ -222,7 +251,9 @@ def cmd_building_ball(args):
 
 def cmd_building_neighbors(args):
     rows = _load_json_arg(args.vertex, "--vertex")
-    vertex = Lattice.from_rows(args.p, rows).homothety_rep()
+    vertex = _parse_lattice(args.p, rows, "--vertex").homothety_rep()
+    _check_cap(_degree(args.p, vertex.dim), "DRINFELD_MAX_COUNT",
+               "neighbor count")
     records = [
         {
             "p": args.p,

@@ -4,6 +4,7 @@ library code that a faster implementation replaced."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from drinfeld.building import Lattice, PointedSimplex, standard_simplex
 from drinfeld.covers import (
@@ -21,6 +22,7 @@ from drinfeld.intlinalg import (
     rref_modp,
     snf_divisors,
     solve_mod,
+    subspaces_modp,
     vecmat,
 )
 from drinfeld.padic import (
@@ -697,6 +699,39 @@ def reference_tube_test_covectors(sigma):
             lifts.append(tuple(scale * c for c in row))
         out.append(lifts)
     return out
+
+
+# Reference neighbors and valuations: Lattice.neighbors as it was when each
+# neighbor was a from_rows Hermite reduction of the stack pL + lifted W, and
+# Lattice.valuation as it was when it multiplied through vecmat, kept
+# verbatim as functions of the lattice.
+
+
+def reference_neighbors(self):
+    """Homothety classes adjacent to this one: preimages of the proper
+    nonzero subspaces of L/pL."""
+    base = self.homothety_rep()
+    p, n = self.p, self.dim
+    out = []
+    scaled = [[p * c for c in row] for row in base.rows]
+    for k in range(1, n):
+        for w_basis in subspaces_modp(n, k, p):
+            lifted = [vecmat(w, base.rows) for w in w_basis]
+            out.append(
+                Lattice.from_rows(p, scaled + lifted).homothety_rep()
+            )
+    return out
+
+
+def reference_valuation(self, a):
+    """Largest m with the integer covector a in p^m self: a times the
+    adjugate, over p^k, is a in the coordinates of the basis of self,
+    before the scale."""
+    n, k = self.adj_data()
+    g = gcd(*vecmat(a, n))
+    if not g:
+        raise ValueError("zero covector")
+    return pval(g, self.p) - k - self.scale
 
 
 # Reference type rule: PointedSimplex.type_vector and boundary_indices as

@@ -31,7 +31,9 @@ from helpers import (
     reference_boundary_indices,
     reference_det_int,
     reference_inv_scaled,
+    reference_neighbors,
     reference_type_vector,
+    reference_valuation,
 )
 
 
@@ -110,6 +112,49 @@ def test_neighbor_counts(p, d, count):
     nbs = Lattice.standard(p, d).neighbors()
     assert len(nbs) == len(set(nbs)) == count
     assert count == sum(gaussian_binomial(d + 1, k, p) for k in range(1, d + 1))
+
+
+def random_scaled_vertex(p, n, rng):
+    """A vertex spanned by random rows, each times a random p-power, at a
+    random scale."""
+    rows = random_gl_integer(n, rng, bound=p * p)
+    powers = [p ** rng.randint(0, 2) for _ in rows]
+    rows = [[c * q for c in row] for row, q in zip(rows, powers)]
+    return Lattice.from_rows(p, rows, scale=rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize(
+    "p,d,radius", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (2, 2, 2), (3, 2, 1), (2, 3, 1)]
+)
+def test_neighbors_match_the_hermite_reduction(p, d, radius):
+    """The triangular preimage bases give the rows, scales and order of the
+    from_rows reduction of pL + lifted W, and the seeded determinant
+    exponent is the one of the rows.  A neighbor outside L at scale 0 is
+    one whose preimage needed the primitive shift."""
+    rng = random.Random(100 * p + 10 * d + radius)
+    vertices = Ball(Lattice.standard(p, d), radius).vertices + [
+        random_scaled_vertex(p, d + 1, rng) for _ in range(30)
+    ]
+    shifted = 0
+    for lat in vertices:
+        nbs = lat.neighbors()
+        assert [(nb.rows, nb.scale) for nb in nbs] == [
+            (nb.rows, nb.scale) for nb in reference_neighbors(lat)
+        ]
+        for nb in nbs:
+            assert nb.__dict__["det_exponent"] == pval(hnf_det(nb.rows), p)
+        shifted += sum(not lat.homothety_rep().contains(nb) for nb in nbs)
+    assert shifted
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_neighbor_through_the_primitive_shift(p):
+    # W = <e_0> in L/pL for L = <p e_0, e_1>: the preimage <p e_0, p e_1>
+    # is p times the standard lattice
+    lat = Lattice.from_rows(p, [[p, 0], [0, 1]])
+    nb = lat.neighbors()[0]
+    assert nb == Lattice.standard(p, 1)
+    assert nb.__dict__["det_exponent"] == 0
 
 
 def test_neighbor_relation_is_symmetric():
@@ -214,13 +259,35 @@ def test_cached_derived_data_is_invisible_to_the_value(p, d):
 
 def test_rescaled_lattices_carry_their_adjugate():
     lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
-    assert "_adj_data" not in lat.scaled(1).__dict__  # carried, never computed
-    lat.adj_data()
+    for name in ("_adj_data", "_adj_cols"):  # carried, never computed
+        assert name not in lat.scaled(1).__dict__
+    lat.valuation((1, 0, 0))
+    cols = lat.__dict__["_adj_cols"]
     for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
                   lat.scaled(2).homothety_rep()):
         assert other.rows == lat.rows and "_adj_data" in other.__dict__
+        assert other.__dict__["_adj_cols"] is cols
         n, det = reference_inv_scaled(other.rows)
         assert other.adj_data() == (n, pval(det, 3))
+        assert cols == tuple(zip(*n))
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_valuation_reads_the_adjugate_columns(p, d, seed):
+    rng = random.Random(seed)
+    lat = random_scaled_vertex(p, d + 1, rng)
+    for _ in range(10):
+        a = [rng.randint(-p**3, p**3) for _ in range(d + 1)]
+        if rng.random() < 0.5:
+            a = [c * p ** rng.randint(1, 3) for c in a]
+        if any(a):
+            assert lat.valuation(a) == reference_valuation(lat, a)
+    with pytest.raises(ValueError, match="zero covector"):
+        lat.valuation((0,) * (d + 1))
 
 
 def test_rescaled_lattices_carry_their_det_exponent():

@@ -135,6 +135,46 @@ def test_building_neighbors_and_type(capsys):
     assert rec["type_vector"] == [1, 1]
 
 
+@pytest.mark.parametrize("vertex", [
+    "[]", "[[]]", "[[2.0,0],[0,1]]", "[[1.5,0],[0,1]]", "[[true,0],[0,1]]",
+    "[[1,0],[0]]", '"x"', "[5]", "[[1,2],[2,4]]",
+], ids=["empty", "empty-row", "float", "fraction", "bool", "ragged", "text",
+        "flat", "rank-deficient"])
+def test_malformed_vertex_is_usage_error(capsys, vertex):
+    code = main(["building", "neighbors", "--p", "2", "--vertex", vertex])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --vertex")
+
+
+@pytest.mark.parametrize("chain", [
+    "[[]]", "[[[2.0,0],[0,1]]]", "[[[1,0],[0,1]],[[1.5,0],[0,1]]]",
+    "[[[true,0],[0,1]]]", "[5]", '[{"scale": 0}]', '[{"hnf": [], "scale": 0}]',
+    '[{"hnf": [[1,0],[0,1]], "scale": 1.5}]',
+    '[{"hnf": [[1,0],[0,1]], "scale": true}]', "[[[1,2],[2,4]]]",
+], ids=["empty-matrix", "float", "fraction-in-second", "bool", "flat",
+        "no-hnf", "empty-hnf", "fractional-scale", "bool-scale",
+        "rank-deficient"])
+def test_malformed_chain_is_usage_error(capsys, chain):
+    code = main(["building", "type", "--p", "2", "--chain", chain])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --chain")
+
+
+def test_neighbor_count_is_capped_before_work(capsys, monkeypatch):
+    # a 7 x 7 vertex at p = 5 has 666,124,286 neighbors
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration started before the count check")
+
+    monkeypatch.setattr("drinfeld.building.Lattice.neighbors", no_work)
+    vertex = json.dumps([[int(i == j) for j in range(7)] for i in range(7)])
+    code = main(["building", "neighbors", "--p", "5", "--vertex", vertex])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "666124286" in captured.err
+
+
 def test_dist_round_trip(capsys, tmp_path):
     code, out = run(
         capsys, "dist", "random", "--p", "2", "--d", "1", "--n", "2",
