@@ -25,10 +25,18 @@ from .intlinalg import (
     inv_scaled,
     matmul,
     pval,
+    reduce_above_pivots,
     rref_modp,
     subspaces_modp,
     vecmat,
 )
+
+
+def _primitive(p, rows):
+    """The rows over the gcd g of all their entries, and v_p(g): g^n divides
+    the determinant, so g is a p-power when the determinant is."""
+    g = gcd(*(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), pval(g, p)
 
 
 @dataclass(frozen=True)
@@ -50,15 +58,10 @@ class Lattice:
         k = pval(det, p) if det % p == 0 else 0
         if det != p**k:
             # saturate away prime-to-p index: the Z_p-span also contains p^k Z^n
-            stacked = list(h) + [
-                [p**k if i == j else 0 for j in range(n)] for i in range(n)
-            ]
-            h = hnf_rows(stacked)
+            h = hnf_rows([*h, *([p**k * c for c in row] for row in identity(n))])
         # primitive representative: factor the common p-power into the scale
-        shift = pval(gcd(*(c for row in h for c in row)), p)
-        if shift:
-            h = tuple(tuple(c // p**shift for c in row) for row in h)
-        return Lattice(p, tuple(tuple(row) for row in h), scale + shift)
+        h, shift = _primitive(p, h)
+        return Lattice(p, h, scale + shift)
 
     @staticmethod
     def standard(p, d):
@@ -170,12 +173,13 @@ class Lattice:
         is the RREF row of W with pivot c, or p e_c off the pivots.  Times
         the upper triangular Hermite rows H of L, row c is w H or p H_c;
         the product stays upper triangular, with determinant
-        p^(det_exponent + n - dim W).  Reducing above the diagonal in
-        ascending column order and dividing out the common p-power gives
-        the Hermite basis: no Euclidean loop and no saturation."""
+        p^(det_exponent + n - dim W).  Reducing above the diagonal pivots
+        (hnf_rows' last step) and dividing out the common p-power gives the
+        Hermite basis: no Euclidean loop and no saturation."""
         p, n, h = self.p, self.dim, self.rows
         cols = tuple(zip(*h))
         ph = [[p * c for c in row] for row in h]
+        diagonal = [(c, c) for c in range(n)]
         out = []
         for k in range(1, n):
             det_exponent = self.det_exponent + n - k
@@ -184,18 +188,10 @@ class Lattice:
                 for w in w_basis:
                     # the first nonzero entry of an RREF row is its pivot, 1
                     m[w.index(1)] = [sum(map(mul, w, col)) for col in cols]
-                for c in range(1, n):
-                    row_c = m[c]
-                    pivot = row_c[c]
-                    for i in range(c):
-                        q = m[i][c] // pivot
-                        if q:
-                            m[i] = [a - q * b for a, b in zip(m[i], row_c)]
-                # g^n divides the p-power determinant, so g is a p-power and
-                # dividing by it leaves the primitive basis at scale 0
-                g = gcd(*(x for row in m for x in row))
-                nb = Lattice(p, tuple(tuple(x // g for x in row) for row in m))
-                nb.__dict__["det_exponent"] = det_exponent - n * pval(g, p)
+                reduce_above_pivots(m, diagonal)
+                rows, shift = _primitive(p, m)
+                nb = Lattice(p, rows)
+                nb.__dict__["det_exponent"] = det_exponent - n * shift
                 out.append(nb)
         return out
 

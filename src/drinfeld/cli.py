@@ -110,23 +110,29 @@ def _field_desc(args):
     return FieldDesc(p=args.p, e=args.e, f=args.f, N=args.N)
 
 
+def _int_list(ob):
+    """A JSON list of integers; JSON true and false are not integers here."""
+    return isinstance(ob, list) and all(c.__class__ is int for c in ob)
+
+
 def _parse_coord(desc, ob):
-    if isinstance(ob, int):
+    if ob.__class__ is int:
         return FieldElem.from_int(desc, ob)
+    shift = 0
+    if isinstance(ob, dict) and "coeffs" in ob:
+        shift = ob.get("shift", 0)
+        if shift.__class__ is not int:
+            raise UsageError(f"--coords: shift must be an integer, got {shift!r}")
+        ob = ob["coeffs"]
+    if not _int_list(ob):
+        raise UsageError(
+            "--coords: each coordinate must be an integer, a list of integer "
+            'digits, or {"coeffs": [...], "shift": s}'
+        )
     try:
-        if isinstance(ob, list):
-            return FieldElem.from_coeffs(desc, ob)
-        if isinstance(ob, dict) and "coeffs" in ob:
-            shift = ob.get("shift", 0)
-            if shift.__class__ is not int:
-                raise UsageError(f"--coords: shift must be an integer, got {shift!r}")
-            return FieldElem.from_coeffs(desc, ob["coeffs"], shift)
-    except (TypeError, ValueError) as e:
+        return FieldElem.from_coeffs(desc, ob, shift)
+    except ValueError as e:
         raise UsageError(f"--coords: {e}")
-    raise UsageError(
-        "--coords: each coordinate must be an integer, a digit list, or "
-        '{"coeffs": [...], "shift": s}'
-    )
 
 
 def _parse_point(args):
@@ -143,9 +149,8 @@ def _parse_lattice(p, rows, what, scale=0):
     here) that spans a full-rank lattice."""
     if not (
         isinstance(rows, list) and rows
-        and all(isinstance(row, list) and row and len(row) == len(rows[0])
+        and all(_int_list(row) and row and len(row) == len(rows[0])
                 for row in rows)
-        and all(c.__class__ is int for row in rows for c in row)
     ):
         raise UsageError(
             f"{what} must be a non-empty JSON list of equal-length lists of "
@@ -179,18 +184,60 @@ def _parse_chain(p, text, what="--edge"):
         raise UsageError(f"{what} is not a valid chain: {e}")
 
 
-def _load_distribution(args):
+def _read_distribution(args):
+    """The distribution text of --dist or of the --in file, and its flag."""
     if args.dist:
-        obj = _load_json_arg(args.dist, "--dist")
-    elif args.infile:
-        with open(args.infile) as fh:
-            obj = json.load(fh)
-    else:
+        return args.dist, "--dist"
+    if not args.infile:
         raise UsageError("provide the distribution with --dist or --in")
     try:
-        return MassZeroVector.from_json(args.p, args.d, obj)
-    except (KeyError, ValueError) as e:
+        with open(args.infile) as fh:
+            return fh.read(), "--in"
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --in file {args.infile}") from exc
+
+
+def _is_level(ob):
+    return ob.__class__ is int and ob >= 1
+
+
+def _parse_distribution(p, d, text, what):
+    """A mass-zero vector from its JSON record: an integer level and a list
+    of entries, each an integer coeff at a point of integer level and
+    integer rep."""
+    obj = _load_json_arg(text, what)
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not (
+        isinstance(entries, list) and _is_level(obj.get("level"))
+        and all(
+            isinstance(rec, dict) and rec.get("coeff").__class__ is int
+            and isinstance(rec.get("point"), dict)
+            and _is_level(rec["point"].get("level"))
+            and _int_list(rec["point"].get("rep"))
+            for rec in entries
+        )
+    ):
+        raise UsageError(
+            f"{what} must be a JSON object with a positive integer level and "
+            'entries [{"point": {"level": n, "rep": [...]}, "coeff": c}] of '
+            "integers"
+        )
+    try:
+        return MassZeroVector.from_json(p, d, obj)
+    except ValueError as e:
         raise UsageError(f"bad distribution: {e}")
+
+
+def _load_distribution(args):
+    return _parse_distribution(args.p, args.d, *_read_distribution(args))
+
+
+def _check_dimension(mu, dim, what):
+    if mu.dim != dim:
+        raise UsageError(
+            f"the distribution has dimension {mu.dim} but {what} has "
+            f"dimension {dim}"
+        )
 
 
 # --- command handlers --------------------------------------------------------
@@ -315,8 +362,9 @@ def cmd_dist_push(args):
 
 
 def cmd_dist_check(args):
+    source = _read_distribution(args)
     try:
-        mu = _load_distribution(args)
+        mu = _parse_distribution(args.p, args.d, *source)
     except UsageError as e:
         _emit(args, [{"p": args.p, "d": args.d, "mass_zero": False,
                       "error": str(e)}])
@@ -331,9 +379,16 @@ def cmd_dist_check(args):
 def cmd_lambda(args):
     sigma = _parse_chain(args.p, args.edge)
     pair = _load_json_arg(args.pair, "--pair")
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise UsageError("--pair must be a JSON list of two covector lifts")
-    a, b = (tuple(int(c) for c in v) for v in pair)
+    size = sigma.dim + 1
+    if not (
+        isinstance(pair, list) and len(pair) == 2
+        and all(_int_list(v) and len(v) == size and any(v) for v in pair)
+    ):
+        raise UsageError(
+            f"--pair must be a JSON list of two nonzero lists of {size} "
+            "integers"
+        )
+    a, b = map(tuple, pair)
     record = {
         "edge": sigma.to_json()["chain"],
         "pair": [list(a), list(b)],
@@ -378,6 +433,7 @@ def cmd_sweep_lambda(args):
 def cmd_alpha_eval(args):
     mu = _load_distribution(args)
     z = _parse_point(args)
+    _check_dimension(mu, z.dim, "the point")
     u = alpha_level(mu, rep_system=args.rep_system)
     value = evaluate_product(u, z, certified_level=args.certified_level)
     _emit(args, [{
@@ -411,6 +467,7 @@ def cmd_alpha_converge(args):
 def cmd_alpha_residue(args):
     mu = _load_distribution(args)
     sigma = _parse_chain(args.p, args.edge)
+    _check_dimension(mu, sigma.dim, "the edge")
     left, right = residue_round_trip(mu, sigma,
                                      require_local=not args.allow_shallow)
     _emit(args, [{

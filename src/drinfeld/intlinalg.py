@@ -77,13 +77,20 @@ def hnf_rows(rows):
                 m[pr] = [-a for a in m[pr]]
             pivots.append((pr, col))
             pr += 1
-    # reduce entries above each pivot
-    for r, c in pivots:
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+    reduce_above_pivots(m, pivots)
     return tuple(tuple(m[r]) for r, _ in pivots)
+
+
+def reduce_above_pivots(m, pivots):
+    """Hermite's last step, in place: for each positive pivot (row, column)
+    in ascending order, reduce the entries above it into [0, pivot)."""
+    for r, c in pivots:
+        row_r = m[r]
+        pivot = row_r[c]
+        for i in range(r):
+            q = m[i][c] // pivot
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], row_r)]
 
 
 def hnf_det(rows):
@@ -151,60 +158,59 @@ def snf_divisors(rows):
     return divisors
 
 
-def solve_mod(mat, rhs, p, k):
-    """X with mat . X = rhs modulo p^k, by Gauss-Jordan elimination; rhs is
-    an n x m matrix.  Requires det(mat) a unit mod p."""
-    n = len(mat)
+# ---------------------------------------------------------------------------
+# Linear algebra modulo p^k
+
+
+def rref_modp(rows, p, k=1):
+    """Gauss-Jordan elimination over Z/p^k with unit pivots.  Returns
+    (rows, pivot_columns) for the rows that received a pivot.
+
+    Each column takes as pivot the first remaining row whose entry is
+    prime to p, scales it to 1 and clears the column in every other row.
+    At k = 1 this is the reduced row echelon form over F_p.  At k > 1 the
+    result is an echelon form only while every pivot column so far held a
+    unit: a column skipped for holding none keeps its multiples of p."""
     mod = p**k
-    a = [[x % mod for x in row] + [x % mod for x in b] for row, b in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] % p != 0), None)
-        if piv is None:
-            raise ValueError("matrix is not invertible mod p")
-        a[col], a[piv] = a[piv], a[col]
-        s = pow(a[col][col], -1, mod)
-        # columns left of col vanish in the pivot row, so only the tail moves
-        tail = [(s * x) % mod for x in a[col][col:]]
-        a[col][col:] = tail
-        for i, row in enumerate(a):
-            f = row[col]
-            if f and i != col:
-                row[col:] = [(x - f * y) % mod for x, y in zip(row[col:], tail)]
-    return tuple(tuple(row[n:]) for row in a)
+    m = [[x % mod for x in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        for piv in range(r, nrows):
+            if m[piv][c] % p:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        s = pow(m[r][c], -1, mod)
+        # in an echelon form the pivot row is zero left of c: the tail moves
+        tail = [(s * x) % mod for x in m[r][c:]]
+        m[r][c:] = tail
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(x - f * y) % mod for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(map(tuple, m[:r])), tuple(pivots)
+
+
+def solve_mod(mat, rhs, p, k):
+    """X with mat . X = rhs modulo p^k, an n x m matrix: the right block of
+    rref_modp([mat | rhs]).  Requires det(mat) a unit mod p."""
+    n = len(mat)
+    rows, pivots = rref_modp([[*row, *b] for row, b in zip(mat, rhs)], p, k)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is not invertible mod p")
+    return tuple(row[n:] for row in rows)
 
 
 def matinv_mod(mat, p, k):
     """Inverse of an integer matrix modulo p^k.  Requires det(mat) a unit mod p."""
     return solve_mod(mat, identity(len(mat)), p, k)
-
-
-# ---------------------------------------------------------------------------
-# F_p linear algebra
-
-
-def rref_modp(rows, p):
-    """Reduced row echelon form over F_p.  Returns (rows, pivot_columns)."""
-    m = [[x % p for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        s = pow(m[r][c], -1, p)
-        m[r] = [(s * x) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(m[i]) for i in range(r)), tuple(pivots)
 
 
 def in_span_modp(basis_rref, pivots, v, p):
@@ -250,11 +256,8 @@ def subspaces_modp(n, k, p):
         yield ()
         return
     for pivots in combinations(range(n), k):
-        free = []
-        for r in range(k):
-            for c in range(pivots[r] + 1, n):
-                if c not in pivots:
-                    free.append((r, c))
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n)
+                if c not in pivots]
         for values in product(range(p), repeat=len(free)):
             rows = [[0] * n for _ in range(k)]
             for r in range(k):

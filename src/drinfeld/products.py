@@ -75,6 +75,8 @@ def evaluate_product(u, z, certified_level=None):
     """Evaluate at a point: one division of the positive-exponent product by
     the negative-exponent product.  Degree 0 makes the value representative
     independent."""
+    if u.mu.dim != z.dim:
+        raise ValueError("the product and the point differ in dimension")
     _require_certified(u, (z,), certified_level)
     desc = z.desc
     num = FieldElem.one(desc)
@@ -96,6 +98,8 @@ def evaluate_ratio(u, z1, z2, certified_level=None):
     points, so no intermediate ever carries the large valuation that the
     single-point value may have; this keeps the digits of the ratio
     resolvable whenever the points share section valuations."""
+    if not u.mu.dim == z1.dim == z2.dim:
+        raise ValueError("the product and the points differ in dimension")
     _require_certified(u, (z1, z2), certified_level)
     acc = FieldElem.one(z1.desc)
     for a, m in u.mu.items():

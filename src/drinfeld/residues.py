@@ -38,7 +38,7 @@ def _require_edge(sigma):
 def _lift(x):
     if isinstance(x, ProjPoint):
         return x.lift_vector()
-    return tuple(int(c) for c in x)
+    return tuple(x)
 
 
 def slope(a, sigma):
@@ -149,6 +149,8 @@ def pair_distribution(mu, sigma, require_local=True):
     _require_edge(sigma)
     if not isinstance(mu, MassZeroVector):
         raise TypeError("expected a mass-zero vector")
+    if mu.dim != sigma.dim:
+        raise ValueError("the distribution and the edge differ in dimension")
     if require_local and mu.level < required_level(sigma):
         raise ValueError(
             f"level {mu.level} cannot resolve this edge; "

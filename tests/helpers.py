@@ -815,6 +815,58 @@ def fiber(pt, n):
     return out
 
 
+# Reference modular elimination: solve_mod with its own Gauss-Jordan loop
+# over Z/p^k and rref_modp over F_p only, as they were before solve_mod
+# became the right block of rref_modp at k > 1, kept verbatim.
+
+
+def reference_solve_mod(mat, rhs, p, k):
+    """X with mat . X = rhs modulo p^k, by Gauss-Jordan elimination; rhs is
+    an n x m matrix.  Requires det(mat) a unit mod p."""
+    n = len(mat)
+    mod = p**k
+    a = [[x % mod for x in row] + [x % mod for x in b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] % p != 0), None)
+        if piv is None:
+            raise ValueError("matrix is not invertible mod p")
+        a[col], a[piv] = a[piv], a[col]
+        s = pow(a[col][col], -1, mod)
+        # columns left of col vanish in the pivot row, so only the tail moves
+        tail = [(s * x) % mod for x in a[col][col:]]
+        a[col][col:] = tail
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != col:
+                row[col:] = [(x - f * y) % mod for x, y in zip(row[col:], tail)]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def reference_rref_modp(rows, p):
+    """Reduced row echelon form over F_p.  Returns (rows, pivot_columns)."""
+    m = [[x % p for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        s = pow(m[r][c], -1, p)
+        m[r] = [(s * x) % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(m[i]) for i in range(r)), tuple(pivots)
+
+
 def rank_int(rows):
     """Rank over Q (= number of nonzero elementary divisors)."""
     return len(snf_divisors(rows))

@@ -223,6 +223,20 @@ def test_lambda_with_oracle(capsys):
     assert rec["value"] == 1 and rec["oracle_value"] == 1 and rec["agrees"]
 
 
+EDGE = "[[[1,0],[0,1]],[[2,0],[0,1]]]"
+
+
+@pytest.mark.parametrize("pair", [
+    "[1,2]", "[[1.5,0],[0,1]]", "[[true,0],[0,1]]", "[[1,0,0],[0,1,0]]",
+    '["ab",[0,1]]', "[[0,0],[0,1]]", "[[],[0,1]]",
+], ids=["flat", "fraction", "bool", "too-long", "text", "zero", "empty"])
+def test_malformed_pair_is_usage_error(capsys, pair):
+    code = main(["lambda", "--p", "2", "--edge", EDGE, "--pair", pair])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --pair")
+
+
 def test_sweep_lambda_summary(capsys):
     code, out = run(capsys, "sweep-lambda", "--p", "2", "--d", "1",
                     "--radius", "1")
@@ -246,6 +260,90 @@ def test_alpha_residue_agreement(capsys):
     assert code == 0
     (rec,) = records(out)
     assert rec["agree"] and rec["dlog_residue"] == rec["pairing"]
+
+
+def dist_random_d2(capsys):
+    code, out = run(capsys, "dist", "random", "--p", "2", "--d", "2",
+                    "--n", "2")
+    assert code == 0
+    return out.strip()
+
+
+def test_distribution_of_another_dimension_than_the_edge_is_usage_error(
+        capsys):
+    mu = dist_random_d2(capsys)
+    code, out = run(capsys, "alpha", "residue", "--p", "2", "--d", "2",
+                    "--dist", mu, "--edge", EDGE, "--allow-shallow")
+    assert code == 2 and out == ""
+
+
+def test_distribution_of_another_dimension_than_the_point_is_usage_error(
+        capsys):
+    mu = dist_random_d2(capsys)
+    code, out = run(capsys, "alpha", "eval", "--p", "2", "--d", "2",
+                    "--dist", mu, "--e", "2", "--N", "40",
+                    "--coords", "[1, [0,1]]")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("coords", [
+    "[1, [0, 1.5]]", '[1, {"coeffs": [0, 1.5]}]', "[1, [0, true]]",
+    "[true, 1]", '[1, {"coeffs": "01"}]',
+], ids=["fraction-digit", "fraction-coeff", "bool-digit", "bool-integer",
+        "text-coeffs"])
+def test_non_integer_coordinates_are_usage_errors(capsys, coords):
+    code = main(["tau", "--p", "2", "--e", "2", "--N", "40", "--coords",
+                 coords])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --coords")
+
+
+def entry(rep, coeff):
+    return {"point": {"level": 1, "rep": rep}, "coeff": coeff}
+
+
+MALFORMED_DISTRIBUTIONS = {
+    "text-coeff": {"level": 1, "entries": [entry([1, 0], "1"),
+                                           entry([0, 1], -1)]},
+    "fraction-coeff": {"level": 1, "entries": [entry([1, 0], 1.5),
+                                               entry([0, 1], -1.5)]},
+    "bool-coeff": {"level": 1, "entries": [entry([1, 0], True),
+                                           entry([0, 1], -1)]},
+    "entries-not-a-list": {"level": 1, "entries": 5},
+    "top-level-list": [entry([1, 0], 1), entry([0, 1], -1)],
+    "fraction-rep": {"level": 1, "entries": [entry([1, 0.5], 1),
+                                             entry([0, 1], -1)]},
+    "text-level": {"level": "1", "entries": []},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DISTRIBUTIONS)
+def test_malformed_distribution_is_usage_error(capsys, name):
+    dist = json.dumps(MALFORMED_DISTRIBUTIONS[name])
+    code, out = run(capsys, "dist", "push", "--p", "2", "--d", "1",
+                    "--dist", dist, "--to", "1")
+    assert code == 2 and out == ""
+    # dist check reports the same input as a record that is not mass zero
+    code, out = run(capsys, "dist", "check", "--p", "2", "--d", "1",
+                    "--dist", dist)
+    assert code == 1
+    (rec,) = records(out)
+    assert rec["mass_zero"] is False
+
+
+def test_missing_or_unparsable_distribution_file_is_usage_error(capsys,
+                                                                tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (("dist", "push", "--to", "1"), ("dist", "check")):
+        code, out = run(capsys, *argv, "--p", "2", "--d", "1", "--in",
+                        missing)
+        assert code == 2 and out == ""
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    code, out = run(capsys, "dist", "push", "--p", "2", "--d", "1",
+                    "--in", str(garbled), "--to", "1")
+    assert code == 2 and out == ""
 
 
 def test_alpha_converge_records(capsys):

@@ -18,6 +18,7 @@ from drinfeld.intlinalg import (
     pval,
     rref_modp,
     snf_divisors,
+    solve_mod,
     subspaces_modp,
     vecmat,
 )
@@ -31,7 +32,9 @@ from helpers import (
     rank_int,
     reference_det_int,
     reference_inv_scaled,
+    reference_rref_modp,
     reference_snf_divisors,
+    reference_solve_mod,
 )
 
 
@@ -247,6 +250,59 @@ def test_matinv_mod_roundtrip():
                 for i in range(n)
                 for j in range(n)
             )
+
+
+def random_unit_matrix(n, p, k, rng):
+    """A random n x n matrix mod p^k whose determinant is a unit mod p."""
+    while True:
+        m = [[rng.randrange(p**k) for _ in range(n)] for _ in range(n)]
+        if len(reference_rref_modp(m, p)[0]) == n:
+            return m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_solve_mod_matches_the_reference(p, k):
+    rng = random.Random(100 * p + k)
+    for n in range(1, 10):
+        m = random_unit_matrix(n, p, k, rng)
+        width = rng.randint(1, 3)
+        # signed entries beyond p^k, so the reduction mod p^k is exercised
+        rhs = [[rng.randint(-p**k, 2 * p**k) for _ in range(width)]
+               for _ in range(n)]
+        assert solve_mod(m, rhs, p, k) == reference_solve_mod(m, rhs, p, k)
+        assert matinv_mod(m, p, k) == reference_solve_mod(
+            m, [[int(i == j) for j in range(n)] for i in range(n)], p, k)
+
+
+def test_rref_modp_matches_the_reference_on_rank_deficient_matrices():
+    rng = random.Random(23)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rank = rng.randint(0, min(nrows, ncols) - 1)
+            # rows in the span of `rank` random rows, plus multiples of p
+            gens = [[rng.randint(-9, 9) for _ in range(ncols)]
+                    for _ in range(rank)]
+            rows = []
+            for _ in range(nrows):
+                coeffs = [rng.randint(-3, 3) for _ in gens]
+                rows.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                             + p * rng.randint(-3, 3) for j in range(ncols)])
+            got = rref_modp(rows, p)
+            assert got == reference_rref_modp(rows, p)
+            assert len(got[0]) <= rank
+            assert rref_modp(rows, p, 1) == got
+
+
+def test_solve_mod_refuses_a_matrix_singular_mod_p():
+    m = [[2, 0], [0, 1]]
+    with pytest.raises(ValueError, match="not invertible mod p"):
+        solve_mod(m, [[1], [0]], 2, 3)
+    with pytest.raises(ValueError, match="not invertible mod p"):
+        matinv_mod(m, 2, 3)
+    with pytest.raises(ValueError, match="not invertible mod p"):
+        reference_solve_mod(m, [[1], [0]], 2, 3)
 
 
 def test_rref_and_span():

@@ -153,6 +153,20 @@ def test_evaluation_guards():
         evaluate_ratio(u2, shallow, z, certified_level=1)
 
 
+def test_dimension_mismatch_is_refused():
+    # a distribution on P^2 against a point and an edge of P^1: zip would
+    # silently drop the third covector entry
+    z = ramified_point()
+    u = alpha_level(dirac(2, 2, (1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="dimension"):
+        evaluate_product(u, z)
+    with pytest.raises(ValueError, match="dimension"):
+        evaluate_ratio(u, z, z)
+    with pytest.raises(ValueError, match="dimension"):
+        pair_distribution(u.mu, standard_simplex(2, (1, 1)),
+                          require_local=False)
+
+
 def test_dlog_residue_locality_guard():
     deep = PointedSimplex(
         (
