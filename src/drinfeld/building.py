@@ -11,7 +11,7 @@ chains M_0 > M_1 > ... > M_k > p M_0 with M_0 primitive at scale 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from math import gcd
 from operator import mul
@@ -37,6 +37,16 @@ def _primitive(p, rows):
     the determinant, so g is a p-power when the determinant is."""
     g = gcd(*(x for row in rows for x in row))
     return tuple(tuple(x // g for x in row) for row in rows), pval(g, p)
+
+
+@lru_cache(maxsize=None)
+def _subspace_table(n, k, p):
+    """subspaces_modp(n, k, p) as a tuple, in its order, with each RREF row
+    paired with its pivot index (the position of its first nonzero entry,
+    which is 1)."""
+    return tuple(
+        tuple((w.index(1), w) for w in basis) for basis in subspaces_modp(n, k, p)
+    )
 
 
 @dataclass(frozen=True)
@@ -183,11 +193,10 @@ class Lattice:
         out = []
         for k in range(1, n):
             det_exponent = self.det_exponent + n - k
-            for w_basis in subspaces_modp(n, k, p):
+            for w_basis in _subspace_table(n, k, p):
                 m = list(ph)
-                for w in w_basis:
-                    # the first nonzero entry of an RREF row is its pivot, 1
-                    m[w.index(1)] = [sum(map(mul, w, col)) for col in cols]
+                for c, w in w_basis:
+                    m[c] = [sum(map(mul, w, col)) for col in cols]
                 reduce_above_pivots(m, diagonal)
                 rows, shift = _primitive(p, m)
                 nb = Lattice(p, rows)

@@ -18,7 +18,13 @@ from fractions import Fraction
 from .building import Lattice, PointedSimplex
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
-from .padic import FieldElem, linear_form, normalize_unimodular
+from .padic import (
+    FieldElem,
+    _shift_poly,
+    linear_form,
+    linear_forms,
+    normalize_unimodular,
+)
 from .projpoints import ProjPoint, enumerate_points
 
 MAX_CERTIFY_LEVEL = 6
@@ -75,8 +81,7 @@ class SymmetricSpacePoint:
 
     def apply_matrix(self, g):
         """Move the point by an integer matrix acting on columns."""
-        new = [linear_form(row, self.coords) for row in g]
-        return SymmetricSpacePoint(new)
+        return SymmetricSpacePoint(linear_forms(g, self.coords))
 
     def to_json(self):
         return {
@@ -228,9 +233,14 @@ def tube_coordinates(z, sigma):
 
 def random_unit(desc, rng, j=0):
     """The unit omega^j (1 + pi b), with the e*f digits of b drawn
-    uniformly mod p^coeff_exponent."""
+    uniformly mod p^coeff_exponent.  The digits of 1 + pi b are those of b
+    moved up one pi-power, plus 1 at digit 0, which is a multiple of p
+    below p^coeff_exponent and so stays reduced: the sum 1 + pi b would
+    give the same digits and prec."""
     digits = [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
-    unit = FieldElem.one(desc) + FieldElem.from_coeffs(desc, digits, 1)
+    one_plus = list(_shift_poly(desc, digits, 1))
+    one_plus[0] += 1
+    unit = FieldElem(desc, 0, tuple(one_plus), desc.work_prec)
     return FieldElem.omega_power(desc, j) * unit if j else unit
 
 
@@ -238,7 +248,7 @@ def tube_sample(sigma, w):
     """The raw point N w, whose adapted-frame sections are D*w for
     (N, D) = sigma.frame_adjugate."""
     n, _ = sigma.frame_adjugate
-    return [linear_form(row, w) for row in n]
+    return linear_forms(n, w)
 
 
 def point_in_tube(desc, sigma, rng):
@@ -254,12 +264,11 @@ def point_in_tube(desc, sigma, rng):
         raise ValueError(f"need ramification > {k} for a length-{k} chain")
     if desc.f < max(blocks):
         raise ValueError(f"need residue degree >= {max(blocks)}")
-    pi = FieldElem.pi(desc)
     w = []
     leader = FieldElem.one(desc)
     for i in range(k + 1):
         if i:
-            leader = leader * (pi * random_unit(desc, rng))
+            leader = leader * random_unit(desc, rng).times_pi_power(1)
         w.append(leader)
         w.extend(leader * random_unit(desc, rng, j) for j in range(1, blocks[i]))
     det = FieldElem.from_int(desc, sigma.frame_adjugate[1])
@@ -269,6 +278,5 @@ def point_in_tube(desc, sigma, rng):
     # valuations by an integer and the radius-0 layer stays at M_0.
     frac = -min(c.pi_valuation() for c in coords) % desc.e
     if frac:
-        adjust = FieldElem.pi_power(desc, frac)
-        coords = [c * adjust for c in coords]
+        coords = [c.times_pi_power(frac) for c in coords]
     return SymmetricSpacePoint(coords)

@@ -238,8 +238,12 @@ class FieldElem:
 
     @staticmethod
     def from_coeffs(desc, rows, shift=0):
-        """rows: length e*f integer vector in basis pi^i omega^j."""
-        raw = [int(c) for c in rows]
+        """rows: length e*f vector of ints (not bool or float) in basis
+        pi^i omega^j."""
+        raw = list(rows)
+        for c in raw:
+            if c.__class__ is not int:
+                raise TypeError(f"a digit must be an int, not {type(c).__name__}")
         if len(raw) != desc.e * desc.f:
             raise ValueError(
                 f"a digit vector needs exactly {desc.e * desc.f} digits "
@@ -382,6 +386,18 @@ class FieldElem:
             self.shift,
             tuple([n * c % mod for c in self.coeffs]),
             self.prec,
+        )
+
+    def times_pi_power(self, k):
+        """self * pi^k as a shift: the digits stay, the shift grows by k and
+        prec is capped at work_prec, as the product with pi_power gives."""
+        if self.exact_zero:
+            return FieldElem.zero(self.desc)
+        return FieldElem(
+            self.desc,
+            self.shift + k,
+            self.coeffs,
+            min(self.prec, self.desc.work_prec),
         )
 
     def __truediv__(self, other):
@@ -587,7 +603,7 @@ def _unit_inverse(desc, unit_coeffs):
 # Vectors of field elements
 
 
-def linear_form(a, z):
+def linear_form(a, z, shifted=None):
     """sum a_i z_i for integer scalars a and FieldElem vector z.
 
     The sum is fused: each digit vector moves to the least shift of the
@@ -595,7 +611,10 @@ def linear_form(a, z):
     reduced once, and prec is the least term precision at that shift,
     capped at work_prec as a chain of adds would give.  Scaling, pi-shifts
     and adds are ring maps mod p^coeff_exponent, so the digits are those
-    of the chain of adds."""
+    of the chain of adds.
+
+    `shifted` is the memo of moved digit vectors, keyed by (id(z_i), k),
+    that linear_forms shares between the forms of one batch."""
     desc = z[0].desc
     scalars, terms = [], []
     for ai, zi in zip(a, z):
@@ -619,7 +638,16 @@ def linear_form(a, z):
     digits = []
     for zi in terms:
         k = zi.shift - low
-        digits.append(_shift_poly(desc, zi.coeffs, k) if k else zi.coeffs)
+        if not k:
+            digits.append(zi.coeffs)
+        elif shifted is None:
+            digits.append(_shift_poly(desc, zi.coeffs, k))
+        else:
+            key = (id(zi), k)
+            moved = shifted.get(key)
+            if moved is None:
+                moved = shifted[key] = _shift_poly(desc, zi.coeffs, k)
+            digits.append(moved)
         if zi.prec + k < prec:
             prec = zi.prec + k
     mod = desc.coeff_modulus
@@ -629,6 +657,14 @@ def linear_form(a, z):
         tuple([sum(map(mul, scalars, col)) % mod for col in zip(*digits)]),
         prec,
     )
+
+
+def linear_forms(rows, z):
+    """[linear_form(a, z) for a in rows], moving each z_i to a given shift
+    once for the whole batch.  Each form goes through the module's
+    linear_form, one call per row."""
+    shifted = {}
+    return [linear_form(a, z, shifted) for a in rows]
 
 
 def normalize_unimodular(vec):

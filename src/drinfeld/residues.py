@@ -21,7 +21,7 @@ from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
 from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
-from .padic import FieldDesc, FieldElem, PrecisionError, linear_form
+from .padic import FieldDesc, PrecisionError, linear_forms
 from .projpoints import ProjPoint, enumerate_points
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
@@ -88,8 +88,7 @@ def _oracle_points(sigma, desc, rng):
     samples = []
     for step in (1, 2):
         w = [random_unit(desc, rng, j) for j in range(sigma.dim + 1)]
-        lift = FieldElem.pi_power(desc, step)
-        w[d1:] = [lift * u for u in w[d1:]]
+        w[d1:] = [u.times_pi_power(step) for u in w[d1:]]
         samples.append(tube_sample(sigma, w))
     return samples
 
@@ -108,15 +107,14 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
         for raw in (raw1, raw2):
             if not member_tube(SymmetricSpacePoint(raw), sigma, open_tube=True):
                 raise PrecisionError("oracle sample point failed the tube test")
+    lifts = {a: _lift(a) for a in covectors}
+    forms1 = linear_forms(lifts.values(), raw1)
+    forms2 = linear_forms(lifts.values(), raw2)
     out = {}
-    for a in covectors:
-        lift = _lift(a)
+    for a, x1, x2 in zip(lifts, forms1, forms2):
         # the samples sit 1/e_oracle apart in the edge parameter, so the
         # slope is the difference of their pi-valuations in the oracle field
-        dv = (
-            linear_form(lift, raw2).pi_valuation()
-            - linear_form(lift, raw1).pi_valuation()
-        )
+        dv = x2.pi_valuation() - x1.pi_valuation()
         if dv not in (0, 1):
             raise PrecisionError(
                 f"sampled slope {dv} is not a 0/1 integer; increase N"

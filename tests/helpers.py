@@ -32,6 +32,7 @@ from drinfeld.padic import (
     _coerce,
     _poly_mul,
     _times_omega,
+    linear_form,
 )
 from drinfeld.projpoints import ProjPoint
 from drinfeld.residues import _lift, _require_edge, slope
@@ -492,6 +493,35 @@ def reference_oracle_points(sigma, desc, rng):
                     acc = acc + inv[i][j] * w[j]
             coords.append(acc / det_elem)
         samples.append(coords)
+    return samples
+
+
+# Reference unit and oracle samples: covers.random_unit as it was when it
+# added 1 to pi*b as FieldElems, and residues._oracle_points as it was when
+# it multiplied by a pi-power and built each sample coordinate with its own
+# linear_form, kept verbatim but for the names: the sampler draws from
+# reference_random_unit, and tube_sample is written out.
+
+
+def reference_random_unit(desc, rng, j=0):
+    """The unit omega^j (1 + pi b), with the e*f digits of b drawn
+    uniformly mod p^coeff_exponent."""
+    digits = [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
+    unit = FieldElem.one(desc) + FieldElem.from_coeffs(desc, digits, 1)
+    return FieldElem.omega_power(desc, j) * unit if j else unit
+
+
+def reference_oracle_samples(sigma, desc, rng):
+    """Two interior tube samples at edge parameters 1/e and 2/e: the raw
+    covers.tube_sample of generic units, those of block 1 lifted by pi^step."""
+    d1 = sigma.boundary_indices()[1]
+    n, _ = sigma.frame_adjugate
+    samples = []
+    for step in (1, 2):
+        w = [reference_random_unit(desc, rng, j) for j in range(sigma.dim + 1)]
+        lift = FieldElem.pi_power(desc, step)
+        w[d1:] = [lift * u for u in w[d1:]]
+        samples.append([linear_form(row, w) for row in n])
     return samples
 
 

@@ -9,6 +9,7 @@ from drinfeld.building import (
     Ball,
     Lattice,
     PointedSimplex,
+    _subspace_table,
     standard_simplex,
     tree_ball_size,
 )
@@ -21,6 +22,7 @@ from drinfeld.intlinalg import (
     matmul,
     pval,
     rref_modp,
+    subspaces_modp,
 )
 from helpers import (
     covector_coordinates,
@@ -145,6 +147,19 @@ def test_neighbors_match_the_hermite_reduction(p, d, radius):
             assert nb.__dict__["det_exponent"] == pval(hnf_det(nb.rows), p)
         shifted += sum(not lat.homothety_rep().contains(nb) for nb in nbs)
     assert shifted
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 3), (2, 4)])
+def test_subspace_table_is_the_enumeration_with_pivots(p, n):
+    # neighbors reads the table, so its order is the enumeration's
+    for k in range(1, n):
+        table = _subspace_table(n, k, p)
+        assert [tuple(w for _, w in basis) for basis in table] == list(
+            subspaces_modp(n, k, p)
+        )
+        for basis in table:
+            assert all(w[c] == 1 and not any(w[:c]) for c, w in basis)
+        assert _subspace_table(n, k, p) is table
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

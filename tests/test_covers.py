@@ -34,6 +34,7 @@ from helpers import (
     reference_member_open_cover,
     reference_member_tube,
     reference_point_in_tube,
+    reference_random_unit,
     reference_reduce_to_building,
     reference_tube_test_covectors,
 )
@@ -309,6 +310,36 @@ def test_point_in_tube_keeps_the_reference_bytes(seed):
         assert [(c.shift, c.coeffs, c.prec, c.exact_zero) for c in z.coords] == [
             (c.shift, c.coeffs, c.prec, c.exact_zero) for c in ref.coords
         ]
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def _elem_bytes(x):
+    return (x.shift, x.coeffs, x.prec, x.exact_zero)
+
+
+class _ZeroDigits:
+    """An rng stand-in that draws b = 0, so the unit is omega^j exactly."""
+
+    def randrange(self, n):
+        return 0
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_random_unit_keeps_the_reference_bytes(f):
+    # small and wide moduli at every ramification, N a multiple of e or
+    # not; j runs to 2f, past the table of omega powers
+    for p, e, N in ((2, 1, 2), (2, 3, 61), (3, 2, 40), (5, 4, 10)):
+        desc = FieldDesc(p=p, e=e, f=f, N=N)
+        rng, ref_rng = random.Random(f), random.Random(f)
+        for j in range(2 * f + 1):
+            for _ in range(4):
+                assert _elem_bytes(random_unit(desc, rng, j)) == _elem_bytes(
+                    reference_random_unit(desc, ref_rng, j)
+                )
+            zero = _ZeroDigits()
+            assert _elem_bytes(random_unit(desc, zero, j)) == _elem_bytes(
+                reference_random_unit(desc, zero, j)
+            )
         assert rng.getstate() == ref_rng.getstate()
 
 

@@ -15,6 +15,7 @@ from drinfeld.padic import (
     _poly_mul,
     _unit_inverse,
     linear_form,
+    linear_forms,
     normalize_unimodular,
     unramified_min_poly,
 )
@@ -238,6 +239,15 @@ def test_from_coeffs_vanishing_digits_are_not_exact():
     assert (a - b).agrees_with(FieldElem.from_int(d, 102807))
     assert FieldElem.from_coeffs(d, [81]) == FieldElem.from_int(d, 81)
     assert FieldElem.from_coeffs(d, [0], shift=-1).exact_zero
+
+
+@pytest.mark.parametrize("digits", [[0, 1.5], [0, True], [0.0, 1], [0, "1"]])
+def test_from_coeffs_refuses_digits_that_are_not_ints(digits):
+    # a float or bool digit used to be read through int(): [0, 1.5] and
+    # [0, True] both gave the digits (0, 1)
+    d = FieldDesc(p=2, e=2, f=1, N=40)
+    with pytest.raises(TypeError, match="digit must be an int"):
+        FieldElem.from_coeffs(d, digits)
 
 
 @pytest.mark.parametrize("digits", [[0, 1, 0, 5], [0, 1], []])
@@ -534,23 +544,27 @@ def test_field_elem_is_a_value_like_the_dataclass(case):
 # -- the fused integer linear form against the chain of adds ----------------
 
 
-@st.composite
-def linear_form_cases(draw):
-    """A field shape, a vector of elements and integer scalars for it:
-    zero, negative, p-power and wide integers.  Some precisions exceed
-    work_prec, so the cap of the sum's precision shows."""
-    desc = draw(core_descs())
-    size = draw(st.integers(1, 5))
-    z = draw(st.lists(core_elements(desc, 6), min_size=size, max_size=size))
+def form_scalars(desc):
+    """Integer scalars of a linear form: zero, negative, p-power and wide."""
     p_power = st.builds(
         lambda k, sign: sign * desc.p**k,
         st.integers(0, 3 * desc.coeff_exponent),
         st.sampled_from((1, -1)),
     )
-    scalar = st.one_of(
+    return st.one_of(
         st.just(0), st.integers(-3, 3), p_power, st.integers(-(10**30), 10**30)
     )
-    a = draw(st.lists(scalar, min_size=size, max_size=size))
+
+
+@st.composite
+def linear_form_cases(draw):
+    """A field shape, a vector of elements and integer scalars for it.
+    Some precisions exceed work_prec, so the cap of the sum's precision
+    shows."""
+    desc = draw(core_descs())
+    size = draw(st.integers(1, 5))
+    z = draw(st.lists(core_elements(desc, 6), min_size=size, max_size=size))
+    a = draw(st.lists(form_scalars(desc), min_size=size, max_size=size))
     return desc, a, z
 
 
@@ -597,6 +611,89 @@ def test_linear_form_rejects_mixed_field_descriptions():
     twin = FieldDesc(p=3, e=2, f=1, N=8)
     z = (FieldElem.pi(d), FieldElem.one(twin))
     assert linear_form([2, 1], z) == reference_linear_form([2, 1], z)
+
+
+@st.composite
+def linear_forms_cases(draw):
+    """Rows of scalars over one vector z whose entries come from a small
+    pool, so one FieldElem object may stand at several places; exact zeros
+    and shifts far apart come from core_elements.  Sometimes one entry
+    lives in a field of another precision."""
+    desc = draw(core_descs())
+    pool = draw(st.lists(core_elements(desc, 6), min_size=1, max_size=4))
+    size = draw(st.integers(1, 6))
+    z = [pool[i] for i in draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size)
+    )]
+    if draw(st.booleans()) and draw(st.booleans()):
+        other = FieldDesc(desc.p, desc.e, desc.f, desc.N + desc.e)
+        z[draw(st.integers(0, size - 1))] = draw(core_elements(other))
+    rows = draw(st.lists(
+        st.lists(form_scalars(desc), min_size=size, max_size=size),
+        min_size=1, max_size=8,
+    ))
+    return rows, z
+
+
+def _forms_outcome(forms, rows, z):
+    try:
+        xs = forms(rows, z)
+    except ValueError as exc:
+        return str(exc)
+    return [(x.shift, x.coeffs, x.prec, x.exact_zero) for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_forms_cases())
+def test_linear_forms_match_the_chain_of_adds(case):
+    rows, z = case
+    # a field of another precision is refused only where its scalar is
+    # nonzero, as test_linear_form_rejects_mixed_field_descriptions shows
+    # for one form
+    assert _forms_outcome(linear_forms, rows, z) == _forms_outcome(
+        lambda rows, z: [reference_linear_form(a, z) for a in rows], rows, z
+    )
+
+
+def test_linear_forms_shift_each_entry_once_and_count_every_form(monkeypatch):
+    from drinfeld import padic
+
+    desc = FieldDesc(p=3, e=3, f=2, N=30)
+    pi = FieldElem.pi(desc)
+    x = FieldElem.from_coeffs(desc, [1, 2, 0, 1, 2, 2], shift=2)
+    z = [FieldElem.one(desc), pi, x, x]
+    rows = [(1, 1, 1, 0), (2, 0, 1, 1), (1, 5, 0, 1), (0, 1, 1, 1)]
+    expected = [linear_form(a, z) for a in rows]
+    shifts, forms = [], []
+    shift_poly, form = padic._shift_poly, padic.linear_form
+
+    def counted_shift(desc, coeffs, k):
+        shifts.append((coeffs, k))
+        return shift_poly(desc, coeffs, k)
+
+    def counted_form(a, z, *memo):
+        forms.append(a)
+        return form(a, z, *memo)
+
+    monkeypatch.setattr(padic, "_shift_poly", counted_shift)
+    monkeypatch.setattr(padic, "linear_form", counted_form)
+    assert padic.linear_forms(rows, z) == expected
+    # over the least shift 0, pi moves by 1 and x (at two places) by 2
+    # once for the first three rows; the last row's least shift is pi's,
+    # so x moves by 1 there
+    assert sorted(k for _, k in shifts) == [1, 1, 2]
+    assert forms == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(core_descs().flatmap(lambda d: core_elements(d, 6)), st.integers(0, 12))
+def test_times_pi_power_is_the_product_with_pi_power(x, k):
+    product = x * FieldElem.pi_power(x.desc, k)
+    got = x.times_pi_power(k)
+    assert (got.shift, got.coeffs, got.prec, got.exact_zero) == (
+        product.shift, product.coeffs, product.prec, product.exact_zero
+    )
+    assert got == product
 
 
 # -- differential precision: digits trusted at N survive at 3N --------------

@@ -29,6 +29,7 @@ from helpers import (
     random_pointed_simplex,
     random_unimodular_integer,
     reference_oracle_points,
+    reference_oracle_samples,
     reference_slope,
 )
 
@@ -345,6 +346,24 @@ def test_oracle_without_det_division_matches_reference(monkeypatch, check_member
                         for edge in edges]
         assert tables == expected
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_oracle_samples_keep_the_reference_bytes(p, d):
+    # criterion 4's grid on the radius-1 balls: the same sample digits,
+    # drawn from one rng edge after edge, leave it in the same state
+    edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
+    rng, ref_rng = random.Random(4), random.Random(4)
+    for edge in edges:
+        desc = residues._oracle_desc(p, edge, 3)
+        got = residues._oracle_points(edge, desc, rng)
+        ref = reference_oracle_samples(edge, desc, ref_rng)
+        assert [[(x.shift, x.coeffs, x.prec, x.exact_zero) for x in sample]
+                for sample in got] == [
+            [(x.shift, x.coeffs, x.prec, x.exact_zero) for x in sample]
+            for sample in ref
+        ]
+    assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
