@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd
 from operator import mul
 
@@ -26,6 +26,8 @@ from .intlinalg import (
     matmul,
     pval,
     reduce_above_pivots,
+    require_int,
+    require_ints,
     rref_modp,
     subspaces_modp,
     vecmat,
@@ -60,8 +62,18 @@ class Lattice:
 
     @staticmethod
     def from_rows(p, rows, scale=0):
+        """p^scale times the Z_p-span of rows, equal-length rows of ints.
+        TypeError for an entry or scale that is not an int (a bool or float
+        is not one), ValueError for no rows, ragged rows or a lower rank."""
+        require_int(scale, "a lattice scale")
+        if not (isinstance(rows, (list, tuple))
+                and set(map(type, rows)) <= {list, tuple}):
+            raise TypeError("lattice rows must be a list of lists of ints")
+        n = len(rows[0]) if rows else 0
+        if not n or set(map(len, rows)) != {n}:
+            raise ValueError("lattice rows must be non-empty and of equal length")
+        require_ints(list(chain.from_iterable(rows)), "the lattice rows")
         h = hnf_rows(rows)
-        n = len(rows[0])
         if len(h) != n:
             raise ValueError("rows do not span a full-rank lattice")
         det = hnf_det(h)

@@ -106,82 +106,49 @@ def _load_json_arg(text, what):
         raise UsageError(f"{what} is not valid JSON: {e}")
 
 
-def _field_desc(args):
-    return FieldDesc(p=args.p, e=args.e, f=args.f, N=args.N)
-
-
-def _int_list(ob):
-    """A JSON list of integers; JSON true and false are not integers here."""
-    return isinstance(ob, list) and all(c.__class__ is int for c in ob)
+def _build(flag, make, *args):
+    """make(*args), with the TypeError or ValueError by which a library
+    constructor refuses its input reported as a usage error of flag."""
+    try:
+        return make(*args)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"{flag}: {e}") from None
 
 
 def _parse_coord(desc, ob):
-    if ob.__class__ is int:
-        return FieldElem.from_int(desc, ob)
-    shift = 0
-    if isinstance(ob, dict) and "coeffs" in ob:
-        shift = ob.get("shift", 0)
-        if shift.__class__ is not int:
-            raise UsageError(f"--coords: shift must be an integer, got {shift!r}")
-        ob = ob["coeffs"]
-    if not _int_list(ob):
-        raise UsageError(
-            "--coords: each coordinate must be an integer, a list of integer "
-            'digits, or {"coeffs": [...], "shift": s}'
-        )
-    try:
-        return FieldElem.from_coeffs(desc, ob, shift)
-    except ValueError as e:
-        raise UsageError(f"--coords: {e}")
+    """A coordinate: an integer, a digit list, or {"coeffs": [...], "shift": s}."""
+    if isinstance(ob, dict):
+        if "coeffs" not in ob:
+            raise TypeError('a coordinate object needs "coeffs"')
+        return FieldElem.from_coeffs(desc, ob["coeffs"], ob.get("shift", 0))
+    if isinstance(ob, list):
+        return FieldElem.from_coeffs(desc, ob)
+    return FieldElem.from_int(desc, ob)
 
 
 def _parse_point(args):
-    desc = _field_desc(args)
+    desc = FieldDesc(p=args.p, e=args.e, f=args.f, N=args.N)
     parsed = _load_json_arg(args.coords, "--coords")
     if not isinstance(parsed, list) or len(parsed) < 2:
         raise UsageError("--coords must be a JSON list of at least two coordinates")
-    return SymmetricSpacePoint([_parse_coord(desc, c) for c in parsed])
-
-
-def _parse_lattice(p, rows, what, scale=0):
-    """A lattice from a JSON row matrix: a non-empty list of equal-length,
-    non-empty lists of integers (JSON true and false are not integers
-    here) that spans a full-rank lattice."""
-    if not (
-        isinstance(rows, list) and rows
-        and all(_int_list(row) and row and len(row) == len(rows[0])
-                for row in rows)
-    ):
-        raise UsageError(
-            f"{what} must be a non-empty JSON list of equal-length lists of "
-            "integers"
-        )
-    try:
-        return Lattice.from_rows(p, rows, scale)
-    except ValueError as e:
-        raise UsageError(f"{what}: {e}")
+    return SymmetricSpacePoint(
+        [_build("--coords", _parse_coord, desc, c) for c in parsed]
+    )
 
 
 def _parse_chain(p, text, what="--edge"):
+    """A pointed chain: a JSON list (or {"chain": [...]}) of lattices, each a
+    row matrix or {"hnf": rows, "scale": s}."""
     obj = _load_json_arg(text, what)
     if isinstance(obj, dict):
         obj = obj.get("chain", obj)
     if not isinstance(obj, list) or not obj:
         raise UsageError(f"{what} must be a JSON chain of lattices")
-    lats = []
-    for item in obj:
-        if isinstance(item, dict):
-            scale = item.get("scale", 0)
-            if scale.__class__ is not int:
-                raise UsageError(f"{what}: scale must be an integer, got {scale!r}")
-            lat = _parse_lattice(p, item.get("hnf"), f"{what}: each hnf", scale)
-        else:
-            lat = _parse_lattice(p, item, f"{what}: each lattice")
-        lats.append(lat)
-    try:
-        return PointedSimplex.from_chain(lats)
-    except ValueError as e:
-        raise UsageError(f"{what} is not a valid chain: {e}")
+    return _build(what, lambda: PointedSimplex.from_chain([
+        Lattice.from_rows(p, item.get("hnf"), item.get("scale", 0))
+        if isinstance(item, dict) else Lattice.from_rows(p, item)
+        for item in obj
+    ]))
 
 
 def _read_distribution(args):
@@ -197,35 +164,8 @@ def _read_distribution(args):
         raise UsageError(f"cannot read --in file {args.infile}") from exc
 
 
-def _is_level(ob):
-    return ob.__class__ is int and ob >= 1
-
-
 def _parse_distribution(p, d, text, what):
-    """A mass-zero vector from its JSON record: an integer level and a list
-    of entries, each an integer coeff at a point of integer level and
-    integer rep."""
-    obj = _load_json_arg(text, what)
-    entries = obj.get("entries") if isinstance(obj, dict) else None
-    if not (
-        isinstance(entries, list) and _is_level(obj.get("level"))
-        and all(
-            isinstance(rec, dict) and rec.get("coeff").__class__ is int
-            and isinstance(rec.get("point"), dict)
-            and _is_level(rec["point"].get("level"))
-            and _int_list(rec["point"].get("rep"))
-            for rec in entries
-        )
-    ):
-        raise UsageError(
-            f"{what} must be a JSON object with a positive integer level and "
-            'entries [{"point": {"level": n, "rep": [...]}, "coeff": c}] of '
-            "integers"
-        )
-    try:
-        return MassZeroVector.from_json(p, d, obj)
-    except ValueError as e:
-        raise UsageError(f"bad distribution: {e}")
+    return _build(what, MassZeroVector.from_json, p, d, _load_json_arg(text, what))
 
 
 def _load_distribution(args):
@@ -298,7 +238,7 @@ def cmd_building_ball(args):
 
 def cmd_building_neighbors(args):
     rows = _load_json_arg(args.vertex, "--vertex")
-    vertex = _parse_lattice(args.p, rows, "--vertex").homothety_rep()
+    vertex = _build("--vertex", Lattice.from_rows, args.p, rows).homothety_rep()
     _check_cap(_degree(args.p, vertex.dim), "DRINFELD_MAX_COUNT",
                "neighbor count")
     records = [
@@ -378,23 +318,18 @@ def cmd_dist_check(args):
 
 def cmd_lambda(args):
     sigma = _parse_chain(args.p, args.edge)
+    if sigma.k != 1:
+        raise UsageError("--edge must be a chain of two lattices")
     pair = _load_json_arg(args.pair, "--pair")
-    size = sigma.dim + 1
-    if not (
-        isinstance(pair, list) and len(pair) == 2
-        and all(_int_list(v) and len(v) == size and any(v) for v in pair)
-    ):
-        raise UsageError(
-            f"--pair must be a JSON list of two nonzero lists of {size} "
-            "integers"
-        )
-    a, b = map(tuple, pair)
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise UsageError("--pair must be a JSON list of two covectors")
     record = {
         "edge": sigma.to_json()["chain"],
-        "pair": [list(a), list(b)],
-        "value": lambda_edge(sigma, a, b),
+        "pair": pair,
+        "value": _build("--pair", lambda_edge, sigma, *pair),
     }
     if args.oracle:
+        a, b = map(tuple, pair)
         rng = random.Random(args.seed)
         table = oracle_slope_table(sigma, [a, b], e_oracle=args.e_oracle,
                                    rng=rng, check_membership=False)

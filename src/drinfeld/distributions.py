@@ -8,6 +8,7 @@ pushforward of the next) are bundled as families.
 
 from __future__ import annotations
 
+from .intlinalg import require_int
 from .projpoints import ProjPoint, act, enumerate_points
 
 
@@ -24,7 +25,10 @@ class MassZeroVector:
         self.dim = dim
         table = {}
         for pt, c in dict(entries).items():
-            if pt.p != p or pt.level != level or pt.dim != dim:
+            if pt.dim != dim:
+                raise ValueError(f"a point of dimension {pt.dim} in a "
+                                 f"distribution of dimension {dim}")
+            if pt.p != p or pt.level != level:
                 raise ValueError("distribution entries live at mixed levels")
             if c:
                 table[pt] = table.get(pt, 0) + c
@@ -80,8 +84,7 @@ class MassZeroVector:
         return (-1) * self
 
     def __rmul__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("distributions scale by integers")
+        require_int(k, "a distribution scalar")
         return MassZeroVector(
             self.p, self.level, self.dim, {pt: k * c for pt, c in self._table.items()}
         )
@@ -116,11 +119,20 @@ class MassZeroVector:
 
     @staticmethod
     def from_json(p, dim, obj):
-        entries = {}
+        """The vector of a to_json record: TypeError for a record of another
+        shape or a value that is not an int (a bool or float is not one),
+        ValueError for a level below 1 or a vector __init__ refuses."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+            raise TypeError('a distribution must be {"level": n, "entries": [...]}')
+        level = require_int(obj.get("level"), "a distribution level", least=1)
+        table = {}
         for rec in obj["entries"]:
-            pt = ProjPoint.from_json(p, rec["point"])
-            entries[pt] = entries.get(pt, 0) + rec["coeff"]
-        return MassZeroVector(p, obj["level"], dim, entries)
+            if not isinstance(rec, dict):
+                raise TypeError('an entry must be {"point": {...}, "coeff": c}')
+            pt = ProjPoint.from_json(p, rec.get("point"))
+            c = require_int(rec.get("coeff"), "a coefficient")
+            table[pt] = table.get(pt, 0) + c
+        return MassZeroVector(p, level, dim, table)
 
 
 def basis_mass_zero(p, n, d):

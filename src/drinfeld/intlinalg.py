@@ -14,6 +14,30 @@ from math import gcd, prod
 from operator import mul
 
 
+def require_int(x, what, least=None):
+    """x, if its class is exactly int (a bool, float or Fraction is not an
+    integer here): TypeError otherwise, and ValueError below `least`."""
+    if x.__class__ is not int:
+        raise TypeError(f"{what} must be an int, not {type(x).__name__} {x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be at least {least}, got {x}")
+    return x
+
+
+def require_ints(values, what, size=None):
+    """values, if a list or tuple of ints as require_int has them (`size` of
+    them, when given): TypeError or ValueError otherwise.  The classes are
+    collected in one pass at C speed; require_int names an offender."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{what} must be a list of ints, not {type(values).__name__}")
+    if not set(map(type, values)) <= {int}:
+        for x in values:
+            require_int(x, f"an entry of {what}")
+    if size is not None and len(values) != size:
+        raise ValueError(f"{what} must have {size} entries, got {len(values)}")
+    return values
+
+
 def pval(x, p):
     """p-adic valuation of a nonzero int or Fraction.  Raises on zero."""
     if x == 0:

@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .intlinalg import solve_mod
+from .intlinalg import require_int, solve_mod
 
 MAX_E = 4
 MAX_F = 3
@@ -196,7 +196,7 @@ class FieldElem:
 
     @staticmethod
     def from_int(desc, n):
-        if n == 0:
+        if require_int(n, "an integer element") == 0:
             return FieldElem.zero(desc)
         coeffs = [0] * (desc.e * desc.f)
         coeffs[0] = n % desc.coeff_modulus
@@ -238,12 +238,12 @@ class FieldElem:
 
     @staticmethod
     def from_coeffs(desc, rows, shift=0):
-        """rows: length e*f vector of ints (not bool or float) in basis
-        pi^i omega^j."""
+        """pi^shift times the digits rows, a length e*f vector of ints (not
+        bool or float) in basis pi^i omega^j; the shift is an int too."""
+        require_int(shift, "a shift")
         raw = list(rows)
         for c in raw:
-            if c.__class__ is not int:
-                raise TypeError(f"a digit must be an int, not {type(c).__name__}")
+            require_int(c, "a digit")
         if len(raw) != desc.e * desc.f:
             raise ValueError(
                 f"a digit vector needs exactly {desc.e * desc.f} digits "
@@ -453,9 +453,7 @@ def _coerce(desc, x):
         if x.desc is not desc and x.desc != desc:
             raise ValueError("mixed field descriptions")
         return x
-    if isinstance(x, int):
-        return FieldElem.from_int(desc, x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into FieldElem")
+    return FieldElem.from_int(desc, x)
 
 
 def _shift_poly(desc, coeffs, k):

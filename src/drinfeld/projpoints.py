@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import matinv_mod, vecmat
+from .intlinalg import matinv_mod, require_int, require_ints, vecmat
 
 
 def canonicalize(p, n, vec):
@@ -73,7 +73,13 @@ class ProjPoint:
 
     @staticmethod
     def from_json(p, obj):
-        return ProjPoint.make(p, obj["level"], obj["rep"])
+        """The point of a to_json record: TypeError for a record of another
+        shape or a value that is not an int (a bool or float is not one),
+        ValueError for a level below 1 or a rep that is not unimodular."""
+        if not isinstance(obj, dict):
+            raise TypeError('a point must be {"level": n, "rep": [...]}')
+        level = require_int(obj.get("level"), "a point level", least=1)
+        return ProjPoint.make(p, level, require_ints(obj.get("rep"), "a point rep"))
 
 
 def point_count(p, n, d):

@@ -21,6 +21,7 @@ from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
 from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
+from .intlinalg import require_ints
 from .padic import FieldDesc, PrecisionError, linear_forms
 from .projpoints import ProjPoint, enumerate_points
 
@@ -56,7 +57,13 @@ def slope(a, sigma):
 
 
 def lambda_edge(sigma, a, b):
-    """Residue of dlog(l_b/l_a) along the pointed edge: slope(b) - slope(a)."""
+    """Residue of dlog(l_b/l_a) along the pointed edge: slope(b) - slope(a).
+
+    Each covector must be a ProjPoint or a list of dim+1 ints, not all zero:
+    this checks it, slope on the hot path does not."""
+    for x in (a, b):
+        if not isinstance(x, ProjPoint):
+            require_ints(x, "a covector", size=sigma.dim + 1)
     return slope(b, sigma) - slope(a, sigma)
 
 

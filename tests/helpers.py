@@ -444,15 +444,11 @@ def reference_unit_inverse(desc, unit_coeffs):
 
 
 def reference_linear_form(a, z):
-    """sum a_i z_i for integer (or Fraction) scalars a and FieldElem vector z."""
+    """sum a_i z_i for integer scalars a and FieldElem vector z."""
     desc = z[0].desc
     acc = FieldElem.zero(desc)
     for ai, zi in zip(a, z):
-        if isinstance(ai, Fraction):
-            if ai == 0:
-                continue
-            acc = acc + FieldElem.from_rational(desc, ai) * zi
-        elif ai:
+        if ai:
             acc = acc + ai * zi
     return acc
 

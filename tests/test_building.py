@@ -582,3 +582,19 @@ def test_cached_derived_data_is_invisible(pd, seed):
         assert bare == lat and hash(bare) == hash(lat)
         assert bare.to_json() == lat.to_json()
         assert bare.adj_data() == cached
+
+
+@pytest.mark.parametrize("rows, scale, error, match", [
+    ([[True, 0], [0, 1]], 0, TypeError, "lattice row"),
+    ([[1, 0], [0, 1]], 1.5, TypeError, "lattice scale"),
+    ([[1, 0], [0, 1]], True, TypeError, "lattice scale"),
+    ([], 0, ValueError, "non-empty"),
+    ([[1, 0], [0]], 0, ValueError, "equal length"),
+    ([[1], [0, 1]], 0, ValueError, "equal length"),
+], ids=["bool-entry", "fraction-scale", "bool-scale", "no-rows", "short-row",
+        "long-row"])
+def test_from_rows_refuses_values_that_are_not_ints(rows, scale, error, match):
+    # a bool entry or a fractional scale used to build a lattice, and no rows
+    # or ragged rows raised IndexError
+    with pytest.raises(error, match=match):
+        Lattice.from_rows(2, rows, scale)

@@ -237,6 +237,18 @@ def test_malformed_pair_is_usage_error(capsys, pair):
     assert captured.err.startswith("usage error: --pair")
 
 
+def test_lambda_on_a_chain_that_is_not_an_edge_is_usage_error(capsys):
+    # the refusal names --edge, not the --pair whose covectors lambda_edge
+    # checks in the same call
+    triangle = "[[[1,0,0],[0,1,0],[0,0,1]],[[2,0,0],[0,1,0],[0,0,1]]," \
+        "[[2,0,0],[0,2,0],[0,0,1]]]"
+    code = main(["lambda", "--p", "2", "--edge", triangle,
+                 "--pair", "[[1,0,0],[0,1,0]]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --edge")
+
+
 def test_sweep_lambda_summary(capsys):
     code, out = run(capsys, "sweep-lambda", "--p", "2", "--d", "1",
                     "--radius", "1")

@@ -117,3 +117,43 @@ def test_json_roundtrip():
     assert all(set(rec) == {"point", "coeff"} for rec in obj["entries"])
     back = MassZeroVector.from_json(3, 1, obj)
     assert back == mu
+
+
+def record(level, *entries, point_level=1):
+    return {"level": level, "entries": [
+        {"point": {"level": point_level, "rep": rep}, "coeff": c}
+        for rep, c in entries
+    ]}
+
+
+@pytest.mark.parametrize("obj, error, match", [
+    (record(1, ([1, 0], 1.5), ([0, 1], -1.5)), TypeError, "coefficient"),
+    (record(1, ([1, 0], True), ([0, 1], -1)), TypeError, "coefficient"),
+    (record(True, ([1, 0], 1), ([0, 1], -1)), TypeError, "distribution level"),
+    (record(1.0), TypeError, "distribution level"),
+    (record(0), ValueError, "at least 1"),
+    (record(1, ([1, 0], 1), ([0, 1], -1), point_level=1.0), TypeError,
+     "point level"),
+    (record(1, ([1, 0.5], 1), ([0, 1], -1)), TypeError, "point rep"),
+], ids=["fraction-coeffs", "bool-coeff", "bool-level", "float-level",
+        "level-0", "float-point-level", "fraction-rep"])
+def test_from_json_refuses_values_that_are_not_ints(obj, error, match):
+    # each of these used to be read as a vector: 1.5 and -1.5 as
+    # coefficients, true as the level 1 or the coefficient 1
+    with pytest.raises(error, match=match):
+        MassZeroVector.from_json(2, 1, obj)
+
+
+def test_from_json_names_a_dimension_mismatch():
+    mu = MassZeroVector.dirac_pair(*enumerate_points(2, 1, 1)[:2])
+    with pytest.raises(ValueError, match="point of dimension 1 in a "
+                       "distribution of dimension 2"):
+        MassZeroVector.from_json(2, 2, mu.to_json())
+
+
+@pytest.mark.parametrize("k", [True, 2.0, 1.5], ids=["bool", "float",
+                                                    "fraction"])
+def test_scaling_refuses_a_scalar_that_is_not_an_int(k):
+    mu = MassZeroVector.dirac_pair(*enumerate_points(2, 1, 1)[:2])
+    with pytest.raises(TypeError, match="distribution scalar"):
+        k * mu

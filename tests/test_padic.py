@@ -770,3 +770,19 @@ def test_trusted_digits_survive_at_triple_precision(p, e, f, extra, seed):
     norm_hi = normalize_unimodular([hi for _, hi in vec])
     for lo, hi in zip(norm_lo, norm_hi):
         check_trusted(lo, hi)
+
+
+@pytest.mark.parametrize("n", [1.5, True, 2.0, Fraction(1)],
+                         ids=["fraction", "bool", "float", "Fraction"])
+def test_from_int_refuses_values_that_are_not_ints(n):
+    # 1.5 used to become an element with the float digit 1.5
+    with pytest.raises(TypeError, match="must be an int"):
+        FieldElem.from_int(FieldDesc(p=2, e=2, f=1, N=40), n)
+
+
+@pytest.mark.parametrize("shift", [1.5, True, 1.0], ids=["fraction", "bool",
+                                                        "float"])
+def test_from_coeffs_refuses_a_shift_that_is_not_an_int(shift):
+    d = FieldDesc(p=2, e=2, f=1, N=40)
+    with pytest.raises(TypeError, match="shift must be an int"):
+        FieldElem.from_coeffs(d, [0, 1], shift)

@@ -174,3 +174,16 @@ def test_json_roundtrip():
     assert obj == {"level": 2, "rep": [3, 1]}
     assert ProjPoint.from_json(3, obj) == pt
 
+
+
+@pytest.mark.parametrize("obj, error, match", [
+    ({"level": 1, "rep": [1, 0.5]}, TypeError, "rep"),
+    ({"level": 1, "rep": [True, 0]}, TypeError, "rep"),
+    ({"level": 1.0, "rep": [1, 0]}, TypeError, "level"),
+    ({"level": True, "rep": [1, 0]}, TypeError, "level"),
+    ({"level": 0, "rep": [1, 0]}, ValueError, "at least 1"),
+], ids=["fraction-rep", "bool-rep", "float-level", "bool-level", "level-0"])
+def test_from_json_refuses_values_that_are_not_ints(obj, error, match):
+    # rep [1, 0.5] used to be kept as the point (1, 0.5)
+    with pytest.raises(error, match=match):
+        ProjPoint.from_json(2, obj)

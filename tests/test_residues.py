@@ -427,3 +427,18 @@ def test_cochain_table_rejects_out_of_range_entries():
     b = ProjPoint.make(2, 1, (0, 1))
     with pytest.raises(ValueError):
         CochainTable([(edge, (a, b), 2)])
+
+
+@pytest.mark.parametrize("a, error, match", [
+    ((True, 0), TypeError, "must be an int"),
+    ((1.5, 0), TypeError, "must be an int"),
+    ((1, 0, 0), ValueError, "2 entries"),
+    ((1,), ValueError, "2 entries"),
+    ("10", TypeError, "list of ints"),
+], ids=["bool", "fraction", "too-long", "too-short", "text"])
+def test_lambda_edge_refuses_covectors_that_are_not_dim_plus_1_ints(
+        a, error, match):
+    # a bool or a covector of the wrong length used to get a slope
+    for pair in ((a, (0, 1)), ((0, 1), a)):
+        with pytest.raises(error, match=match):
+            lambda_edge(std_edge(), *pair)
