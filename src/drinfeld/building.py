@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from math import gcd
 from operator import mul
 
@@ -32,6 +32,7 @@ from .intlinalg import (
     subspaces_modp,
     vecmat,
 )
+from .projpoints import canonical_reps
 
 
 def _primitive(p, rows):
@@ -334,17 +335,12 @@ class PointedSimplex:
     def tube_test_covectors(self):
         """For each chain index i, integer lifts of the classes of M_i/pM_i
         lying outside the image of M_{i+1}, one per projective class: the
-        coordinates in the basis of M_i run over the vectors mod p whose
-        first nonzero entry is 1.  Such a lift is primitive in M_i, and
-        pM_i <= M_{i+1}, so its class lies in that image exactly when the
-        lift lies in M_{i+1}, that is when its valuation there is >= 0."""
+        coordinates in the basis of M_i run over the canonical points of
+        P^d(F_p).  Such a lift is primitive in M_i, and pM_i <= M_{i+1},
+        so its class lies in that image exactly when the lift lies in
+        M_{i+1}, that is when its valuation there is >= 0."""
         p = self.p
-        size = self.dim + 1
-        classes = [
-            (0,) * lead + (1,) + tail
-            for lead in range(size)
-            for tail in product(range(p), repeat=size - 1 - lead)
-        ]
+        classes = list(canonical_reps(p, 1, self.dim))
         chain = self.lattices + (self.lattices[0].scaled(1),)
         out = []
         for mi, mnext in zip(chain, chain[1:]):

@@ -136,14 +136,16 @@ def _parse_point(args):
     )
 
 
-def _parse_chain(p, text, what="--edge"):
+def _parse_chain(p, text, what, edge=False):
     """A pointed chain: a JSON list (or {"chain": [...]}) of lattices, each a
-    row matrix or {"hnf": rows, "scale": s}."""
+    row matrix or {"hnf": rows, "scale": s}; of exactly two with edge."""
     obj = _load_json_arg(text, what)
     if isinstance(obj, dict):
         obj = obj.get("chain", obj)
     if not isinstance(obj, list) or not obj:
         raise UsageError(f"{what} must be a JSON chain of lattices")
+    if edge and len(obj) != 2:
+        raise UsageError(f"{what} must be a chain of two lattices")
     return _build(what, lambda: PointedSimplex.from_chain([
         Lattice.from_rows(p, item.get("hnf"), item.get("scale", 0))
         if isinstance(item, dict) else Lattice.from_rows(p, item)
@@ -317,9 +319,7 @@ def cmd_dist_check(args):
 
 
 def cmd_lambda(args):
-    sigma = _parse_chain(args.p, args.edge)
-    if sigma.k != 1:
-        raise UsageError("--edge must be a chain of two lattices")
+    sigma = _parse_chain(args.p, args.edge, "--edge", edge=True)
     pair = _load_json_arg(args.pair, "--pair")
     if not isinstance(pair, list) or len(pair) != 2:
         raise UsageError("--pair must be a JSON list of two covectors")
@@ -401,7 +401,7 @@ def cmd_alpha_converge(args):
 
 def cmd_alpha_residue(args):
     mu = _load_distribution(args)
-    sigma = _parse_chain(args.p, args.edge)
+    sigma = _parse_chain(args.p, args.edge, "--edge", edge=True)
     _check_dimension(mu, sigma.dim, "the edge")
     left, right = residue_round_trip(mu, sigma,
                                      require_local=not args.allow_shallow)
@@ -561,16 +561,20 @@ COMMANDS = {
                        {"p": None, "d": None, "seed": 0}),
 }
 
-# Flags that size the work, with the environment variable that caps them.
+# Flags that size the work: the least value each takes, and the environment
+# variable that caps it (None: a floor only).
 CAPS = {
-    "n": "DRINFELD_MAX_LEVEL",
-    "nprime": "DRINFELD_MAX_LEVEL",
-    "level": "DRINFELD_MAX_LEVEL",
-    "d": "DRINFELD_MAX_DIM",
-    "radius": "DRINFELD_MAX_RADIUS",
-    "size": "DRINFELD_MAX_COUNT",
-    "families": "DRINFELD_MAX_COUNT",
-    "translates": "DRINFELD_MAX_COUNT",
+    "n": (1, "DRINFELD_MAX_LEVEL"),
+    "nprime": (1, "DRINFELD_MAX_LEVEL"),
+    "level": (1, "DRINFELD_MAX_LEVEL"),
+    "i": (1, "DRINFELD_MAX_LEVEL"),
+    "certified-level": (1, "DRINFELD_MAX_LEVEL"),
+    "d": (0, "DRINFELD_MAX_DIM"),
+    "radius": (0, "DRINFELD_MAX_RADIUS"),
+    "size": (0, "DRINFELD_MAX_COUNT"),
+    "coeff-bound": (0, None),
+    "families": (0, "DRINFELD_MAX_COUNT"),
+    "translates": (0, "DRINFELD_MAX_COUNT"),
 }
 
 
@@ -597,7 +601,8 @@ def _build_parser():
 
 def _check_args(args):
     """The checks of single flags, before any work: required flags, a
-    prime --p, --N against MAX_N, and every capped flag against its cap."""
+    prime --p, --N against MAX_N, and every flag of CAPS against its floor
+    and its cap."""
     for flag, default in COMMANDS[args.words][2].items():
         dest = FLAGS[flag].get("dest", flag.replace("-", "_"))
         if default is REQUIRED and getattr(args, dest) is None:
@@ -606,9 +611,11 @@ def _check_args(args):
         raise UsageError(f"--p must be a prime number, got {args.p}")
     if getattr(args, "N", None) is not None and args.N > MAX_N:
         raise UsageError(f"--N {args.N} exceeds the ceiling MAX_N={MAX_N}")
-    for flag, cap_name in CAPS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    for flag, (least, cap_name) in CAPS.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be at least {least}, got {value}")
+        if value is not None and cap_name:
             _check_cap(value, cap_name, f"--{flag}")
 
 

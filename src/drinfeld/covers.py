@@ -143,19 +143,13 @@ def reduce_to_building(z, level=None, self_check=True):
     the point (valuation spread too large).  Valuations stay ints in
     pi-units: the radius of a section value t is (t mod e)/e, and a
     covector enters the lattice of radius c/e scaled by p^ceil((c-t)/e)."""
-    if level is not None:
-        levels = [level]
-    else:
-        levels = range(1, MAX_CERTIFY_LEVEL + 1)
+    levels = range(1, MAX_CERTIFY_LEVEL + 1) if level is None else [level]
     e = z.desc.e
-    profile = None
-    used = None
-    for n in levels:
-        profile = pi_profile(z, n)
-        if max(profile.values()) < n * e:  # min is 0 after normalization
-            used = n
+    for used in levels:
+        profile = pi_profile(z, used)
+        if max(profile.values()) < used * e:  # min is 0 after normalization
             break
-    if used is None:
+    else:
         raise ValueError(
             "level cannot certify the reduction; the point sits too deep"
         )
@@ -166,8 +160,6 @@ def reduce_to_building(z, level=None, self_check=True):
         rows = []
         exps = [(a, -((t - c) // e)) for a, t in profile.items()]
         shift = -min(m for _, m in exps)
-        if shift < 0:
-            shift = 0
         for a, m in exps:
             scale = p ** (m + shift)
             rows.append([scale * x for x in a.lift_vector()])

@@ -237,29 +237,13 @@ def matinv_mod(mat, p, k):
     return solve_mod(mat, identity(len(mat)), p, k)
 
 
-def in_span_modp(basis_rref, pivots, v, p):
-    """Membership of v in the row space given by a precomputed RREF."""
-    v = [x % p for x in v]
-    for row, c in zip(basis_rref, pivots):
-        if v[c]:
-            f = v[c]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
-
-
 def complete_basis_modp(current, candidates, p):
-    """Greedily extend `current` by rows from `candidates` to a larger independent set.
-
-    A candidate is added exactly when it lies outside the span of the rows
-    so far.  Returns the added rows reduced mod p, in order.
-    """
-    added = []
-    echelon = rref_modp(current, p)
-    for cand in candidates:
-        if not in_span_modp(*echelon, cand, p):
-            added.append(tuple(x % p for x in cand))
-            echelon = rref_modp([*current, *added], p)
-    return added
+    """The candidates that raise the rank over F_p of the rows before them,
+    reduced mod p, in order: the pivot columns of rref_modp of the matrix
+    with the rows of current, then of candidates, as its columns."""
+    rows = [*current, *candidates]
+    _, pivots = rref_modp(list(zip(*rows)), p)
+    return [tuple(x % p for x in rows[c]) for c in pivots if c >= len(current)]
 
 
 def gaussian_binomial(n, k, p):

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 from operator import mul
 
@@ -71,19 +72,12 @@ def unramified_min_poly(p, f):
     if f == 1:
         return (0,)  # unused; omega is absent for f = 1
     assert f in (2, 3)
-    from itertools import product as iproduct
-
-    for coeffs in iproduct(range(p), repeat=f):
-        # coeffs = (c_0, ..., c_{f-1}), scanned lexicographically
-        def value(x):
-            acc = x**f
-            for i, c in enumerate(coeffs):
-                acc += c * x**i
-            return acc % p
-
-        if all(value(x) != 0 for x in range(p)):
-            return coeffs
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    # coeffs = (c_0, ..., c_{f-1}), scanned lexicographically
+    return next(
+        coeffs for coeffs in product(range(p), repeat=f)
+        if all((x**f + sum(c * x**i for i, c in enumerate(coeffs))) % p
+               for x in range(p))
+    )
 
 
 @dataclass(frozen=True)
@@ -158,20 +152,24 @@ class FieldDesc:
 
     def omega_power_table(self):
         """omega^t for t in [0, 2f-2] as integer vectors in basis omega^j."""
-        return _omega_powers(self.p, self.f)
+        return _omega_powers(self.p, self.f, 2 * self.f - 2)[: 2 * self.f - 1]
 
     def to_json(self):
         return {"p": self.p, "e": self.e, "f": self.f, "N": self.N}
 
 
-@lru_cache(maxsize=None)
-def _omega_powers(p, f):
-    rows = [tuple(1 if j == t else 0 for j in range(f)) for t in range(f)]
-    if f > 1:
-        low = unramified_min_poly(p, f)
-        for _ in range(f - 1):
-            rows.append(tuple(_omega_step(rows[-1], low)))
-    return tuple(rows)
+_OMEGA_POWERS = {}
+
+
+def _omega_powers(p, f, j):
+    """omega^t for t in [0, j] and beyond, as unreduced integer vectors in
+    basis omega^j: one table per (p, f >= 2), grown from 1 by _omega_step."""
+    rows = _OMEGA_POWERS.get((p, f))
+    if rows is None:
+        rows = _OMEGA_POWERS[p, f] = [(1,) + (0,) * (f - 1)]
+    while len(rows) <= j:
+        rows.append(tuple(_omega_step(rows[-1], unramified_min_poly(p, f))))
+    return rows
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -222,19 +220,13 @@ class FieldElem:
 
     @staticmethod
     def omega_power(desc, j):
-        if desc.f == 1:
+        """omega^j for an int j >= 0 from the omega table (1 at f = 1)."""
+        require_int(j, "an omega exponent", least=0)
+        f, mod = desc.f, desc.coeff_modulus
+        if f == 1:
             return FieldElem.one(desc)
-        if j < 0 or j > 2 * desc.f - 2:
-            acc = FieldElem.one(desc)
-            w = FieldElem.omega(desc)
-            for _ in range(abs(j)):
-                acc = acc * w if j > 0 else acc / w
-            return acc
-        coeffs = [0] * (desc.e * desc.f)
-        vec = desc.omega_power_table()[j]
-        for jj, c in enumerate(vec):
-            coeffs[jj] = c % desc.coeff_modulus
-        return FieldElem(desc, 0, tuple(coeffs), desc.work_prec)
+        row = [c % mod for c in _omega_powers(desc.p, f, j)[j]]
+        return FieldElem(desc, 0, tuple(row + [0] * (desc.e - 1) * f), desc.work_prec)
 
     @staticmethod
     def from_coeffs(desc, rows, shift=0):
@@ -249,14 +241,11 @@ class FieldElem:
                 f"a digit vector needs exactly {desc.e * desc.f} digits "
                 f"(e*f), got {len(raw)}"
             )
-        mod = desc.coeff_modulus
-        coeffs = tuple(c % mod for c in raw)
-        # only an all-zero input is exact; digits that merely vanish modulo
-        # p^coeff_exponent leave an inexact zero, as in from_int
+        # only an all-zero input is exact, at any shift; digits that merely
+        # vanish modulo p^coeff_exponent leave an inexact zero, as in from_int
         if not any(raw):
-            return FieldElem.zero(desc) if shift == 0 else FieldElem(
-                desc, shift, coeffs, desc.work_prec, True
-            )
+            return FieldElem.zero(desc)
+        coeffs = tuple(c % desc.coeff_modulus for c in raw)
         return FieldElem(desc, shift, coeffs, desc.work_prec)
 
     # -- structure helpers ---------------------------------------------------
@@ -357,7 +346,7 @@ class FieldElem:
         return _coerce(self.desc, other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is int:
             return self._scale_int(other)
         desc = self.desc
         if other.__class__ is not FieldElem or other.desc is not desc:
@@ -373,7 +362,7 @@ class FieldElem:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is int:
             return self._scale_int(other)
         return _coerce(self.desc, other) * self
 

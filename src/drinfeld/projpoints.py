@@ -10,6 +10,7 @@ preserves canonical form, so level maps act coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .intlinalg import matinv_mod, require_int, require_ints, vecmat
 
@@ -82,32 +83,34 @@ class ProjPoint:
         return ProjPoint.make(p, level, require_ints(obj.get("rep"), "a point rep"))
 
 
+def _require_shape(n, d):
+    require_int(n, "a level", least=1)
+    require_int(d, "a dimension", least=0)
+
+
 def point_count(p, n, d):
     """|P^d(Z/p^n)| in closed form."""
+    _require_shape(n, d)
     return p ** ((n - 1) * d) * (p ** (d + 1) - 1) // (p - 1)
 
 
-def enumerate_points(p, n, d):
-    """All canonical points, ordered by pivot position then odometer on the
-    free coordinates."""
+def canonical_reps(p, n, d):
+    """The canonical representatives of P^d(Z/p^n), checked at the call:
+    by pivot (the first unit coordinate, 1), then lexicographically, with
+    multiples of p mod p^n before the pivot and any residue after it."""
+    _require_shape(n, d)
     mod = p**n
-    out = []
-    for pivot in range(d + 1):
-        prefix_choices = p ** (n - 1)  # multiples of p mod p^n
-        suffix_choices = mod
-        total = prefix_choices**pivot * suffix_choices ** (d - pivot)
-        for idx in range(total):
-            rep = [0] * (d + 1)
-            t = idx
-            for j in range(d, pivot, -1):
-                rep[j] = t % suffix_choices
-                t //= suffix_choices
-            for j in range(pivot - 1, -1, -1):
-                rep[j] = p * (t % prefix_choices)
-                t //= prefix_choices
-            rep[pivot] = 1
-            out.append(ProjPoint(p, n, tuple(rep)))
-    return out
+    before, after = range(0, mod, p), range(mod)
+    return (
+        free[:pivot] + (1,) + free[pivot:]
+        for pivot in range(d + 1)
+        for free in product(*[before] * pivot, *[after] * (d - pivot))
+    )
+
+
+def enumerate_points(p, n, d):
+    """All canonical points, in the order of canonical_reps."""
+    return [ProjPoint(p, n, rep) for rep in canonical_reps(p, n, d)]
 
 
 def act(g, pt):

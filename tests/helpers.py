@@ -16,7 +16,6 @@ from drinfeld.covers import (
     tube_test_covectors,
 )
 from drinfeld.intlinalg import (
-    in_span_modp,
     matmul,
     pval,
     rref_modp,
@@ -891,6 +890,37 @@ def reference_rref_modp(rows, p):
         if r == nrows:
             break
     return tuple(tuple(m[i]) for i in range(r)), tuple(pivots)
+
+
+# Reference F_p span test and basis completion: intlinalg.in_span_modp and
+# complete_basis_modp as they were before the completion read the pivot
+# columns of one rref_modp, kept verbatim.  The span test stays for the
+# references that read membership off an echelon form.
+
+
+def in_span_modp(basis_rref, pivots, v, p):
+    """Membership of v in the row space given by a precomputed RREF."""
+    v = [x % p for x in v]
+    for row, c in zip(basis_rref, pivots):
+        if v[c]:
+            f = v[c]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
+
+
+def reference_complete_basis_modp(current, candidates, p):
+    """Greedily extend `current` by rows from `candidates` to a larger independent set.
+
+    A candidate is added exactly when it lies outside the span of the rows
+    so far.  Returns the added rows reduced mod p, in order.
+    """
+    added = []
+    echelon = rref_modp(current, p)
+    for cand in candidates:
+        if not in_span_modp(*echelon, cand, p):
+            added.append(tuple(x % p for x in cand))
+            echelon = rref_modp([*current, *added], p)
+    return added
 
 
 def rank_int(rows):

@@ -18,7 +18,6 @@ from drinfeld.intlinalg import (
     hnf_adjugate,
     hnf_det,
     hnf_rows,
-    in_span_modp,
     matmul,
     pval,
     rref_modp,
@@ -26,6 +25,7 @@ from drinfeld.intlinalg import (
 )
 from helpers import (
     covector_coordinates,
+    in_span_modp,
     proper_faces,
     random_gl_integer,
     random_pointed_simplex,

@@ -249,6 +249,19 @@ def test_lambda_on_a_chain_that_is_not_an_edge_is_usage_error(capsys):
     assert captured.err.startswith("usage error: --edge")
 
 
+def test_alpha_residue_on_a_chain_that_is_not_an_edge_is_usage_error(capsys):
+    # the chain is refused as an --edge before any slope is taken, as lambda
+    # refuses it, also when the locality guard is off
+    triangle = "[[[1,0,0],[0,1,0],[0,0,1]],[[2,0,0],[0,1,0],[0,0,1]]," \
+        "[[2,0,0],[0,2,0],[0,0,1]]]"
+    mu = dist_random_d2(capsys)
+    code = main(["alpha", "residue", "--p", "2", "--d", "2", "--dist", mu,
+                 "--edge", triangle, "--allow-shallow"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --edge must be a chain of two")
+
+
 def test_sweep_lambda_summary(capsys):
     code, out = run(capsys, "sweep-lambda", "--p", "2", "--d", "1",
                     "--radius", "1")
@@ -600,6 +613,46 @@ def test_count_flags_at_the_cap_run(capsys, monkeypatch):
     code, out = run(capsys, "alpha", "equivariance", "--p", "3",
                     "--translates", "12")
     assert code == 0 and len(records(out)) == 12
+
+
+POINT_ARGS = ("--p", "2", "--e", "2", "--N", "40", "--coords", "[1, [0,1]]")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("n", ("points", "--p", "2", "--d", "1", "--n", "0")),
+    ("d", ("points", "--p", "2", "--d", "-1", "--n", "1")),
+    ("n", ("dist", "random", "--p", "2", "--d", "1", "--n", "0")),
+    ("size", ("dist", "random", "--p", "2", "--d", "1", "--n", "1",
+              "--size", "-1")),
+    ("coeff-bound", ("dist", "random", "--p", "2", "--d", "1", "--n", "1",
+                     "--coeff-bound", "-1")),
+    ("level", ("tau", *POINT_ARGS, "--level", "0")),
+    ("level", ("tau", *POINT_ARGS, "--level", "-1")),
+    ("n", ("cover", *POINT_ARGS, "--n", "0")),
+    ("certified-level", ("alpha", "eval", "--d", "1", "--dist", MU,
+                         *POINT_ARGS, "--certified-level", "0")),
+    ("i", ("alpha", "converge", "--p", "2", "--i", "0")),
+    ("nprime", ("alpha", "converge", "--p", "2", "--nprime", "0")),
+    ("families", ("alpha", "converge", "--p", "2", "--families", "-1")),
+    ("i", ("alpha", "equivariance", "--p", "3", "--i", "0")),
+    ("n", ("alpha", "equivariance", "--p", "3", "--n", "0")),
+    ("translates", ("alpha", "equivariance", "--p", "3",
+                    "--translates", "-1")),
+    ("radius", ("building", "ball", "--p", "2", "--d", "1",
+                "--radius", "-1")),
+    ("radius", ("sweep-lambda", "--p", "2", "--d", "1", "--radius", "-1")),
+])
+def test_flags_below_their_floor_are_usage_errors(capsys, flag, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage error: --{flag} must be at least")
+
+
+def test_points_of_dimension_zero(capsys):
+    code, out = run(capsys, "points", "--p", "3", "--d", "0", "--n", "2")
+    assert code == 0
+    assert records(out) == [{"p": 3, "d": 0, "level": 2, "rep": [1]}]
 
 
 def test_out_file_sink(capsys, tmp_path):

@@ -11,7 +11,6 @@ from drinfeld.intlinalg import (
     gaussian_binomial,
     hnf_adjugate,
     hnf_rows,
-    in_span_modp,
     inv_scaled,
     matinv_mod,
     matmul,
@@ -30,6 +29,7 @@ from drinfeld.residues import pairing_matrix
 
 from helpers import (
     rank_int,
+    reference_complete_basis_modp,
     reference_det_int,
     reference_inv_scaled,
     reference_rref_modp,
@@ -307,11 +307,7 @@ def test_solve_mod_refuses_a_matrix_singular_mod_p():
 
 def test_rref_and_span():
     rows = [[1, 2, 0], [0, 0, 1]]
-    r, piv = rref_modp(rows, 3)
-    assert piv == (0, 2)
-    assert in_span_modp(r, piv, [1, 2, 1], 3)
-    assert in_span_modp(r, piv, [2, 4, 0], 3)
-    assert not in_span_modp(r, piv, [0, 1, 0], 3)
+    assert rref_modp(rows, 3) == (((1, 2, 0), (0, 0, 1)), (0, 2))
     assert len(rref_modp([[2, 4], [1, 2]], 3)[0]) == 1
 
 
@@ -327,6 +323,22 @@ def test_complete_basis():
             ]
             added = complete_basis_modp(start, cands, p)
             assert len(rref_modp(start + added, p)[0]) == n
+
+
+def test_complete_basis_matches_the_span_test_reference():
+    """The rank comparison adds the same candidates as the span test of
+    the reference, including repeated, dependent and zero candidates."""
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(1, 4)
+        current = [[rng.randrange(-p, 2 * p) for _ in range(n)]
+                   for _ in range(rng.randint(0, n))]
+        cands = [[rng.randrange(-p, 2 * p) for _ in range(n)]
+                 for _ in range(rng.randint(0, 2 * n))]
+        cands += rng.sample(cands, len(cands) // 2)
+        assert complete_basis_modp(current, cands, p) == \
+            reference_complete_basis_modp(current, cands, p)
 
 
 # subspace counts match the Gaussian binomial

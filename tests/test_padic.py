@@ -786,3 +786,40 @@ def test_from_coeffs_refuses_a_shift_that_is_not_an_int(shift):
     d = FieldDesc(p=2, e=2, f=1, N=40)
     with pytest.raises(TypeError, match="shift must be an int"):
         FieldElem.from_coeffs(d, [0, 1], shift)
+
+
+def test_a_bool_is_no_integer_scalar():
+    # x * True used to scale by 1, although x + True refuses the bool
+    x = FieldElem.from_coeffs(FieldDesc(p=2, e=2, f=1, N=20), [1, 1])
+    for op in (lambda: x * True, lambda: True * x, lambda: x + True):
+        with pytest.raises(TypeError, match="must be an int"):
+            op()
+    assert x * 1 == 1 * x == x
+
+
+@pytest.mark.parametrize("e, f", [(1, 1), (2, 1), (1, 2), (2, 3)])
+@pytest.mark.parametrize("shift", [-2, 0, 3])
+def test_all_zero_digits_are_the_exact_zero_at_any_shift(e, f, shift):
+    d = FieldDesc(p=3, e=e, f=f, N=6 * e)
+    zero = FieldElem.zero(d)
+    assert FieldElem.from_coeffs(d, [0] * (e * f), shift) == zero
+    assert zero.times_pi_power(shift) == zero
+
+
+@pytest.mark.parametrize("p, e, f", [(2, 1, 2), (3, 2, 2), (2, 1, 3),
+                                     (3, 3, 3)])
+def test_omega_power_is_the_product_of_omegas(p, e, f):
+    d = FieldDesc(p=p, e=e, f=f, N=8 * e)
+    w = FieldElem.omega(d)
+    acc = FieldElem.one(d)
+    for j in range(2 * f + 3):
+        assert FieldElem.omega_power(d, j) == acc, j
+        acc = acc * w
+    with pytest.raises(ValueError, match="at least 0"):
+        FieldElem.omega_power(d, -1)
+
+
+def test_omega_power_at_f_1_is_one():
+    d = FieldDesc(p=3, e=2, f=1, N=12)
+    for j in range(4):
+        assert FieldElem.omega_power(d, j) == FieldElem.one(d)

@@ -10,6 +10,7 @@ from drinfeld.intlinalg import matmul
 from drinfeld.projpoints import (
     ProjPoint,
     act,
+    canonical_reps,
     canonicalize,
     canonicalize_last,
     enumerate_points,
@@ -55,6 +56,34 @@ def test_known_counts():
     assert point_count(2, 1, 2) == 7
     assert point_count(3, 1, 2) == 13
     assert len(enumerate_points(3, 2, 1)) == 12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_points(2, 0, 1),
+    lambda: point_count(2, 0, 1),
+    lambda: enumerate_points(2, 1, -1),
+    lambda: point_count(2, 1, -1),
+    lambda: canonical_reps(3, -1, 2),
+], ids=["enumerate-level-0", "count-level-0", "enumerate-dim-minus-1",
+        "count-dim-minus-1", "reps-level-minus-1"])
+def test_a_level_below_1_or_a_dimension_below_0_is_refused(call):
+    # these used to give a TypeError from range(float), the float 1.0 and
+    # an empty list
+    with pytest.raises(ValueError, match="must be at least"):
+        call()
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 0), (2, 2, 2), (3, 2, 2), (2, 1, 3),
+                                   (5, 2, 1), (2, 3, 2)])
+def test_enumeration_order_is_pivot_then_lexicographic(p, n, d):
+    reps = [pt.rep for pt in enumerate_points(p, n, d)]
+    assert reps == list(canonical_reps(p, n, d))
+
+    def key(rep):
+        lead = pivot(ProjPoint(p, n, rep))
+        return lead, rep[:lead] + rep[lead + 1:]
+
+    assert reps == sorted(reps, key=key)
 
 
 def test_canonical_form_shape():
