@@ -64,14 +64,14 @@ def random_unimodular(size, rng):
     return mat
 
 
-def _dual_pair(p, N=40):
-    """Two distinct certified points on the middle of the base edge."""
-    desc = FieldDesc(p=p, e=2, N=N)
-    pi = FieldElem.pi(desc)
-    one = FieldElem.one(desc)
-    z1 = SymmetricSpacePoint([one, pi])
-    z2 = SymmetricSpacePoint([one, pi + pi**3])
-    return desc, z1, z2
+def _dual_pair(p, N=40, d=1):
+    """Two distinct certified points of P^d over e = d + 1: (1, pi, ...,
+    pi^d), and the same with pi + pi^(d+2) at index 1."""
+    desc = FieldDesc(p=p, e=d + 1, N=N)
+    coords = [FieldElem.pi_power(desc, k) for k in range(d + 1)]
+    z1 = SymmetricSpacePoint(coords)
+    coords[1] = coords[1] + FieldElem.pi_power(desc, d + 2)
+    return desc, z1, SymmetricSpacePoint(coords)
 
 
 # --- checks: one per grid point ----------------------------------------------
@@ -339,11 +339,7 @@ def check_equivariance(seed, p, d, translates):
         rng = random.Random(seed * 1000 + 11)
         # size-3 transports stack several deep section cancellations, so
         # this point carries extra working digits
-        desc = FieldDesc(p=p, e=3, N=90)
-        pi = FieldElem.pi(desc)
-        one = FieldElem.one(desc)
-        z1 = SymmetricSpacePoint([one, pi, pi * pi])
-        z2 = SymmetricSpacePoint([one, pi + pi**4, pi * pi])
+        _, z1, z2 = _dual_pair(p, N=90, d=2)
     base1 = reduce_to_building(z1)
     cert_failures = 0
     tau_failures = 0

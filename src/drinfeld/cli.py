@@ -10,7 +10,8 @@ defaults and their caps are declared once in the command table at the end
 of this module.  Resource caps are read from DRINFELD_MAX_* environment
 variables and are checked, with the cardinality estimates, before any
 enumeration starts; --N, which sets the bigint size, has the fixed
-ceiling MAX_N."""
+ceiling MAX_N, and --p, which the primality test divides by trial, has
+the fixed ceiling MAX_P."""
 
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .distributions import MassZeroVector, random_family, random_mass_zero
 from .intlinalg import gaussian_binomial, inv_scaled
 from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
 from .products import alpha_level, evaluate_product, residue_round_trip
-from .projpoints import enumerate_points, point_count
+from .projpoints import REP_SYSTEMS, enumerate_points, point_count
 from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, sweep_oracle
 
 LOG = logging.getLogger("drinfeld")
@@ -61,6 +62,9 @@ DEFAULT_CAPS = {
 # Ceiling of --N: the commands default to 24 or 40 working digits and the
 # largest precision fixed inside the library is 90.
 MAX_N = 1000
+# Ceiling of --p, checked before the primality test: trial division takes
+# about 10 ms to prove 2^31 - 1 prime.
+MAX_P = 2**31 - 1
 
 
 class UsageError(Exception):
@@ -416,6 +420,8 @@ def cmd_alpha_residue(args):
 
 
 def cmd_alpha_equivariance(args):
+    if not args.i < args.n:
+        raise UsageError("need --i < --n")
     _check_point_estimate(args.p, args.n, 1)
     rng = random.Random(args.seed)
     desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
@@ -491,7 +497,7 @@ FLAGS = {
                "help": "cross-check against the sampling oracle"},
     "e-oracle": {"type": int},
     "certified-level": {"type": int},
-    "rep-system": {"choices": ("lex", "revlex")},
+    "rep-system": {"choices": REP_SYSTEMS},
     "i": {"type": int},
     "nprime": {"type": int},
     "families": {"type": int},
@@ -600,13 +606,15 @@ def _build_parser():
 
 
 def _check_args(args):
-    """The checks of single flags, before any work: required flags, a
-    prime --p, --N against MAX_N, and every flag of CAPS against its floor
-    and its cap."""
+    """The checks of single flags, before any work: required flags, --p
+    against MAX_P and then prime, --N against MAX_N, and every flag of
+    CAPS against its floor and its cap."""
     for flag, default in COMMANDS[args.words][2].items():
         dest = FLAGS[flag].get("dest", flag.replace("-", "_"))
         if default is REQUIRED and getattr(args, dest) is None:
             raise UsageError(f"missing --{flag}")
+    if args.p is not None and args.p > MAX_P:
+        raise UsageError(f"--p {args.p} exceeds the ceiling MAX_P={MAX_P}")
     if args.p is not None and not is_prime(args.p):
         raise UsageError(f"--p must be a prime number, got {args.p}")
     if getattr(args, "N", None) is not None and args.N > MAX_N:

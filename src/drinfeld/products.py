@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from .covers import member_open_cover
 from .distributions import MassZeroVector
 from .padic import FieldElem
+from .projpoints import REP_SYSTEMS
 from .residues import GLOBAL_SIGN, pair_distribution
-
-REP_SYSTEMS = ("lex", "revlex")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,10 @@ def canonicalize_last(p, n, vec):
     return canonicalize(p, n, tuple(vec)[::-1])[::-1]
 
 
+# The representative systems of ProjPoint.lift_vector.
+REP_SYSTEMS = ("lex", "revlex")
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """Canonical point of P^d(Z/p^level)."""

@@ -1023,3 +1023,28 @@ class CochainTable:
                 "pair": [list(a.rep), list(b.rep)],
                 "value": value,
             }
+
+
+# Reference certified point pairs: the parent's two-dimensional
+# certify._dual_pair and criterion 11's inline d = 2 pair, kept verbatim.
+
+
+def reference_dual_pair(p, N=40):
+    """Two distinct certified points on the middle of the base edge."""
+    desc = FieldDesc(p=p, e=2, N=N)
+    pi = FieldElem.pi(desc)
+    one = FieldElem.one(desc)
+    z1 = SymmetricSpacePoint([one, pi])
+    z2 = SymmetricSpacePoint([one, pi + pi**3])
+    return desc, z1, z2
+
+
+def reference_equivariance_pair(p):
+    # size-3 transports stack several deep section cancellations, so
+    # this point carries extra working digits
+    desc = FieldDesc(p=p, e=3, N=90)
+    pi = FieldElem.pi(desc)
+    one = FieldElem.one(desc)
+    z1 = SymmetricSpacePoint([one, pi, pi * pi])
+    z2 = SymmetricSpacePoint([one, pi + pi**4, pi * pi])
+    return desc, z1, z2

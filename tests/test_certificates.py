@@ -27,7 +27,12 @@ from drinfeld.intlinalg import inv_scaled
 from drinfeld.padic import FieldDesc, FieldElem
 from drinfeld.products import alpha_level, evaluate_ratio
 from drinfeld.projpoints import ProjPoint
-from helpers import check_trusted, reference_det_int
+from helpers import (
+    check_trusted,
+    reference_det_int,
+    reference_dual_pair,
+    reference_equivariance_pair,
+)
 
 RECORD_KEYS = {
     "kind", "inputs", "threshold", "measured_margin",
@@ -39,7 +44,18 @@ def fixed_family(p=2):
     top = MassZeroVector.dirac_pair(
         ProjPoint.make(p, 3, (1, 5)), ProjPoint.make(p, 3, (0, 1))
     )
-    return DistributionFamily.from_top(top, [1, 2, 3])
+    return DistributionFamily(top)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dual_pair_gives_the_inline_points(p):
+    for (desc, *got), (ref_desc, *ref) in [
+        (_dual_pair(p), reference_dual_pair(p)),
+        (_dual_pair(p, N=24), reference_dual_pair(p, N=24)),
+        (_dual_pair(p, 90, d=2), reference_equivariance_pair(p)),
+    ]:
+        assert desc == ref_desc
+        assert [z.to_json() for z in got] == [z.to_json() for z in ref]
 
 
 def test_unit_margin_reads_digits():

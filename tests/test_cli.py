@@ -2,10 +2,12 @@
 and byte-level reproducibility."""
 
 import json
+import time
 
 import pytest
 
-from drinfeld.cli import MAX_N, main
+from drinfeld.cli import MAX_N, MAX_P, main
+from drinfeld.projpoints import REP_SYSTEMS
 
 
 MU = json.dumps({
@@ -43,6 +45,32 @@ def test_invalid_prime_is_usage_error(capsys):
     code, out = run(capsys, "dist", "check", "--p", "4", "--d", "1",
                     "--dist", MU)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("tau", "--p", "1000000000000000003", "--coords", "[1, [0,1]]"),
+    ("points", "--p", str(MAX_P + 2), "--d", "0", "--n", "1"),
+], ids=["tau-1e18", "points-above-ceiling"])
+def test_prime_ceiling_is_checked_before_the_primality_test(capsys,
+                                                            monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("trial division started before the ceiling")
+
+    monkeypatch.setattr("drinfeld.cli.is_prime", no_work)
+    started = time.monotonic()
+    code = main(list(argv))
+    assert time.monotonic() - started < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("usage error: --p")
+    assert "MAX_P" in captured.err
+
+
+def test_prime_at_the_ceiling_runs(capsys):
+    code, out = run(capsys, "points", "--p", str(MAX_P), "--d", "0",
+                    "--n", "1")
+    assert code == 0
+    assert records(out) == [{"p": MAX_P, "d": 0, "level": 1, "rep": [1]}]
 
 
 def test_unknown_command_exits_2(capsys):
@@ -386,6 +414,36 @@ def test_alpha_equivariance_records(capsys):
     assert code == 0
     recs = records(out)
     assert len(recs) == 2 and all(r["pass"] for r in recs)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--translates", "0", "--i", "3", "--n", "2"),
+    ("--i", "2", "--n", "2"),
+], ids=["no-translates", "i-equals-n"])
+def test_alpha_equivariance_checks_the_level_order_before_work(
+        capsys, monkeypatch, argv):
+    # these used to exit 0 with no records and 1 with "need i < level"
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the level order check")
+
+    monkeypatch.setattr("drinfeld.cli.random_mass_zero", no_work)
+    monkeypatch.setattr("drinfeld.certify._dual_pair", no_work)
+    code = main(["alpha", "equivariance", "--p", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "usage error: need --i < --n\n"
+
+
+def test_rep_system_flag_takes_exactly_the_lift_systems(capsys):
+    point = ("alpha", "eval", "--p", "2", "--d", "1", "--e", "2", "--N", "40",
+             "--coords", "[1, [0,1]]", "--dist", MU)
+    for system in REP_SYSTEMS:
+        code, out = run(capsys, *point, "--rep-system", system)
+        assert code == 0
+        assert records(out)[0]["product"]["rep_system"] == system
+    with pytest.raises(SystemExit) as err:
+        main([*point, "--rep-system", "LEX"])
+    assert err.value.code == 2
 
 
 def test_reproducible_bytes(capsys):

@@ -26,6 +26,18 @@ def test_mass_zero_enforced():
     assert mu.coeff(a) == 2 and mu.coeff(b) == -2
 
 
+@pytest.mark.parametrize("pairs, a_coeff", [
+    ([("a", 1), ("b", -1), ("a", 0)], 1),
+    ([("a", 1), ("a", 1), ("b", -2)], 2),
+], ids=["zero-repeat", "double-repeat"])
+def test_repeated_points_add_up(pairs, a_coeff):
+    # an iterable of pairs used to keep only the last pair of a point, so
+    # both of these were refused as of nonzero mass
+    pts = {"a": ProjPoint.make(2, 1, (1, 0)), "b": ProjPoint.make(2, 1, (0, 1))}
+    mu = MassZeroVector(2, 1, 1, [(pts[name], c) for name, c in pairs])
+    assert mu == a_coeff * MassZeroVector.dirac_pair(pts["a"], pts["b"])
+
+
 def test_dirac_pair():
     a = ProjPoint.make(3, 1, (1, 0))
     b = ProjPoint.make(3, 1, (1, 1))
@@ -49,7 +61,7 @@ def test_module_arithmetic(seed):
     s = mu + nu
     assert sum(c for _, c in s.items()) == 0
     assert len(mu - mu) == 0
-    assert 2 * mu + (-2) * mu == MassZeroVector.zero(3, 2, 1)
+    assert 2 * mu + (-2) * mu == MassZeroVector(3, 2, 1)
     assert (mu + nu) - nu == mu
 
 
@@ -99,14 +111,16 @@ def test_family_compatibility_checked():
     rng = random.Random(3)
     fam = random_family(2, 3, 1, rng)
     assert fam.at(3).pushforward(1) == fam.at(1)
-    bad_top = random_mass_zero(2, 2, 1, rng)
-    while len(bad_top.pushforward(1)) == 0:
-        bad_top = random_mass_zero(2, 2, 1, rng)
-    other = random_mass_zero(2, 1, 1, rng)
-    while other == bad_top.pushforward(1):
-        other = random_mass_zero(2, 1, 1, rng)
-    with pytest.raises(ValueError):
-        DistributionFamily({1: other, 2: bad_top})
+
+
+def test_family_is_the_tower_of_its_top():
+    rng = random.Random(4)
+    for p, n, d in [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 1)]:
+        top = random_mass_zero(p, n, d, rng)
+        fam = DistributionFamily(top)
+        assert sorted(fam.layers) == list(range(1, n + 1))
+        for level in range(1, n + 1):
+            assert fam.at(level) == top.pushforward(level)
 
 
 def test_json_roundtrip():

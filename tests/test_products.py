@@ -20,7 +20,7 @@ from drinfeld.products import (
     evaluate_ratio,
     residue_round_trip,
 )
-from drinfeld.projpoints import ProjPoint
+from drinfeld.projpoints import REP_SYSTEMS, ProjPoint, enumerate_points
 from drinfeld.residues import pair_distribution
 
 
@@ -74,7 +74,7 @@ def test_alpha_is_additive():
 
 
 def test_zero_vector_integrates_to_one():
-    u = alpha_level(MassZeroVector.zero(2, 1, 1))
+    u = alpha_level(MassZeroVector(2, 1, 1))
     assert len(u.mu) == 0
     z = ramified_point()
     value = evaluate_product(u, z)
@@ -113,6 +113,19 @@ def test_factor_window_validated():
         MassZeroVector(2, 1, 1, {
             ProjPoint.make(2, 2, (1, 0)): 1, ProjPoint.make(2, 1, (0, 1)): -1,
         })
+
+
+def test_formal_products_take_exactly_the_lift_systems():
+    mu = dirac(2, 2, (1, 3), (1, 0))
+    for system in REP_SYSTEMS:
+        assert FormalProduct(mu, system).rep_system == system
+        for pt in enumerate_points(2, 2, 1):
+            assert ProjPoint.make(2, 2, pt.lift_vector(system)) == pt
+    for system in ("LEX", "rev", ""):
+        with pytest.raises(ValueError, match="representative system"):
+            FormalProduct(mu, system)
+        with pytest.raises(ValueError, match="representative system"):
+            ProjPoint.make(2, 1, (1, 0)).lift_vector(system)
 
 
 def test_rep_systems_change_lifts_not_residues():
