@@ -18,6 +18,7 @@ from fractions import Fraction
 from .building import Lattice, PointedSimplex
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
+from .intlinalg import require_int
 from .padic import (
     FieldElem,
     _shift_poly,
@@ -39,7 +40,8 @@ class SymmetricSpacePoint:
     in pi-units of the point's field.  Both memos are keyed by the integer
     covector tuple, so a projective point and its lift share an
     entry; a point on a hyperplane or a PrecisionError is never stored and
-    raises again on every call."""
+    raises again on every call.  A third memo holds the spread of each
+    level's profile, which both cover tests read."""
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -49,6 +51,7 @@ class SymmetricSpacePoint:
         self.coords = normalize_unimodular(coords)
         self._sections = {}
         self._valuations = {}
+        self._spreads = {}
 
     @property
     def dim(self):
@@ -70,6 +73,16 @@ class SymmetricSpacePoint:
         """v(<a, z>) as a Fraction, for an integer covector or projective
         point a."""
         return Fraction(self.section_pi_valuation(a), self.desc.e)
+
+    def level_spread(self, level):
+        """max - min of pi_profile(self, level), an int in pi-units; the
+        level is checked before the memo is read."""
+        require_int(level, "a level", least=1)
+        spread = self._spreads.get(level)
+        if spread is None:
+            vals = pi_profile(self, level).values()
+            spread = self._spreads[level] = max(vals) - min(vals)
+        return spread
 
     def section(self, a):
         """<a, z> for an integer covector or projective point a."""
@@ -125,14 +138,12 @@ def t_profile(z, level):
 
 def member_open_cover(z, n):
     """Whether every level-n section valuation spread stays below n."""
-    vals = pi_profile(z, n).values()
-    return max(vals) - min(vals) < n * z.desc.e
+    return z.level_spread(n) < n * z.desc.e
 
 
 def member_closed_cover(z, n):
     """Closed variant: spread at most n, certified by level n+1 sections."""
-    vals = pi_profile(z, n + 1).values()
-    return max(vals) - min(vals) <= n * z.desc.e
+    return z.level_spread(n + 1) <= n * z.desc.e
 
 
 def reduce_to_building(z, level=None, self_check=True):

@@ -23,6 +23,9 @@ norm is inverted there the same way (norm descent).  Only at odd e, where
 the descent ends, does a unit that is not a rational integer take one
 linear solve mod p^coeff_exponent against its e*f x e*f multiplication
 matrix; at f = 1 and e in {2, 4} the descent ends in a rational integer.
+A power x**k is taken by binary powering from 1, after one inversion 1/x
+when k < 0; products are exact in the ring, so its digits are those of |k|
+repeated products.
 
 The core is kept lean because every criterion spends most of its time
 here: FieldElem is a slotted value class, FieldDesc computes its modulus,
@@ -414,12 +417,21 @@ class FieldElem:
         return _coerce(self.desc, other) / self
 
     def __pow__(self, k):
-        if k == 0:
-            return FieldElem.one(self.desc)
-        base = self if k > 0 else FieldElem.one(self.desc) / self
-        acc = FieldElem.one(self.desc)
-        for _ in range(abs(k)):
-            acc = acc * base
+        """self**k for an int k by binary powering: one inversion for a
+        negative k, then a square per bit and a product per set bit.  The
+        products are exact ring maps mod p^coeff_exponent, so the shift,
+        digits and prec are those of k repeated products."""
+        require_int(k, "an exponent")
+        desc = self.desc
+        base = self if k >= 0 else FieldElem.one(desc) / self
+        acc = FieldElem.one(desc)
+        k = abs(k)
+        while k:
+            if k & 1:
+                acc = acc * base
+            k >>= 1
+            if k:
+                base = base * base
         return acc
 
     # -- comparisons ---------------------------------------------------------

@@ -82,11 +82,10 @@ def evaluate_product(u, z, certified_level=None):
     den = FieldElem.one(desc)
     for a, m in u.mu.items():
         value = z.section(a.lift_vector(u.rep_system))
-        for _ in range(abs(m)):
-            if m > 0:
-                num = num * value
-            else:
-                den = den * value
+        if m > 0:
+            num = num * value**m
+        else:
+            den = den * value**-m
     return num / den
 
 
@@ -96,16 +95,17 @@ def evaluate_ratio(u, z1, z2, certified_level=None):
     Each factor contributes the unit ratio of one section at the two
     points, so no intermediate ever carries the large valuation that the
     single-point value may have; this keeps the digits of the ratio
-    resolvable whenever the points share section valuations."""
+    resolvable whenever the points share section valuations.  A factor
+    costs one division and one power, whose negative exponent inverts once;
+    acc.prec never exceeds work_prec, so acc * (1 / r) has the shift,
+    digits and prec of acc / r."""
     if not u.mu.dim == z1.dim == z2.dim:
         raise ValueError("the product and the points differ in dimension")
     _require_certified(u, (z1, z2), certified_level)
     acc = FieldElem.one(z1.desc)
     for a, m in u.mu.items():
         lift = a.lift_vector(u.rep_system)
-        ratio = z1.section(lift) / z2.section(lift)
-        for _ in range(abs(m)):
-            acc = acc * ratio if m > 0 else acc / ratio
+        acc = acc * (z1.section(lift) / z2.section(lift)) ** m
     return acc
 
 

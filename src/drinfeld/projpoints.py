@@ -10,6 +10,7 @@ preserves canonical form, so level maps act coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .intlinalg import matinv_mod, require_int, require_ints, vecmat
@@ -112,9 +113,19 @@ def canonical_reps(p, n, d):
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _point_table(p, n, d):
+    """The canonical points of P^d(Z/p^n) as a tuple, built once per
+    (p, n, d); typed, so a float or bool argument never reads an int's
+    table."""
+    return tuple(ProjPoint(p, n, rep) for rep in canonical_reps(p, n, d))
+
+
 def enumerate_points(p, n, d):
-    """All canonical points, in the order of canonical_reps."""
-    return [ProjPoint(p, n, rep) for rep in canonical_reps(p, n, d)]
+    """All canonical points, in the order of canonical_reps: a new list
+    from the table of the shape, which is checked first."""
+    _require_shape(n, d)
+    return list(_point_table(p, n, d))
 
 
 def act(g, pt):

@@ -33,6 +33,7 @@ from drinfeld.padic import (
     _times_omega,
     linear_form,
 )
+from drinfeld.products import _require_certified
 from drinfeld.projpoints import ProjPoint
 from drinfeld.residues import _lift, _require_edge, slope
 
@@ -326,6 +327,16 @@ def reference_truediv(self, other):
     )
 
 
+def reference_pow(self, k):
+    if k == 0:
+        return FieldElem.one(self.desc)
+    base = self if k > 0 else FieldElem.one(self.desc) / self
+    acc = FieldElem.one(self.desc)
+    for _ in range(abs(k)):
+        acc = acc * base
+    return acc
+
+
 def reference_poly_valuation(self):
     """Valuation of the polynomial part in pi-units, or None if every
     stored digit below `prec` vanishes."""
@@ -582,6 +593,49 @@ def reference_point_in_tube(desc, sigma, rng, spread=False):
         adjust = FieldElem.pi_power(desc, int(frac))
         coords = [c * adjust for c in coords]
     return SymmetricSpacePoint(coords)
+
+
+# The product evaluators before binary powering, verbatim: one product or
+# one division per copy of an exponent.
+
+
+def reference_evaluate_product(u, z, certified_level=None):
+    """Evaluate at a point: one division of the positive-exponent product by
+    the negative-exponent product.  Degree 0 makes the value representative
+    independent."""
+    if u.mu.dim != z.dim:
+        raise ValueError("the product and the point differ in dimension")
+    _require_certified(u, (z,), certified_level)
+    desc = z.desc
+    num = FieldElem.one(desc)
+    den = FieldElem.one(desc)
+    for a, m in u.mu.items():
+        value = z.section(a.lift_vector(u.rep_system))
+        for _ in range(abs(m)):
+            if m > 0:
+                num = num * value
+            else:
+                den = den * value
+    return num / den
+
+
+def reference_evaluate_ratio(u, z1, z2, certified_level=None):
+    """Value ratio u(z1) / u(z2), accumulated factor by factor.
+
+    Each factor contributes the unit ratio of one section at the two
+    points, so no intermediate ever carries the large valuation that the
+    single-point value may have; this keeps the digits of the ratio
+    resolvable whenever the points share section valuations."""
+    if not u.mu.dim == z1.dim == z2.dim:
+        raise ValueError("the product and the points differ in dimension")
+    _require_certified(u, (z1, z2), certified_level)
+    acc = FieldElem.one(z1.desc)
+    for a, m in u.mu.items():
+        lift = a.lift_vector(u.rep_system)
+        ratio = z1.section(lift) / z2.section(lift)
+        for _ in range(abs(m)):
+            acc = acc * ratio if m > 0 else acc / ratio
+    return acc
 
 
 # Reference cover tests: covers.member_open_cover, member_closed_cover,

@@ -165,6 +165,25 @@ def test_cover_membership_frozen_values():
     assert member_open_cover(deep, 2)
 
 
+def test_cover_tests_check_the_level_before_reading_the_spread_memo():
+    desc = FieldDesc(p=2, e=2, N=16)
+    z = point(desc, 1, FieldElem.pi(desc) ** 3)
+    assert not member_open_cover(z, 1)
+    assert not member_closed_cover(z, 1)  # through level 2's spread
+    assert z.level_spread(1) == 3 and z.level_spread(2) == 3
+    # 1 and 2 are in the memo now; True and 1.0 hash and compare equal
+    for n in (True, 1.0):
+        with pytest.raises(TypeError, match="a level must be an int"):
+            member_open_cover(z, n)
+        with pytest.raises(TypeError, match="a level must be an int"):
+            z.level_spread(n)
+    with pytest.raises(TypeError, match="a level must be an int"):
+        member_closed_cover(z, 1.0)
+    with pytest.raises(ValueError, match="a level must be at least 1"):
+        member_open_cover(z, 0)
+    assert member_open_cover(z, 1) == reference_member_open_cover(z, 1)
+
+
 def test_cover_nesting_on_sampled_points():
     rng = random.Random(11)
     for p, d in [(2, 1), (3, 1), (2, 2)]:

@@ -29,6 +29,7 @@ from helpers import (
     reference_mul,
     reference_neg,
     reference_poly_valuation,
+    reference_pow,
     reference_scale_int,
     reference_shift_poly,
     reference_sub,
@@ -694,6 +695,27 @@ def test_times_pi_power_is_the_product_with_pi_power(x, k):
         product.shift, product.coeffs, product.prec, product.exact_zero
     )
     assert got == product
+
+
+# -- powers by binary powering against the per-copy reference ---------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(valuation_cases(), st.integers(-8, 8))
+def test_pow_matches_the_per_copy_reference(case, k):
+    # any prec up to work_prec, exact and inexact zeros: the same shift,
+    # digits, prec and exact_zero, or the same exception type
+    x, _ = case
+    assert _outcome(operator.pow, x, k) == _outcome(reference_pow, x, k)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2)],
+                         ids=["true", "false", "float", "fraction"])
+def test_pow_refuses_an_exponent_that_is_not_an_int(k):
+    # x ** True returned x and x ** False returned 1: a bool is not an int
+    x = FieldElem.pi(FieldDesc(p=2, e=2, f=1, N=20))
+    with pytest.raises(TypeError, match="an exponent must be an int"):
+        x ** k
 
 
 # -- differential precision: digits trusted at N survive at 3N --------------

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drinfeld.building import Lattice, PointedSimplex, standard_simplex
 from drinfeld.covers import SymmetricSpacePoint
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
-from drinfeld.padic import FieldDesc, FieldElem
+from drinfeld.padic import FieldDesc, FieldElem, PrecisionError
 from drinfeld.products import (
     GLOBAL_SIGN,
     FormalProduct,
@@ -22,6 +22,7 @@ from drinfeld.products import (
 )
 from drinfeld.projpoints import REP_SYSTEMS, ProjPoint, enumerate_points
 from drinfeld.residues import pair_distribution
+from helpers import reference_evaluate_product, reference_evaluate_ratio
 
 
 def ramified_point(p=2, N=40, deep=False):
@@ -221,3 +222,47 @@ def test_to_json_shape_and_order():
     assert blob["rep_system"] == "lex"
     reps = [tuple(f["point"]) for f in blob["factors"]]
     assert reps == sorted(reps)
+
+
+# -- the evaluators against their per-copy references ----------------------
+
+
+def random_point(desc, d, rng):
+    """(1, pi^s u_1, ..., pi^s u_d) with random digits u_i and s in {0, 1, 3}:
+    an odd shift keeps the point in every level's open cover at e = 2, a
+    shift of 0 often leaves it."""
+    coords = [FieldElem.one(desc)]
+    for _ in range(d):
+        digits = [rng.randrange(desc.coeff_modulus) for _ in range(desc.e * desc.f)]
+        coords.append(FieldElem.from_coeffs(desc, digits, rng.choice([0, 1, 3])))
+    return SymmetricSpacePoint(coords)
+
+
+def _outcome(fn, *args):
+    try:
+        x = fn(*args)
+    except (PrecisionError, ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+    return (x.shift, x.coeffs, x.prec, x.exact_zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 2]),
+    st.sampled_from(REP_SYSTEMS),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_evaluators_match_their_per_copy_references(p, level, d, rep_system, seed):
+    rng = random.Random(seed)
+    u = FormalProduct(random_mass_zero(p, level, d, rng, coeff_bound=8), rep_system)
+    desc = FieldDesc(p=p, e=2, f=rng.choice([1, 2]), N=40)
+    z1, z2 = random_point(desc, d, rng), random_point(desc, d, rng)
+    for certified_level in (None, *range(1, level)):
+        assert _outcome(evaluate_product, u, z1, certified_level) == _outcome(
+            reference_evaluate_product, u, z1, certified_level
+        )
+        assert _outcome(evaluate_ratio, u, z1, z2, certified_level) == _outcome(
+            reference_evaluate_ratio, u, z1, z2, certified_level
+        )

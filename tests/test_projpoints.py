@@ -1,6 +1,7 @@
 """Projective points over Z/p^n: counts, reduction fibers, group action."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from drinfeld.intlinalg import matmul
 from drinfeld.projpoints import (
     ProjPoint,
+    _point_table,
     act,
     canonical_reps,
     canonicalize,
@@ -78,12 +80,36 @@ def test_a_level_below_1_or_a_dimension_below_0_is_refused(call):
 def test_enumeration_order_is_pivot_then_lexicographic(p, n, d):
     reps = [pt.rep for pt in enumerate_points(p, n, d)]
     assert reps == list(canonical_reps(p, n, d))
+    # later calls read the table; a changed list changes neither
+    changed = enumerate_points(p, n, d)
+    changed.reverse()
+    changed.append(None)
+    assert [pt.rep for pt in enumerate_points(p, n, d)] == reps
 
     def key(rep):
         lead = pivot(ProjPoint(p, n, rep))
         return lead, rep[:lead] + rep[lead + 1:]
 
     assert reps == sorted(reps, key=key)
+
+
+@pytest.mark.parametrize("n, d", [(True, 1), (1.0, 1), (1, True), (1, 1.0)],
+                         ids=["level-true", "level-float", "dim-true", "dim-float"])
+def test_the_shape_is_refused_before_the_point_table_is_read(n, d):
+    # the table of (2, 1, 1) is filled first; lru_cache alone would hand
+    # its points to True and 1.0, which hash and compare equal to 1
+    assert len(enumerate_points(2, 1, 1)) == 3
+    before = _point_table.cache_info()
+    with pytest.raises(TypeError, match="must be an int"):
+        enumerate_points(2, n, d)
+    assert _point_table.cache_info() == before
+
+
+@pytest.mark.parametrize("p", [2.0, Fraction(2)], ids=["float", "fraction"])
+def test_a_prime_that_is_not_an_int_never_reads_the_int_table(p):
+    assert len(enumerate_points(2, 1, 1)) == 3
+    with pytest.raises(TypeError):
+        enumerate_points(p, 1, 1)
 
 
 def test_canonical_form_shape():
