@@ -8,6 +8,13 @@ a pointed simplex with barycentric weights: for each radius c in [0,1) the
 covectors a with v(<a,z>) >= c span a lattice, the distinct lattices form
 the chain, and the weight of a chain vertex is the length of the radius
 interval on which it is constant.
+
+Everything the reduction and the covers need is read from one basis of
+Z_p^{d+1} orthogonal for the norm a -> v(<a,z>)
+(SymmetricSpacePoint.orthogonal_basis): its d + 1 section valuations t_i
+give the depth T = max t_i, which decides the certified level and both
+covers, and the lattice of radius c is spanned by the d + 1 vectors
+p^ceil((c - t_i)/e) b_i.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from fractions import Fraction
 from .building import Lattice, PointedSimplex
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
-from .intlinalg import require_int
+from .intlinalg import require_int, rref_modp
 from .padic import (
     FieldElem,
+    PrecisionError,
+    _extract_unit,
     _shift_poly,
     linear_form,
     linear_forms,
@@ -34,14 +43,15 @@ MAX_CERTIFY_LEVEL = 6
 class SymmetricSpacePoint:
     """Homogeneous coordinates avoiding all Q_p-rational hyperplanes.
 
-    A point computes each section and section valuation once: the profiles
-    of several levels, the tube tests of a simplex, of its reduction and of
-    its faces all read the same covectors.  The valuation memo holds ints
-    in pi-units of the point's field.  Both memos are keyed by the integer
-    covector tuple, so a projective point and its lift share an
+    A point computes each section and section valuation once: the tube
+    tests of a simplex, of its reduction and of its faces, and the search
+    for the depth, all read the same covectors.  The valuation memo holds
+    ints in pi-units of the point's field.  Both memos are keyed by the
+    integer covector tuple, so a projective point and its lift share an
     entry; a point on a hyperplane or a PrecisionError is never stored and
-    raises again on every call.  A third memo holds the spread of each
-    level's profile, which both cover tests read."""
+    raises again on every call.  A third memo holds the norm-adapted basis
+    and its depth (`orthogonal_basis`), which the reduction and both cover
+    tests read."""
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -51,7 +61,12 @@ class SymmetricSpacePoint:
         self.coords = normalize_unimodular(coords)
         self._sections = {}
         self._valuations = {}
-        self._spreads = {}
+        # the adapted-basis search, started by the first orthogonal_basis
+        # call: basis, section valuations (None until read), the finished
+        # (T, basis, depths) once the basis is orthogonal, and the largest
+        # cap the depth is known to reach
+        self._basis = self._depths = self._orthogonal = None
+        self._deep_at = 0
 
     @property
     def dim(self):
@@ -74,15 +89,123 @@ class SymmetricSpacePoint:
         point a."""
         return Fraction(self.section_pi_valuation(a), self.desc.e)
 
-    def level_spread(self, level):
-        """max - min of pi_profile(self, level), an int in pi-units; the
-        level is checked before the memo is read."""
-        require_int(level, "a level", least=1)
-        spread = self._spreads.get(level)
-        if spread is None:
-            vals = pi_profile(self, level).values()
-            spread = self._spreads[level] = max(vals) - min(vals)
-        return spread
+    def orthogonal_basis(self, cap):
+        """(T, basis, depths) if the depth T = max v(<a, z>) over primitive
+        integer covectors a, an int in pi-units, is below cap; None if
+        T >= cap.  basis is a unimodular integer basis b_0..b_d orthogonal
+        for a -> v(<a, z>), and depths[i] = v(<b_i, z>) in pi-units.
+
+        a -> v(<a, z>) is a norm on Q_p^{d+1}, and the building is the
+        space of such norms (Goldman-Iwahori, Acta Math. 109, 1963), so
+        some Z_p-basis b_0..b_d is orthogonal for it:
+        v(sum x_i b_i) = min(e v_p(x_i) + t_i) with t_i = v(<b_i, z>).
+        The search starts from the standard basis.  Terms whose t_i differ
+        mod e never cancel, and in one class mod e the terms of least
+        valuation cancel exactly when the leading digits of their units
+        pi^-t_i <b_i, z> in F_q are F_p-dependent.  While some class is
+        dependent, the vector b_j of largest t_j in a dependency takes the
+        p^((t_j - t_m)/e)-scaled combination of the others that cancels its
+        leading digit: t_j rises and the basis stays unimodular.  Once
+        every class is independent the basis is orthogonal; then every
+        primitive a has a unit coordinate x_i and v(<a, z>) <= t_i, so T is
+        the largest t_i and the least is 0 after normalization.
+
+        Levels: the profile over P^d(Z/p^n) has max < n e exactly when
+        T < n e, since no primitive covector exceeds T and the canonical
+        lift of the deepest b_j is a unit times b_j mod p^n, so its section
+        keeps v >= min(T, n e).  Hence the certified level T // e + 1 and
+        the covers T < n e (open) and T <= n e (closed).
+
+        Digits: every b_i is primitive, so each t_i read is at most T, and
+        the search stops at the first section of valuation >= cap.  A
+        section whose digits cannot resolve its valuation stops it too when
+        valuation_at_least certifies v >= cap, so the search reads no
+        valuation deeper than the profile does, and a point deeper than the
+        question gets None, not a PrecisionError.  The search resumes from
+        its memo when a later cap is larger."""
+        if self._orthogonal is None and cap > self._deep_at:
+            if self._basis is None:
+                if any(c.exact_zero for c in self.coords):
+                    raise ValueError("point lies on a rational hyperplane")
+                n = len(self.coords)
+                self._basis = [tuple(int(i == j) for j in range(n))
+                               for i in range(n)]
+                self._depths = [None] * n
+            self._search(cap)
+        found = self._orthogonal
+        if found is None or found[0] >= cap:
+            return None
+        return found
+
+    def _search(self, cap):
+        """Advance the adapted basis until it is orthogonal (setting
+        _orthogonal) or a section certifiably reaches cap (setting _deep_at);
+        a depth not read, or not resolved, stays None."""
+        basis, depths = self._basis, self._depths
+        pending = [i for i, t in enumerate(depths) if t is None]
+        while True:
+            for i in pending:
+                # an updated vector still holds its old depth here
+                before, depths[i] = depths[i], None
+                try:
+                    t = self.section_pi_valuation(basis[i])
+                except PrecisionError:
+                    deep = Fraction(cap, self.desc.e)
+                    if not self.section(basis[i]).valuation_at_least(deep):
+                        raise
+                    t = cap
+                if t >= cap:
+                    self._deep_at = cap
+                    return
+                if before is not None and t <= before:
+                    raise AssertionError("a basis update must raise its depth")
+                depths[i] = t
+            move = self._cancel_leads()
+            if move is None:
+                self._orthogonal = (max(depths), tuple(basis), tuple(depths))
+                return
+            j, basis[j] = move
+            pending = [j]
+
+    def _lead(self, i):
+        """The leading digit of the unit pi^-t <b_i, z> in F_q, as f ints
+        mod p: the digits at pi^0 of the section's unit part."""
+        desc = self.desc
+        x = self.section(self._basis[i])
+        v = self._depths[i] - x.shift
+        unit, _ = _extract_unit(desc, x.coeffs, x.prec, v)
+        return [c % desc.p for c in unit[:desc.f]]
+
+    def _cancel_leads(self):
+        """(j, b_j') for one class mod e whose leading digits are
+        F_p-dependent, with b_j' = b_j + sum_m c_m p^((t_j - t_m)/e) b_m
+        of valuation above t_j; None when every class is independent."""
+        desc = self.desc
+        p, e, f = desc.p, desc.e, desc.f
+        basis, depths = self._basis, self._depths
+        classes = {}
+        for i, t in enumerate(depths):
+            classes.setdefault(t % e, []).append(i)
+        for group in classes.values():
+            if len(group) < 2:
+                continue
+            rows = [self._lead(i) + [int(i == g) for g in group]
+                    for i in group]
+            # a row pivoted right of the leads is a dependency among them
+            reduced, pivots = rref_modp(rows, p)
+            deps = [row[f:] for row, c in zip(reduced, pivots) if c >= f]
+            if not deps:
+                continue
+            x = dict(zip(group, deps[0]))
+            j = max((i for i in group if x[i]), key=lambda i: (depths[i], i))
+            inv = pow(x[j], -1, p)
+            coeffs = {m: x[m] * inv for m in group if m != j and x[m]}
+            row = list(basis[j])
+            for m, c in coeffs.items():
+                scale = c % p * p ** ((depths[j] - depths[m]) // e)
+                row = [a + scale * b for a, b in zip(row, basis[m])]
+            return j, tuple(row)
+        return None
 
     def section(self, a):
         """<a, z> for an integer covector or projective point a."""
@@ -120,60 +243,59 @@ class BuildingPoint:
         }
 
 
-def pi_profile(z, level):
-    """Section valuations over all canonical level points, as ints in
-    pi-units of the point's field."""
-    p = z.desc.p
+def t_profile(z, level):
+    """Section valuations over all canonical level points, as Fractions:
+    a public view, not read by the reduction or the covers, which read
+    SymmetricSpacePoint.orthogonal_basis."""
+    e = z.desc.e
     return {
-        a: z.section_pi_valuation(a)
-        for a in enumerate_points(p, level, z.dim)
+        a: Fraction(z.section_pi_valuation(a), e)
+        for a in enumerate_points(z.desc.p, level, z.dim)
     }
 
 
-def t_profile(z, level):
-    """Section valuations over all canonical level points, as Fractions."""
-    e = z.desc.e
-    return {a: Fraction(v, e) for a, v in pi_profile(z, level).items()}
-
-
 def member_open_cover(z, n):
-    """Whether every level-n section valuation spread stays below n."""
-    return z.level_spread(n) < n * z.desc.e
+    """Whether every level-n section valuation spread stays below n: the
+    depth T is below n e."""
+    require_int(n, "a level", least=1)
+    return z.orthogonal_basis(n * z.desc.e) is not None
 
 
 def member_closed_cover(z, n):
-    """Closed variant: spread at most n, certified by level n+1 sections."""
-    return z.level_spread(n + 1) <= n * z.desc.e
+    """Closed variant, spread at most n (certified by level n+1 sections):
+    the depth T is at most n e."""
+    require_int(n, "a level", least=1)
+    return z.orthogonal_basis(n * z.desc.e + 1) is not None
 
 
 def reduce_to_building(z, level=None, self_check=True):
     """The reduction map at a certified level.
 
     With level=None the smallest certifying level up to MAX_CERTIFY_LEVEL
-    is chosen.  Raises ValueError when the requested level cannot certify
-    the point (valuation spread too large).  Valuations stay ints in
-    pi-units: the radius of a section value t is (t mod e)/e, and a
-    covector enters the lattice of radius c/e scaled by p^ceil((c-t)/e)."""
-    levels = range(1, MAX_CERTIFY_LEVEL + 1) if level is None else [level]
+    is chosen: T // e + 1 for the depth T.  Raises ValueError when the
+    requested level cannot certify the point (T >= level e, the point sits
+    too deep).  Valuations stay ints in pi-units: the radii are the
+    classes t_i mod e of the adapted basis, and b_i enters the lattice of
+    radius c/e scaled by p^ceil((c - t_i)/e), d + 1 rows per lattice."""
     e = z.desc.e
-    for used in levels:
-        profile = pi_profile(z, used)
-        if max(profile.values()) < used * e:  # min is 0 after normalization
-            break
-    else:
+    if level is not None:
+        require_int(level, "a level", least=1)
+    cap = (MAX_CERTIFY_LEVEL if level is None else level) * e
+    found = z.orthogonal_basis(cap)
+    if found is None:
         raise ValueError(
             "level cannot certify the reduction; the point sits too deep"
         )
+    depth, basis, depths = found
+    used = depth // e + 1 if level is None else level
     p = z.desc.p
-    candidates = sorted({t % e for t in profile.values()})
+    candidates = sorted({t % e for t in depths})
     lattices = []
     for c in candidates:
-        rows = []
-        exps = [(a, -((t - c) // e)) for a, t in profile.items()]
-        shift = -min(m for _, m in exps)
-        for a, m in exps:
-            scale = p ** (m + shift)
-            rows.append([scale * x for x in a.lift_vector()])
+        exps = [-((t - c) // e) for t in depths]
+        shift = -min(exps)
+        rows = [[p ** (m + shift) * x for x in b]
+                for b, m in zip(basis, exps)]
         lattices.append(Lattice.from_rows(p, rows, scale=-shift))
     simplex = PointedSimplex.from_chain(lattices)
     bounds = candidates + [e]

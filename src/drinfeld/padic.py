@@ -23,9 +23,9 @@ norm is inverted there the same way (norm descent).  Only at odd e, where
 the descent ends, does a unit that is not a rational integer take one
 linear solve mod p^coeff_exponent against its e*f x e*f multiplication
 matrix; at f = 1 and e in {2, 4} the descent ends in a rational integer.
-A power x**k is taken by binary powering from 1, after one inversion 1/x
-when k < 0; products are exact in the ring, so its digits are those of |k|
-repeated products.
+A power x**k is taken by binary powering from x itself, after one
+inversion 1/x when k < 0; products are exact in the ring, so its digits
+are those of |k| repeated products.
 
 The core is kept lean because every criterion spends most of its time
 here: FieldElem is a slotted value class, FieldDesc computes its modulus,
@@ -417,22 +417,27 @@ class FieldElem:
         return _coerce(self.desc, other) / self
 
     def __pow__(self, k):
-        """self**k for an int k by binary powering: one inversion for a
-        negative k, then a square per bit and a product per set bit.  The
-        products are exact ring maps mod p^coeff_exponent, so the shift,
-        digits and prec are those of k repeated products."""
+        """self**k for an int k by binary powering from the base: one
+        inversion for a negative k, then a square per bit and a product per
+        set bit after the lowest.  The products are exact ring maps mod
+        p^coeff_exponent, so the shift, digits and prec are those of k
+        repeated products; the base first takes what a product by 1 gives
+        it: prec capped at work_prec and an exact zero at shift 0."""
         require_int(k, "an exponent")
         desc = self.desc
-        base = self if k >= 0 else FieldElem.one(desc) / self
-        acc = FieldElem.one(desc)
+        if k == 0:
+            return FieldElem.one(desc)
+        # times_pi_power(0) is the product by 1
+        base = self.times_pi_power(0) if k > 0 else FieldElem.one(desc) / self
+        acc = None
         k = abs(k)
-        while k:
+        while True:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             k >>= 1
-            if k:
-                base = base * base
-        return acc
+            if not k:
+                return acc
+            base = base * base
 
     # -- comparisons ---------------------------------------------------------
 

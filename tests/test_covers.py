@@ -21,14 +21,16 @@ from drinfeld.covers import (
     tube_test_covectors,
 )
 from drinfeld.certify import TAU_CONFIGS, _dual_pair, _random_simplex_for
+from drinfeld.intlinalg import pval
 from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
-from drinfeld.projpoints import ProjPoint, enumerate_points
+from drinfeld.projpoints import ProjPoint, enumerate_points, point_count
 from fractions import Fraction
 
 from helpers import (
     proper_faces,
     random_pointed_simplex,
     random_unimodular_integer,
+    reference_det_int,
     reference_linear_form,
     reference_member_closed_cover,
     reference_member_open_cover,
@@ -166,22 +168,23 @@ def test_cover_membership_frozen_values():
 
 
 def test_cover_tests_check_the_level_before_reading_the_spread_memo():
+    # the spread of a profile is the depth T, memoized once per point
     desc = FieldDesc(p=2, e=2, N=16)
     z = point(desc, 1, FieldElem.pi(desc) ** 3)
     assert not member_open_cover(z, 1)
-    assert not member_closed_cover(z, 1)  # through level 2's spread
-    assert z.level_spread(1) == 3 and z.level_spread(2) == 3
-    # 1 and 2 are in the memo now; True and 1.0 hash and compare equal
+    assert not member_closed_cover(z, 1)
+    assert z.orthogonal_basis(2 * 2)[0] == 3
+    assert z.orthogonal_basis(3) is None
+    # level 1 is in the memo now; True and 1.0 hash and compare equal
     for n in (True, 1.0):
-        with pytest.raises(TypeError, match="a level must be an int"):
-            member_open_cover(z, n)
-        with pytest.raises(TypeError, match="a level must be an int"):
-            z.level_spread(n)
-    with pytest.raises(TypeError, match="a level must be an int"):
-        member_closed_cover(z, 1.0)
-    with pytest.raises(ValueError, match="a level must be at least 1"):
-        member_open_cover(z, 0)
+        for cover in (member_open_cover, member_closed_cover):
+            with pytest.raises(TypeError, match="a level must be an int"):
+                cover(z, n)
+    for cover in (member_open_cover, member_closed_cover):
+        with pytest.raises(ValueError, match="a level must be at least 1"):
+            cover(z, 0)
     assert member_open_cover(z, 1) == reference_member_open_cover(z, 1)
+    assert member_closed_cover(z, 1) == reference_member_closed_cover(z, 1)
 
 
 def test_cover_nesting_on_sampled_points():
@@ -576,15 +579,136 @@ def test_integer_cover_tests_match_the_fraction_reference():
         for level in (None, 1, 2, 3):
             assert _cover_outcome(reduce_to_building, z, level) == \
                 _cover_outcome(reference_reduce_to_building, z, level)
-        for n in (1, 2, 3):  # both covers read levels 1 to 3
+        for n in (1, 2, 3):  # the references read levels 1 to 3
             assert _cover_outcome(member_open_cover, z, n) == \
                 _cover_outcome(reference_member_open_cover, z, n)
-            assert _cover_outcome(member_closed_cover, z, n - 1) == \
-                _cover_outcome(reference_member_closed_cover, z, n - 1)
+        for n in (1, 2):  # the closed cover at level 0 is refused
+            assert _cover_outcome(member_closed_cover, z, n) == \
+                _cover_outcome(reference_member_closed_cover, z, n)
         for tau in sigma.rotations() + tuple(proper_faces(sigma)):
             for open_tube in (True, False):
                 assert member_tube(z, tau, open_tube) == \
                     reference_member_tube(z, tau, open_tube)
+
+
+# --- the adapted basis against the profile over P^d(Z/p^n) -------------------
+
+# the references read every point of P^d(Z/p^n): levels up to this many
+REFERENCE_POINTS = 1200
+TOO_DEEP = "level cannot certify the reduction; the point sits too deep"
+
+
+def _adapted_basis_case(p, d, seed):
+    """A point in the tube of a random simplex whose frame has entries in
+    [-p, p], and a unimodular translate of it, over a field shape that the
+    simplex's type allows."""
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng, bound=p)
+    e = rng.randint(sigma.k + 1, 4)
+    f = rng.randint(max(sigma.type_vector()), 3)
+    k0 = sigma.lattices[0].det_exponent
+    desc = FieldDesc(p=p, e=e, f=f, N=e * (10 + 3 * k0))
+    z = point_in_tube(desc, sigma, rng)
+    return z, z.apply_matrix(random_unimodular_integer(d + 1, rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]), st.integers(0, 2**32))
+def test_adapted_basis_matches_the_profile_references(p, d, seed):
+    levels = [n for n in range(1, 5) if point_count(p, n, d) <= REFERENCE_POINTS]
+    top = levels[-1]
+    for z in _adapted_basis_case(p, d, seed):
+        for n in levels:
+            assert _cover_outcome(reduce_to_building, z, n) == \
+                _cover_outcome(reference_reduce_to_building, z, n)
+            assert _cover_outcome(member_open_cover, z, n) == \
+                _cover_outcome(reference_member_open_cover, z, n)
+            if n < top:  # the closed reference reads level n + 1
+                assert _cover_outcome(member_closed_cover, z, n) == \
+                    _cover_outcome(reference_member_closed_cover, z, n)
+        # with level=None the reference reads levels until one certifies
+        if max(t_profile(z, top).values()) < top:
+            assert _cover_outcome(reduce_to_building, z, None) == \
+                _cover_outcome(reference_reduce_to_building, z, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]), st.integers(0, 2**32))
+def test_adapted_basis_is_unimodular_and_orthogonal(p, d, seed):
+    cancel = SymmetricSpacePoint._cancel_leads
+
+    def checked(z):
+        move = cancel(z)
+        if move is not None:
+            # each update raises the depth of the vector it replaces
+            j, row = move
+            above = Fraction(z._depths[j] + 1, z.desc.e)
+            assert z.section(row).valuation_at_least(above)
+        return move
+
+    rng = random.Random(seed)
+    for z in _adapted_basis_case(p, d, seed):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(SymmetricSpacePoint, "_cancel_leads", checked)
+            depth, basis, depths = z.orthogonal_basis(10**6)
+        assert abs(reference_det_int(basis)) == 1
+        assert depth == max(depths) and min(depths) == 0
+        e = z.desc.e
+        for _ in range(8):
+            x = [rng.choice([0, 1, -1, p, 2 * p * p, rng.randrange(p**3)])
+                 for _ in basis]
+            if not any(x):
+                continue
+            a = [sum(xi * b[k] for xi, b in zip(x, basis)) for k in range(d + 1)]
+            assert z.section_pi_valuation(a) == min(
+                e * pval(xi, p) + t for xi, t in zip(x, depths) if xi)
+
+
+def test_a_point_too_deep_for_the_question_raises_no_new_precision_error():
+    """Rational points (1, p^j) at little precision: the search stops at
+    the cap, where the profile may read a digit that N cannot resolve."""
+    for p, e, N, j in ((2, 1, 4, 2), (2, 2, 8, 1), (3, 1, 3, 1),
+                       (2, 2, 6, 2), (2, 1, 6, 2)):
+        desc = FieldDesc(p=p, e=e, N=N)
+        z = point(desc, 1, p**j)
+        for fn, ref, levels in (
+            (reduce_to_building, reference_reduce_to_building, (1, 2, 3, None)),
+            (member_open_cover, reference_member_open_cover, (1, 2, 3)),
+            (member_closed_cover, reference_member_closed_cover, (1, 2, 3)),
+        ):
+            for n in levels:
+                got, want = _cover_outcome(fn, z, n), _cover_outcome(ref, z, n)
+                # the memo keeps no half-read basis: a second call agrees
+                assert _cover_outcome(fn, z, n) == got
+                if isinstance(want, tuple) and want[0] is PrecisionError:
+                    # the profile read a digit past the cap
+                    assert got in (want, False, (ValueError, TOO_DEEP))
+                else:
+                    assert got == want
+    z = point(FieldDesc(p=3, e=1, N=3), 1, 3)
+    assert _cover_outcome(reduce_to_building, z, 3) == (ValueError, TOO_DEEP)
+    assert not member_open_cover(z, 3)
+
+
+def test_reduction_lattices_take_d_plus_one_rows(monkeypatch):
+    p, d, e, f = 3, 2, 3, 1
+    rows_seen = []
+    from_rows = Lattice.from_rows
+
+    def counted(p, rows, scale=0):
+        rows_seen.append(len(rows))
+        return from_rows(p, rows, scale)
+
+    rng = random.Random(26)
+    for _ in range(4):
+        sigma = _random_simplex_for(p, d, e, f, rng)
+        k0 = sigma.lattices[0].det_exponent
+        z = point_in_tube(FieldDesc(p=p, e=e, f=f, N=e * (10 + 3 * k0)), sigma, rng)
+        with monkeypatch.context() as m:
+            m.setattr(Lattice, "from_rows", staticmethod(counted))
+            bp = reduce_to_building(z)
+        assert bp == reference_reduce_to_building(z)
+    assert rows_seen and set(rows_seen) == {d + 1}
 
 
 def _points_over(desc, pi, plane):

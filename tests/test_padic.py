@@ -709,6 +709,17 @@ def test_pow_matches_the_per_copy_reference(case, k):
     assert _outcome(operator.pow, x, k) == _outcome(reference_pow, x, k)
 
 
+def test_pow_of_a_hand_built_element_keeps_the_product_bytes():
+    # a prec above work_prec and an exact zero at a shift: x ** k starts
+    # from x, which takes what the product by 1 gives it
+    desc = FieldDesc(p=3, e=2, f=1, N=12)
+    wide = FieldElem(desc, 1, (4, 7), desc.work_prec + 5)
+    zero = FieldElem(desc, 3, (0, 0), desc.work_prec, True)
+    for x in (wide, zero):
+        for k in (1, 2, 3, 5):
+            assert _outcome(operator.pow, x, k) == _outcome(reference_pow, x, k)
+
+
 @pytest.mark.parametrize("k", [True, False, 2.0, Fraction(2)],
                          ids=["true", "false", "float", "fraction"])
 def test_pow_refuses_an_exponent_that_is_not_an_int(k):
