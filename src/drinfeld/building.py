@@ -306,23 +306,18 @@ class PointedSimplex:
 
     @cached_property
     def _adapted_basis(self):
-        p = self.p
+        # one greedy completion over the echelon rows of M_k, ..., M_0:
+        # block k comes first, and block i is [n - d_{i+1}, n - d_i)
         n = self.dim + 1
-        chain = self.chain_mod_p()
-        blocks = []
-        current = []
-        for i in range(self.k, -1, -1):
-            rref, _ = chain[i]
-            added = complete_basis_modp(current, rref, p)
-            blocks.append(added)
-            current += added
-        blocks.reverse()  # block i first
+        rows = [w for rref, _ in reversed(self.chain_mod_p()) for w in rref]
+        added = complete_basis_modp([], rows, self.p)
+        bounds = self.boundary_indices() + (n,)
         m0 = self.lattices[0]
-        out = []
-        for block in blocks:
-            for w in block:
-                out.append(vecmat(w, m0.rows))
-        return tuple(out)
+        return tuple(
+            vecmat(w, m0.rows)
+            for lo, hi in zip(bounds, bounds[1:])
+            for w in added[n - hi : n - lo]
+        )
 
     @cached_property
     def frame_adjugate(self):

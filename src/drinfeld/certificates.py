@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .covers import member_open_cover
 from .padic import FieldElem, PrecisionError
-from .products import alpha_level, evaluate_ratio
+from .products import alpha_level, evaluate_ratio, require_certified_points
 
 
 def unit_margin(value):
@@ -112,9 +111,7 @@ def restriction_certificate(fam, z1, z2, i, n, nprime):
     larger cover follows and is reported)."""
     if not (i < n < nprime):
         raise ValueError("need i < n < n'")
-    for z in (z1, z2):
-        if not member_open_cover(z, i + 1):
-            raise ValueError("point is not certified for the larger cover")
+    require_certified_points((z1, z2), i + 1)
     lower = alpha_level(fam.at(n))
     exact = lower == alpha_level(fam.at(nprime).pushforward(n))
     upper = alpha_level(fam.at(nprime))

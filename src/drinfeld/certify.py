@@ -64,6 +64,17 @@ def random_unimodular(size, rng):
     return mat
 
 
+def translate_certificates(p, d, n, i, z1, z2, count, rng):
+    """(g, record) for count random translates: each draws a unimodular g
+    and then a level-n vector mu from rng, and certifies mu moved by g
+    against the points moved by g^-1 at level i."""
+    for _ in range(count):
+        g = random_unimodular(d + 1, rng)
+        ginv, _ = inv_scaled(g)
+        mu = random_mass_zero(p, n, d, rng)
+        yield g, equivariance_certificate(g, ginv, mu, z1, z2, i)
+
+
 def _dual_pair(p, N=40, d=1):
     """Two distinct certified points of P^d over e = d + 1: (1, pi, ...,
     pi^d), and the same with pi + pi^(d+2) at index 1."""
@@ -343,11 +354,7 @@ def check_equivariance(seed, p, d, translates):
     base1 = reduce_to_building(z1)
     cert_failures = 0
     tau_failures = 0
-    for _ in range(translates):
-        g = random_unimodular(d + 1, rng)
-        ginv, _ = inv_scaled(g)
-        mu = random_mass_zero(p, 2, d, rng)
-        rec = equivariance_certificate(g, ginv, mu, z1, z2, 1)
+    for g, rec in translate_certificates(p, d, 2, 1, z1, z2, translates, rng):
         if not rec["pass"]:
             cert_failures += 1
         moved = reduce_to_building(z1.apply_matrix(g))

@@ -33,7 +33,6 @@ from . import certify
 from .building import Ball, Lattice, PointedSimplex, tree_ball_size
 from .certificates import (
     convergence_certificate,
-    equivariance_certificate,
     representative_swap_certificate,
     restriction_certificate,
 )
@@ -44,7 +43,7 @@ from .covers import (
     reduce_to_building,
 )
 from .distributions import MassZeroVector, random_family, random_mass_zero
-from .intlinalg import gaussian_binomial, inv_scaled
+from .intlinalg import gaussian_binomial
 from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
 from .products import alpha_level, evaluate_product, residue_round_trip
 from .projpoints import REP_SYSTEMS, enumerate_points, point_count
@@ -131,7 +130,7 @@ def _parse_coord(desc, ob):
 
 
 def _parse_point(args):
-    desc = FieldDesc(p=args.p, e=args.e, f=args.f, N=args.N)
+    desc = _build("--p/--e/--f/--N", FieldDesc, args.p, args.e, args.f, args.N)
     parsed = _load_json_arg(args.coords, "--coords")
     if not isinstance(parsed, list) or len(parsed) < 2:
         raise UsageError("--coords must be a JSON list of at least two coordinates")
@@ -388,7 +387,7 @@ def cmd_alpha_converge(args):
         raise UsageError("need --i < --n < --nprime")
     _check_point_estimate(args.p, args.nprime, 1)
     rng = random.Random(args.seed)
-    desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
+    _, z1, z2 = _build("--N", certify._dual_pair, args.p, args.N)
     records = []
     for index in range(args.families):
         fam = random_family(args.p, args.nprime, 1, rng)
@@ -424,13 +423,11 @@ def cmd_alpha_equivariance(args):
         raise UsageError("need --i < --n")
     _check_point_estimate(args.p, args.n, 1)
     rng = random.Random(args.seed)
-    desc, z1, z2 = certify._dual_pair(args.p, N=args.N)
+    _, z1, z2 = _build("--N", certify._dual_pair, args.p, args.N)
     records = []
-    for index in range(args.translates):
-        g = certify.random_unimodular(2, rng)
-        ginv, _ = inv_scaled(g)
-        mu = random_mass_zero(args.p, args.n, 1, rng)
-        rec = equivariance_certificate(g, ginv, mu, z1, z2, args.i)
+    draws = certify.translate_certificates(args.p, 1, args.n, args.i, z1, z2,
+                                           args.translates, rng)
+    for index, (_, rec) in enumerate(draws):
         rec["translate_index"] = index
         records.append(rec)
     _emit(args, records)
@@ -581,6 +578,7 @@ CAPS = {
     "coeff-bound": (0, None),
     "families": (0, "DRINFELD_MAX_COUNT"),
     "translates": (0, "DRINFELD_MAX_COUNT"),
+    "e-oracle": (3, None),
 }
 
 

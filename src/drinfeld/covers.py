@@ -35,7 +35,7 @@ from .padic import (
     linear_forms,
     normalize_unimodular,
 )
-from .projpoints import ProjPoint, enumerate_points
+from .projpoints import enumerate_points, lift_covector
 
 MAX_CERTIFY_LEVEL = 6
 
@@ -75,7 +75,7 @@ class SymmetricSpacePoint:
     def section_pi_valuation(self, a):
         """v(<a, z>) in pi-units of the point's field, an int, for an
         integer covector or projective point a."""
-        key = tuple(a.lift_vector() if isinstance(a, ProjPoint) else a)
+        key = lift_covector(a)
         v = self._valuations.get(key)
         if v is None:
             value = self.section(key)
@@ -209,7 +209,7 @@ class SymmetricSpacePoint:
 
     def section(self, a):
         """<a, z> for an integer covector or projective point a."""
-        key = tuple(a.lift_vector() if isinstance(a, ProjPoint) else a)
+        key = lift_covector(a)
         value = self._sections.get(key)
         if value is None:
             value = self._sections[key] = linear_form(key, self.coords)

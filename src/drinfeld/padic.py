@@ -372,6 +372,9 @@ class FieldElem:
     def _scale_int(self, n):
         if n == 0 or self.exact_zero:
             return FieldElem.zero(self.desc)
+        if n == 1:
+            # digits are reduced, so the product by 1 keeps them
+            return self
         mod = self.desc.coeff_modulus
         return FieldElem(
             self.desc,
@@ -549,16 +552,6 @@ def _omega_step(block, low):
     return [s - top * c for s, c in zip([0, *block[:-1]], low)]
 
 
-def _times_omega(desc, coeffs):
-    """Multiply a coefficient vector by omega."""
-    f, mod = desc.f, desc.coeff_modulus
-    low = unramified_min_poly(desc.p, f)
-    out = []
-    for i in range(0, len(coeffs), f):
-        out.extend(c % mod for c in _omega_step(coeffs[i : i + f], low))
-    return tuple(out)
-
-
 def _unit_inverse(desc, unit_coeffs):
     """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
     with u*x = 1.  A rational integer is inverted by pow(); at even e by
@@ -590,14 +583,13 @@ def _unit_inverse(desc, unit_coeffs):
         for t in range(0, e * f, 2 * f):
             spread[t : t + f] = inner[t // 2 : t // 2 + f]
         return _poly_mul(desc, conj, tuple(spread))
-    columns = []
-    u_pi = unit_coeffs
-    for i in range(e):
-        if i:
-            u_pi = _shift_poly(desc, u_pi, 1)
-        columns.append(u_pi)
-        for _ in range(f - 1):
-            columns.append(_times_omega(desc, columns[-1]))
+    # column i*f + j is u*omega^j, the product by the basis vector omega^j,
+    # moved up i pi-powers
+    omegas = [unit_coeffs] + [
+        _poly_mul(desc, unit_coeffs, tuple(int(t == j) for t in range(e * f)))
+        for j in range(1, f)
+    ]
+    columns = [_shift_poly(desc, c, i) for i in range(e) for c in omegas]
     rhs = [(1,)] + [(0,)] * (e * f - 1)
     x = solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
     return tuple(row[0] for row in x)

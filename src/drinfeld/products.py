@@ -34,11 +34,6 @@ class FormalProduct:
     def level(self):
         return self.mu.level
 
-    def __mul__(self, other):
-        if self.rep_system != other.rep_system:
-            raise ValueError("products use different representative systems")
-        return FormalProduct(self.mu + other.mu, self.rep_system)
-
     def to_json(self):
         # the frozen layout: exponents off the first canonical point
         basepoint = (1,) + (0,) * self.mu.dim
@@ -60,14 +55,19 @@ def alpha_level(mu, rep_system="lex"):
     return FormalProduct(mu, rep_system)
 
 
+def require_certified_points(points, level):
+    """ValueError unless every point lies in the open cover of the level."""
+    for z in points:
+        if not member_open_cover(z, level):
+            raise ValueError(f"point is not certified at level {level}")
+
+
 def _require_certified(u, points, certified_level):
     if certified_level is None:
         return
     if certified_level >= u.level:
         raise ValueError("need the certificate level below the product level")
-    for z in points:
-        if not member_open_cover(z, certified_level):
-            raise ValueError("point is not certified at the requested level")
+    require_certified_points(points, certified_level)
 
 
 def evaluate_product(u, z, certified_level=None):

@@ -88,6 +88,12 @@ class ProjPoint:
         return ProjPoint.make(p, level, require_ints(obj.get("rep"), "a point rep"))
 
 
+def lift_covector(a):
+    """The integer covector of a ProjPoint (its lex lift) or of a sequence
+    of ints, as a tuple."""
+    return a.lift_vector() if isinstance(a, ProjPoint) else tuple(a)
+
+
 def _require_shape(n, d):
     require_int(n, "a level", least=1)
     require_int(d, "a dimension", least=0)

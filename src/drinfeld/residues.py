@@ -23,7 +23,7 @@ from .distributions import MassZeroVector
 from .intlinalg import inv_scaled  # noqa: F401
 from .intlinalg import require_ints
 from .padic import FieldDesc, PrecisionError, linear_forms
-from .projpoints import ProjPoint, enumerate_points
+from .projpoints import ProjPoint, enumerate_points, lift_covector
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
 # dlog of an exponent product equals +1 times the slope pairing of the
@@ -36,12 +36,6 @@ def _require_edge(sigma):
         raise ValueError("residue slopes are defined for edges (chains of 2)")
 
 
-def _lift(x):
-    if isinstance(x, ProjPoint):
-        return x.lift_vector()
-    return tuple(x)
-
-
 def slope(a, sigma):
     """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
 
@@ -51,7 +45,7 @@ def slope(a, sigma):
     v_{M_1}(a) = v_{M_0}(a); otherwise v_{M_1}(a) = v_{M_0}(a) - 1, since
     pM_0 < M_1."""
     _require_edge(sigma)
-    a = _lift(a)
+    a = lift_covector(a)
     m0, m1 = sigma.lattices
     return 1 + m1.valuation(a) - m0.valuation(a)
 
@@ -114,7 +108,7 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
         for raw in (raw1, raw2):
             if not member_tube(SymmetricSpacePoint(raw), sigma, open_tube=True):
                 raise PrecisionError("oracle sample point failed the tube test")
-    lifts = {a: _lift(a) for a in covectors}
+    lifts = {a: lift_covector(a) for a in covectors}
     forms1 = linear_forms(lifts.values(), raw1)
     forms2 = linear_forms(lifts.values(), raw2)
     out = {}

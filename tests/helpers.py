@@ -16,6 +16,7 @@ from drinfeld.covers import (
     tube_test_covectors,
 )
 from drinfeld.intlinalg import (
+    complete_basis_modp,
     matmul,
     pval,
     rref_modp,
@@ -29,13 +30,14 @@ from drinfeld.padic import (
     FieldElem,
     PrecisionError,
     _coerce,
+    _omega_step,
     _poly_mul,
-    _times_omega,
     linear_form,
+    unramified_min_poly,
 )
 from drinfeld.products import _require_certified
-from drinfeld.projpoints import ProjPoint
-from drinfeld.residues import _lift, _require_edge, slope
+from drinfeld.projpoints import ProjPoint, lift_covector
+from drinfeld.residues import _require_edge, slope
 
 
 # Reference determinant and inverse: the cofactor expansions that intlinalg
@@ -409,7 +411,9 @@ def reference_poly_mul(desc, ca, cb):
 # Reference unit extraction and inverse: padic's row-popping division by
 # pi^v and its one linear solve against the full e*f x e*f multiplication
 # matrix, kept verbatim (with the reference pi-shift), from before the
-# slice extraction and the norm descent at even e.
+# slice extraction and the norm descent at even e.  _times_omega is the
+# omega step that built that matrix's columns in padic until they were
+# taken from _poly_mul by omega^j.
 
 
 def reference_extract_unit(desc, coeffs, prec, v):
@@ -422,6 +426,16 @@ def reference_extract_unit(desc, coeffs, prec, v):
             raise PrecisionError("inexact division by pi")
         rows.append([c // p for c in bottom])
     return tuple(c % mod for row in rows for c in row), prec - v
+
+
+def _times_omega(desc, coeffs):
+    """Multiply a coefficient vector by omega."""
+    f, mod = desc.f, desc.coeff_modulus
+    low = unramified_min_poly(desc.p, f)
+    out = []
+    for i in range(0, len(coeffs), f):
+        out.extend(c % mod for c in _omega_step(coeffs[i : i + f], low))
+    return tuple(out)
 
 
 def reference_unit_inverse(desc, unit_coeffs):
@@ -836,6 +850,30 @@ def reference_boundary_indices(self):
     return tuple(ds)
 
 
+# Reference adapted basis: PointedSimplex.adapted_basis as it was when the
+# flag was completed block by block, one complete_basis_modp call per chain
+# lattice from M_k up to M_0, kept verbatim as a function of the simplex.
+
+
+def reference_adapted_basis(self):
+    p = self.p
+    chain = self.chain_mod_p()
+    blocks = []
+    current = []
+    for i in range(self.k, -1, -1):
+        rref, _ = chain[i]
+        added = complete_basis_modp(current, rref, p)
+        blocks.append(added)
+        current += added
+    blocks.reverse()  # block i first
+    m0 = self.lattices[0]
+    out = []
+    for block in blocks:
+        for w in block:
+            out.append(vecmat(w, m0.rows))
+    return tuple(out)
+
+
 # Reference slope rule: PointedSimplex.covector_coordinates and
 # residues.slope as they were when the slope was read off the class of the
 # normalized covector in M_0/pM_0, kept verbatim as functions of the simplex.
@@ -860,7 +898,7 @@ def reference_slope(a, sigma):
     Combinatorial rule: normalize the covector to M_0 \\ pM_0 and return 1
     exactly when its class mod p lies in the image of M_1."""
     _require_edge(sigma)
-    prim, _ = covector_coordinates(sigma, _lift(a))
+    prim, _ = covector_coordinates(sigma, lift_covector(a))
     rref, piv = sigma.chain_mod_p()[1]
     p = sigma.p
     return 1 if in_span_modp(rref, piv, [c % p for c in prim], p) else 0

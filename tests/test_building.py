@@ -30,6 +30,7 @@ from helpers import (
     random_gl_integer,
     random_pointed_simplex,
     random_unimodular_integer,
+    reference_adapted_basis,
     reference_boundary_indices,
     reference_det_int,
     reference_inv_scaled,
@@ -337,6 +338,22 @@ def test_adapted_basis_spans_the_flag(pd, seed):
             assert in_span_modp(r2, piv2, row, p)
     # the adapted rows are a basis of M_0 itself
     assert Lattice.from_rows(p, [list(f) for f in basis]) == m0
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_adapted_basis_is_the_block_by_block_completion(p, d, seed):
+    """One completion over the whole chain picks the rows that the
+    block-by-block completion picks, in the same order, on every
+    rotation: the benchmark digests read these exact bytes."""
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng)
+    for tau in sigma.rotations():
+        assert tau.adapted_basis() == reference_adapted_basis(tau)
 
 
 @given(

@@ -699,12 +699,34 @@ POINT_ARGS = ("--p", "2", "--e", "2", "--N", "40", "--coords", "[1, [0,1]]")
     ("radius", ("building", "ball", "--p", "2", "--d", "1",
                 "--radius", "-1")),
     ("radius", ("sweep-lambda", "--p", "2", "--d", "1", "--radius", "-1")),
+    ("e-oracle", ("lambda", "--p", "2", "--edge", "[[[1,0],[0,1]],[[2,0],[0,1]]]",
+                  "--pair", "[[1,0],[0,1]]", "--oracle", "--e-oracle", "2")),
+    ("e-oracle", ("sweep-lambda", "--p", "2", "--d", "1", "--e-oracle", "2")),
 ])
 def test_flags_below_their_floor_are_usage_errors(capsys, flag, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"usage error: --{flag} must be at least")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("tau", "--p", "2", "--e", "5", "--coords", "[1, 1]"),
+     "--p/--e/--f/--N: ramification e = 5 outside [1, 4]"),
+    (("cover", "--p", "2", "--f", "4", "--coords", "[1, 1]", "--n", "1"),
+     "--p/--e/--f/--N: residue degree f = 4 outside [1, 3]"),
+    (("tau", "--p", "2", "--e", "2", "--N", "3", "--coords", "[1, 1]"),
+     "--p/--e/--f/--N: precision N must be at least 2e"),
+    (("alpha", "converge", "--p", "2", "--N", "3"),
+     "--N: precision N must be at least 2e"),
+    (("alpha", "equivariance", "--p", "3", "--N", "3"),
+     "--N: precision N must be at least 2e"),
+])
+def test_field_flags_the_field_refuses_are_usage_errors(capsys, argv, text):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"usage error: {text}\n"
 
 
 def test_points_of_dimension_zero(capsys):

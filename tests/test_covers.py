@@ -23,7 +23,12 @@ from drinfeld.covers import (
 from drinfeld.certify import TAU_CONFIGS, _dual_pair, _random_simplex_for
 from drinfeld.intlinalg import pval
 from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
-from drinfeld.projpoints import ProjPoint, enumerate_points, point_count
+from drinfeld.projpoints import (
+    ProjPoint,
+    enumerate_points,
+    lift_covector,
+    point_count,
+)
 from fractions import Fraction
 
 from helpers import (
@@ -501,7 +506,7 @@ def test_section_memo_matches_fresh_linear_forms():
         for lifts in simplex_.tube_test_covectors:
             covectors += lifts
         for a in covectors:
-            lift = a.lift_vector() if isinstance(a, ProjPoint) else a
+            lift = lift_covector(a)
             value, v = _fresh_outcome(z, lift)
             # a projective point, its lift and a list share one entry; each
             # is asked twice
@@ -512,6 +517,10 @@ def test_section_memo_matches_fresh_linear_forms():
                         z.section_valuation(key)
                 else:
                     assert z.section_valuation(key) == v
+        # a standard basis vector, among the level-1 points, has the
+        # coordinate itself as its section
+        for i, x in enumerate(z.coords):
+            assert z.section([int(j == i) for j in range(z.dim + 1)]) is x
 
 
 def test_each_section_is_computed_once(monkeypatch):

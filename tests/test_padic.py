@@ -313,19 +313,28 @@ def test_unit_inverse_matches_newton(case):
 
 @st.composite
 def division_cases(draw):
-    """Digit vectors at two field shapes with the same f: one over
-    p in {2,3,5,7} and e <= 4, and one at p = 2 with even e, so that norm
-    descent at p = 2 is drawn in every example.  Each case holds a unit
-    (a nonzero residue in row 0, the other digits arbitrary or sparse)
-    and a vector divisible by pi^w for a drawn w."""
+    """Digit vectors at five field shapes: two with the same f, one over
+    p in {2,3,5,7} and e <= 4 and one at p = 2 with even e, so that norm
+    descent at p = 2 is drawn in every example; and three that reach the
+    linear solve of the general path with f >= 2 in every example: odd e
+    at f >= 2, e = 1 at f = 3, and e = 2 at f >= 2, whose descent ends
+    at e = 1.  Each case holds a unit (a nonzero residue in row 0, the
+    other digits arbitrary or sparse) and a vector divisible by pi^w for
+    a drawn w."""
     f = draw(st.integers(min_value=1, max_value=3))
+    wide = st.integers(2, 3)
+    primes = st.sampled_from([2, 3, 5, 7])
+    # (p, e, f, most digits above 2e)
     shapes = (
-        (draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4))),
-        (2, draw(st.sampled_from([2, 4]))),
+        (draw(primes), draw(st.integers(1, 4)), f, 60),
+        (2, draw(st.sampled_from([2, 4])), f, 60),
+        (draw(primes), 3, draw(wide), 24),
+        (draw(primes), 1, 3, 24),
+        (draw(primes), 2, draw(wide), 24),
     )
     cases = []
-    for p, e in shapes:
-        desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, 60)))
+    for p, e, f, extra in shapes:
+        desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, extra)))
         size, mod = e * f, desc.coeff_modulus
         digits = st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
         unit = draw(digits)
@@ -584,13 +593,17 @@ def test_linear_form_matches_the_chain_of_adds(case):
     assert _form_outcome(linear_form, a, z) == _form_outcome(
         reference_linear_form, a, z
     )
-    # one nonzero scalar: the fused form is a plain integer scaling
+    # one nonzero scalar: the fused form is a plain integer scaling, and
+    # the scaling by 1 is the term itself
     for i, x in enumerate(z):
-        single = [0] * len(z)
-        single[i] = a[i] or 1
-        assert _form_outcome(linear_form, single, z) == _form_outcome(
-            reference_linear_form, single, z
-        )
+        for scalar in (a[i] or 1, 1):
+            single = [0] * len(z)
+            single[i] = scalar
+            assert _form_outcome(linear_form, single, z) == _form_outcome(
+                reference_linear_form, single, z
+            )
+        # single is now the standard basis vector at i
+        assert x.exact_zero or linear_form(single, z) is x
 
 
 def test_linear_form_rejects_a_fraction_scalar():

@@ -66,14 +66,6 @@ def test_frozen_evaluation_valuation():
     assert value.valuation() == Fraction(-1, 2)
 
 
-def test_alpha_is_additive():
-    rng = random.Random(3)
-    for p in (2, 3):
-        mu = random_mass_zero(p, 2, 1, rng)
-        nu = random_mass_zero(p, 2, 1, rng)
-        assert alpha_level(mu) * alpha_level(nu) == alpha_level(mu + nu)
-
-
 def test_zero_vector_integrates_to_one():
     u = alpha_level(MassZeroVector(2, 1, 1))
     assert len(u.mu) == 0
@@ -90,21 +82,11 @@ def test_evaluation_cocycle():
     z = ramified_point(3)
     mu = random_mass_zero(3, 2, 1, rng)
     nu = random_mass_zero(3, 2, 1, rng)
-    left = evaluate_product(alpha_level(mu) * alpha_level(nu), z)
+    left = evaluate_product(alpha_level(mu + nu), z)
     right = evaluate_product(alpha_level(mu), z) * evaluate_product(
         alpha_level(nu), z
     )
     assert left.agrees_with(right)
-
-
-def test_mixed_windows_do_not_multiply():
-    u = alpha_level(dirac(2, 1, (1, 1), (0, 1)))
-    v = alpha_level(dirac(2, 2, (1, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        u * v
-    w = alpha_level(dirac(2, 1, (1, 1), (0, 1)), rep_system="revlex")
-    with pytest.raises(ValueError):
-        u * w
 
 
 def test_factor_window_validated():
