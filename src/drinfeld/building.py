@@ -132,15 +132,9 @@ class Lattice:
 
     @cached_property
     def _adj_cols(self):
-        """The columns of the adjugate, read by every valuation."""
+        """The columns of the adjugate, read by every valuation and
+        membership test."""
         return tuple(zip(*self._adj_data[0]))
-
-    def fit_exponent(self, other):
-        """Smallest j with other.scaled(j) <= self: minus the least
-        valuation in self of a basis row of other, before other's scale."""
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        return -min(map(self.valuation, other.rows)) - other.scale
 
     def valuation(self, a):
         """Largest m with the integer covector a in p^m self: a times the
@@ -150,6 +144,22 @@ class Lattice:
         if not g:
             raise ValueError("zero covector")
         return pval(g, self.p) - self.det_exponent - self.scale
+
+    def holds(self, a, m=0):
+        """Whether the integer covector a lies in p^m self: a times the
+        adjugate, over p^k, is a in the coordinates of the basis of self,
+        before the scale, so a lies there exactly when every entry of a
+        times the adjugate is divisible by p^(k + scale + m).  Since
+        p^k Z^n <= the row span, that holds for every a once the exponent
+        is <= 0.  The zero covector lies in every p^m self."""
+        e = self.det_exponent + self.scale + m
+        if e <= 0:
+            return True
+        q = self.p**e
+        for col in self._adj_cols:
+            if sum(map(mul, a, col)) % q:
+                return False
+        return True
 
     def image_mod_p(self, other):
         """The image of a sublattice other <= self in self/p self, as a
@@ -166,9 +176,13 @@ class Lattice:
         return rref_modp(coords, self.p)
 
     def contains(self, other, strict=False):
-        """Z_p-inclusion other <= self (with scales)."""
-        if self.fit_exponent(other) > 0:
-            return False
+        """Z_p-inclusion other <= self (with scales): each basis row of
+        other, before other's scale, lies in p^(-other.scale) self."""
+        if self.p != other.p:
+            raise ValueError("mixed primes")
+        for r in other.rows:
+            if not self.holds(r, -other.scale):
+                return False
         return not (strict and self.index_exponent(other) == 0)
 
     def index_exponent(self, other):
@@ -265,14 +279,21 @@ class PointedSimplex:
         """Scale each class into the unique pointed position, if the classes
         do form a simplex.
 
-        Each class goes to the smallest scale at which it fits inside the
-        previous lattice.  No larger scale works: strictly containing p M_0
-        there would make the class strictly contain M_0 at this scale, and
-        M_0 contains the previous lattice."""
+        In a pointed chain M_0 > ... > M_k > p M_0 of rank n, each lattice
+        has index p^j in the previous one M_prev with 1 <= j <= n - 1: it
+        is a strict sublattice of M_prev and strictly contains p M_0, which
+        contains p M_prev, of index p^n in M_prev.  At scale s a class rep
+        has index exponent n s - gap in M_prev, with
+        gap = M_prev.det_exponent + n M_prev.scale - rep.det_exponent, so
+        the one scale in that window is s = ceil((gap + 1) / n).  The chain
+        checks then refuse classes that do not form a simplex."""
         chain = [classes[0].homothety_rep()]
+        n = chain[0].dim
         for cls in classes[1:]:
             rep = cls.homothety_rep()
-            chain.append(rep.scaled(chain[-1].fit_exponent(rep)))
+            prev = chain[-1]
+            gap = prev.det_exponent + n * prev.scale - rep.det_exponent
+            chain.append(rep.scaled(-(-(gap + 1) // n)))
         try:
             return PointedSimplex(tuple(chain))
         except ValueError:
@@ -333,7 +354,7 @@ class PointedSimplex:
         coordinates in the basis of M_i run over the canonical points of
         P^d(F_p).  Such a lift is primitive in M_i, and pM_i <= M_{i+1},
         so its class lies in that image exactly when the lift lies in
-        M_{i+1}, that is when its valuation there is >= 0."""
+        M_{i+1}."""
         p = self.p
         classes = list(canonical_reps(p, 1, self.dim))
         chain = self.lattices + (self.lattices[0].scaled(1),)
@@ -343,7 +364,7 @@ class PointedSimplex:
             lifts = (
                 tuple(scale * c for c in vecmat(x, mi.rows)) for x in classes
             )
-            out.append(tuple(a for a in lifts if mnext.valuation(a) < 0))
+            out.append(tuple(a for a in lifts if not mnext.holds(a)))
         return tuple(out)
 
     def rotate(self):

@@ -3,13 +3,14 @@ vectors, and an independent valuation-sampling oracle.
 
 For a pointed edge (a chain M_0 > M_1 > pM_0) the valuation of a linear form
 l_a along the open edge tube is affine in the edge parameter with integer
-slope 0 or 1.  The combinatorial rule computes that slope as a valuation
-jump, 1 + v_{M_1}(a) - v_{M_0}(a), where v_M(a) is the largest m with a in
-p^m M.  M_1 < M_0 and pM_0 < M_1 pin the difference to {-1, 0}, and it is 0
-exactly when the normalized covector p^{-v_{M_0}(a)} a lies in M_1, which is
-when its class in M_0/pM_0 lies in the image of M_1.  The oracle measures
-the slope by evaluating section valuations at two interior points over a
-ramified cubic extension and never consults the combinatorial rule.
+slope 0 or 1.  The combinatorial rule computes that slope by one valuation
+and one membership test: it is 1 exactly when a lies in p^m M_1 for
+m = v_{M_0}(a), the largest m with a in p^m M_0, which is when the class of
+the normalized covector p^{-m} a in M_0/pM_0 lies in the image of M_1.
+Since pM_0 < M_1 < M_0, this is the valuation jump 1 + v_{M_1}(a) - m.
+The oracle measures the slope by evaluating section valuations at two
+interior points over a ramified cubic extension and never consults the
+combinatorial rule.
 """
 
 from __future__ import annotations
@@ -39,15 +40,16 @@ def _require_edge(sigma):
 def slope(a, sigma):
     """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
 
-    Combinatorial rule, as a valuation jump: 1 + v_{M_1}(a) - v_{M_0}(a).
-    The normalized covector p^{-v_{M_0}(a)} a has a class mod p in the image
-    of M_1 exactly when it lies in M_1 (which contains pM_0), that is when
-    v_{M_1}(a) = v_{M_0}(a); otherwise v_{M_1}(a) = v_{M_0}(a) - 1, since
-    pM_0 < M_1."""
+    Combinatorial rule: 1 exactly when a lies in p^m M_1 for
+    m = v_{M_0}(a).  The normalized covector p^{-m} a has a class mod p in
+    the image of M_1 exactly when it lies in M_1 (which contains pM_0).
+    This is the valuation jump 1 + v_{M_1}(a) - v_{M_0}(a), since
+    pM_0 < M_1 < M_0 leaves v_{M_1}(a) only m and m - 1.  ValueError for
+    the zero covector, which has no valuation."""
     _require_edge(sigma)
     a = lift_covector(a)
     m0, m1 = sigma.lattices
-    return 1 + m1.valuation(a) - m0.valuation(a)
+    return 1 if m1.holds(a, m0.valuation(a)) else 0
 
 
 def lambda_edge(sigma, a, b):

@@ -874,9 +874,10 @@ def reference_adapted_basis(self):
     return tuple(out)
 
 
-# Reference slope rule: PointedSimplex.covector_coordinates and
+# Reference slope rules: PointedSimplex.covector_coordinates and
 # residues.slope as they were when the slope was read off the class of the
-# normalized covector in M_0/pM_0, kept verbatim as functions of the simplex.
+# normalized covector in M_0/pM_0, and residues.slope as it was when it
+# took two valuations, kept verbatim as functions of the simplex.
 
 
 def covector_coordinates(self, a):
@@ -892,7 +893,7 @@ def covector_coordinates(self, a):
     return prim, v - k0
 
 
-def reference_slope(a, sigma):
+def reference_class_slope(a, sigma):
     """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
 
     Combinatorial rule: normalize the covector to M_0 \\ pM_0 and return 1
@@ -902,6 +903,16 @@ def reference_slope(a, sigma):
     rref, piv = sigma.chain_mod_p()[1]
     p = sigma.p
     return 1 if in_span_modp(rref, piv, [c % p for c in prim], p) else 0
+
+
+def reference_slope(a, sigma):
+    """Growth rate in {0,1} of v(<a,z>) along the pointed edge parameter.
+
+    Combinatorial rule, as a valuation jump: 1 + v_{M_1}(a) - v_{M_0}(a)."""
+    _require_edge(sigma)
+    a = lift_covector(a)
+    m0, m1 = sigma.lattices
+    return 1 + m1.valuation(a) - m0.valuation(a)
 
 
 # Test-only helpers: the fiber of a level map, a rank over Q and a table of

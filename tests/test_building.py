@@ -306,6 +306,34 @@ def test_valuation_reads_the_adjugate_columns(p, d, seed):
         lat.valuation((0,) * (d + 1))
 
 
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_holds_is_the_valuation_bound(p, d, seed):
+    """holds(a, m) is reference_valuation(lat, a) >= m, on covectors scaled
+    by powers of p and at m low enough that the exponent k + scale + m is
+    <= 0, where every integer covector is held.  The zero covector, which
+    has no valuation, is held at every m."""
+    rng = random.Random(seed)
+    lat = random_scaled_vertex(p, d + 1, rng)
+    low = -lat.det_exponent - lat.scale  # the exponent is <= 0 up to here
+    for _ in range(10):
+        a = [rng.randint(-p**3, p**3) for _ in range(d + 1)]
+        if rng.random() < 0.5:
+            a = [c * p ** rng.randint(1, 3) for c in a]
+        if not any(a):
+            continue
+        v = reference_valuation(lat, a)
+        assert v >= low
+        for m in {low - 2, low, low + 1, v - 1, v, v + 1, v + 3,
+                  rng.randint(low - 3, v + 3)}:
+            assert lat.holds(a, m) == (v >= m)
+    for m in (low - 1, low, low + 1, low + 5):
+        assert lat.holds((0,) * (d + 1), m)
+
+
 def test_rescaled_lattices_carry_their_det_exponent():
     lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
     assert "det_exponent" not in lat.scaled(1).__dict__  # carried, never computed
@@ -493,19 +521,48 @@ def test_from_homothety_chain_matches_scan_on_ball_pairs(p, d, radius):
     st.sampled_from([1, 2, 3]),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_fit_exponent_is_the_least_fitting_scale(p, d, seed):
+def test_from_homothety_chain_takes_the_least_fitting_scale(p, d, seed):
+    """Each class of a pointed chain sits at the least scale at which it
+    fits inside the previous lattice, and contains agrees with the
+    entrywise reference around the least fitting scale of an unrelated
+    vertex."""
     rng = random.Random(seed)
-    big = random_pointed_simplex(p, d, rng).lattices[-1]
+    sigma = random_pointed_simplex(p, d, rng)
+    classes = [lat.homothety_rep() for lat in sigma.lattices]
+    pointed = PointedSimplex.from_homothety_chain(classes)
+    for prev, lat in zip(pointed.lattices, pointed.lattices[1:]):
+        assert entrywise_contains(prev, lat)
+        assert not entrywise_contains(prev, lat.scaled(-1))
+    big = pointed.lattices[-1]
     small = random_pointed_simplex(p, d, rng).lattices[0].scaled(rng.randint(-3, 3))
-    j = big.fit_exponent(small)
-    assert entrywise_contains(big, small.scaled(j))
-    assert not entrywise_contains(big, small.scaled(j - 1))
-    for lat in (small, small.scaled(j), small.scaled(j + 1)):
+    base = small.homothety_rep()
+    # a primitive class fits in p^s Z^n from scale s on, and big holds
+    # p^(scale + k) Z^n, so the least fitting scale lies in that window
+    j = next(j for j in range(big.scale, big.scale + big.det_exponent + 1)
+             if entrywise_contains(big, base.scaled(j)))
+    assert not entrywise_contains(big, base.scaled(j - 1))
+    for lat in (small, base.scaled(j), base.scaled(j + 1)):
         for strict in (False, True):
             assert big.contains(lat, strict=strict) == entrywise_contains(
                 big, lat, strict=strict
             )
-        assert big.contains(lat) == (big.fit_exponent(lat) <= 0)
+        assert big.contains(lat) == (lat.scale >= j)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_from_homothety_chain_refuses_what_is_no_simplex(p):
+    """The same class twice, two classes at distance 2 in the tree, and
+    p M_0 after M_0 or after a pointed edge: the chain checks refuse
+    each."""
+    std = Lattice.standard(p, 1)
+    ball = Ball(std, 2)
+    far = next(v for v in ball.vertices if ball.distance[v] == 2)
+    nb = ball.adjacency[std][0]
+    for classes in ([std, std], [std, far], [std, std.scaled(1)],
+                    [std, nb, std.scaled(1)]):
+        with pytest.raises(ValueError,
+                           match="classes do not form a pointed simplex"):
+            PointedSimplex.from_homothety_chain(classes)
 
 
 def test_pointed_edges_both_orientations():

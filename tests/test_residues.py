@@ -30,6 +30,7 @@ from helpers import (
     random_unimodular_integer,
     reference_oracle_points,
     reference_oracle_samples,
+    reference_class_slope,
     reference_slope,
 )
 
@@ -94,9 +95,10 @@ def _frame_with_a_scaled_row(p, size, rng):
 @pytest.mark.parametrize("p, d, radius", [(2, 1, 3), (3, 1, 2), (5, 1, 2),
                                           (2, 2, 2), (3, 2, 1)])
 def test_valuation_jump_is_the_class_rule(p, d, radius):
-    """slope as 1 + v_{M_1}(a) - v_{M_0}(a) against the reference rule, the
-    class of the normalized covector in M_0/pM_0, on every pointed edge of
-    a ball and on those edges moved by frames of determinant +-p."""
+    """slope, one valuation and one membership test, against the reference
+    rule, the class of the normalized covector in M_0/pM_0, on every
+    pointed edge of a ball and on those edges moved by frames of
+    determinant +-p."""
     rng = random.Random(1000 * p + 10 * d + radius)
     covectors = _slope_test_covectors(p, d, rng)
     edges = Ball(Lattice.standard(p, d), radius).pointed_edges()
@@ -104,9 +106,38 @@ def test_valuation_jump_is_the_class_rule(p, d, radius):
              for edge in rng.sample(edges, min(len(edges), 40))]
     for edge in edges + moved:
         for a in covectors:
-            assert slope(a, edge) == reference_slope(a, edge)
+            assert slope(a, edge) == reference_class_slope(a, edge)
         with pytest.raises(ValueError):
             slope((0,) * (d + 1), edge)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_slope_is_the_valuation_jump(p, d, seed):
+    """slope against 1 + v_{M_1}(a) - v_{M_0}(a) on a random pointed edge,
+    with covectors outside M_0 (v_{M_0}(a) < 0: when M_0 is not Z^n, some
+    standard basis covector lies outside it) and covectors scaled by powers
+    of p.  The all-zero covector has no valuation and is refused."""
+    rng = random.Random(seed)
+    t = rng.randint(1, d)
+    edge = random_pointed_simplex(p, d, rng, type_vector=(t, d + 1 - t))
+    m0 = edge.lattices[0]
+    covectors = [tuple(int(i == j) for j in range(d + 1)) for i in range(d + 1)]
+    for _ in range(10):
+        a = [rng.randint(-p**3, p**3) for _ in range(d + 1)]
+        if rng.random() < 0.5:
+            a = [c * p ** rng.randint(1, 3) for c in a]
+        if any(a):
+            covectors.append(tuple(a))
+    if m0.det_exponent:
+        assert any(m0.valuation(a) < 0 for a in covectors)
+    for a in covectors:
+        assert slope(a, edge) == reference_slope(a, edge)
+    with pytest.raises(ValueError):
+        slope((0,) * (d + 1), edge)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
