@@ -92,8 +92,9 @@ def lift_congruence_certificate(cls, z1, z2, i):
         raise ValueError("need i < level")
     a = cls.lift_vector("lex")
     b = cls.lift_vector("revlex")
-    ra = z1.section(a) / z2.section(a)
-    rb = z1.section(b) / z2.section(b)
+    # a quotient's prec is at most work_prec, so r ** 1 is r
+    ra = z1.ratio_power(z2, a, 1)
+    rb = z1.ratio_power(z2, b, 1)
     inputs = {"class": list(cls.rep), "i": i, "n": n}
     return _margin_record("lift-congruence", inputs, n - i, ra / rb)
 

@@ -51,7 +51,9 @@ class SymmetricSpacePoint:
     entry; a point on a hyperplane or a PrecisionError is never stored and
     raises again on every call.  A third memo holds the norm-adapted basis
     and its depth (`orthogonal_basis`), which the reduction and both cover
-    tests read."""
+    tests read.  A fourth memo holds the factors of two-point ratios
+    (`ratio_power`), keyed by the other point, held by identity, the
+    covector and the exponent."""
 
     def __init__(self, coords):
         coords = tuple(coords)
@@ -61,6 +63,7 @@ class SymmetricSpacePoint:
         self.coords = normalize_unimodular(coords)
         self._sections = {}
         self._valuations = {}
+        self._ratios = {}
         # the adapted-basis search, started by the first orthogonal_basis
         # call: basis, section valuations (None until read), the finished
         # (T, basis, depths) once the basis is orthogonal, and the largest
@@ -213,6 +216,20 @@ class SymmetricSpacePoint:
         value = self._sections.get(key)
         if value is None:
             value = self._sections[key] = linear_form(key, self.coords)
+        return value
+
+    def ratio_power(self, other, a, m):
+        """(<a, self> / <a, other>) ** m for a point other over the same
+        field, an integer covector or projective point a and an int m,
+        divided and powered once per (other, covector, m).  A value is never
+        stored for an exponent that is not an int, so ** refuses it on every
+        call, nor for a division or a field mismatch that raises."""
+        key = (other, lift_covector(a), m)
+        value = self._ratios.get(key)
+        if value is None or m.__class__ is not int:
+            value = self._ratios[key] = (
+                self.section(key[1]) / other.section(key[1])
+            ) ** m
         return value
 
     def apply_matrix(self, g):
@@ -396,8 +413,10 @@ def point_in_tube(desc, sigma, rng):
             leader = leader * random_unit(desc, rng).times_pi_power(1)
         w.append(leader)
         w.extend(leader * random_unit(desc, rng, j) for j in range(1, blocks[i]))
-    det = FieldElem.from_int(desc, sigma.frame_adjugate[1])
-    coords = [c / det for c in tube_sample(sigma, w)]
+    sample = tube_sample(sigma, w)
+    # x * (1 / det) has the shift, digits and prec of x / det
+    inv = FieldElem.one(desc) / FieldElem.from_int(desc, sigma.frame_adjugate[1])
+    coords = [c * inv for c in sample]
     # Keep the pointing: scale by a root-of-p power so the minimum coordinate
     # valuation is an integer; normalization then shifts all section
     # valuations by an integer and the radius-0 layer stays at M_0.

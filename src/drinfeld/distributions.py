@@ -8,8 +8,8 @@ pushforwards to every lower level.
 
 from __future__ import annotations
 
-from .intlinalg import require_int
-from .projpoints import ProjPoint, act, enumerate_points
+from .intlinalg import matinv_mod, require_int
+from .projpoints import ProjPoint, act_by_inverse, enumerate_points
 
 
 class MassZeroVector:
@@ -84,9 +84,11 @@ class MassZeroVector:
         ])
 
     def transport(self, g):
-        """Pushforward along the point action of g."""
+        """Pushforward along the point action of g, which inverts g mod
+        p^level once; the zero vector inverts nothing."""
+        ginv = matinv_mod(g, self.p, self.level) if self._table else None
         return MassZeroVector(self.p, self.level, self.dim, [
-            (act(g, pt), c) for pt, c in self._table.items()
+            (act_by_inverse(ginv, pt), c) for pt, c in self._table.items()
         ])
 
     def to_json(self):

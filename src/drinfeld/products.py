@@ -95,17 +95,16 @@ def evaluate_ratio(u, z1, z2, certified_level=None):
     Each factor contributes the unit ratio of one section at the two
     points, so no intermediate ever carries the large valuation that the
     single-point value may have; this keeps the digits of the ratio
-    resolvable whenever the points share section valuations.  A factor
-    costs one division and one power, whose negative exponent inverts once;
-    acc.prec never exceeds work_prec, so acc * (1 / r) has the shift,
-    digits and prec of acc / r."""
+    resolvable whenever the points share section valuations.  z1 divides
+    and powers each factor once per (z2, lift, m) (ratio_power), whose
+    negative exponent inverts once; acc.prec never exceeds work_prec, so
+    acc * (1 / r) has the shift, digits and prec of acc / r."""
     if not u.mu.dim == z1.dim == z2.dim:
         raise ValueError("the product and the points differ in dimension")
     _require_certified(u, (z1, z2), certified_level)
     acc = FieldElem.one(z1.desc)
     for a, m in u.mu.items():
-        lift = a.lift_vector(u.rep_system)
-        acc = acc * (z1.section(lift) / z2.section(lift)) ** m
+        acc = acc * z1.ratio_power(z2, a.lift_vector(u.rep_system), m)
     return acc
 
 

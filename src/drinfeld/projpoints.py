@@ -140,7 +140,11 @@ def act(g, pt):
     With points z transported to g z, this pairing convention keeps the
     linear section attached to a stable: <act(g,a), g z> = <a, z>.
     """
-    n = pt.level
-    ginv = matinv_mod(g, pt.p, n)
-    return ProjPoint.make(pt.p, n, vecmat(pt.rep, ginv))
+    return act_by_inverse(matinv_mod(g, pt.p, pt.level), pt)
+
+
+def act_by_inverse(ginv, pt):
+    """act(g, pt) from ginv, an inverse of g mod p^level: the mapping step
+    that MassZeroVector.transport runs once per point after one inversion."""
+    return ProjPoint.make(pt.p, pt.level, vecmat(pt.rep, ginv))
 

@@ -107,6 +107,22 @@ def test_transport_is_an_action():
             assert moved.transport(h) == mu.transport(matmul(h, g))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_transport_is_the_pointwise_action(p, n, d):
+    """transport inverts g once; each point still moves as act(g, .)."""
+    rng = random.Random(repr((p, n, d)))
+    for _ in range(5):
+        g = random_invertible_mod_p(p, n, d, rng)
+        mu = random_mass_zero(p, n, d, rng, size=6)
+        expected = MassZeroVector(p, n, d, [(act(g, pt), c) for pt, c in mu.items()])
+        assert mu.transport(g) == expected
+    # the zero vector moves to itself without inverting g
+    zero = MassZeroVector(p, n, d)
+    assert zero.transport([[p] * (d + 1)] * (d + 1)) == zero
+
+
 def test_family_compatibility_checked():
     rng = random.Random(3)
     fam = random_family(2, 3, 1, rng)

@@ -248,3 +248,64 @@ def test_evaluators_match_their_per_copy_references(p, level, d, rep_system, see
         assert _outcome(evaluate_ratio, u, z1, z2, certified_level) == _outcome(
             reference_evaluate_ratio, u, z1, z2, certified_level
         )
+
+
+# -- the pair memo of evaluate_ratio ------------------------------------------
+
+
+def test_evaluate_ratio_repeats_and_interleaves_through_the_pair_memo():
+    rng = random.Random(29)
+    desc = FieldDesc(p=3, e=2, f=2, N=40)
+    z1, z2, z3 = (random_point(desc, 1, rng) for _ in range(3))
+    products = [FormalProduct(random_mass_zero(3, 3, 1, rng, size=8), rep)
+                for rep in REP_SYSTEMS for _ in range(3)]
+    # the same pair twice, then a second z2 on the same z1 between repeats
+    for other in (z2, z2, z3, z2, z3):
+        for u in products:
+            assert _outcome(evaluate_ratio, u, z1, other) == _outcome(
+                reference_evaluate_ratio, u, z1, other
+            )
+
+
+def test_a_copy_of_the_other_point_has_its_own_memo_entries():
+    rng = random.Random(7)
+    desc = FieldDesc(p=2, e=2, N=40)
+    z1, z2 = random_point(desc, 1, rng), random_point(desc, 1, rng)
+    twin = SymmetricSpacePoint(z2.coords)
+    u = alpha_level(random_mass_zero(2, 2, 1, rng))
+    first = _outcome(evaluate_ratio, u, z1, z2)
+    stored = len(z1._ratios)
+    assert stored == len(u.mu)
+    assert _outcome(evaluate_ratio, u, z1, twin) == first == _outcome(
+        reference_evaluate_ratio, u, z1, z2
+    )
+    assert len(z1._ratios) == 2 * stored
+
+
+def test_the_pair_memo_stores_no_failure():
+    desc = FieldDesc(p=2, e=2, N=40)
+    one, pi = FieldElem.one(desc), FieldElem.pi(desc)
+    z1 = SymmetricSpacePoint([one, pi])
+    # <(1, 1), (1, -1)> is a zero that the digits cannot tell from 0, and
+    # <(0, 1), (1, 0)> is the exact zero
+    other = FieldDesc(p=2, e=2, N=30)
+    cases = [
+        (SymmetricSpacePoint([one, -one]), (1, 1), PrecisionError,
+         "indistinguishable"),
+        (SymmetricSpacePoint([one, FieldElem.zero(desc)]), (0, 1),
+         ZeroDivisionError, "exact zero"),
+        (SymmetricSpacePoint([FieldElem.one(other), FieldElem.pi(other)]),
+         (1, 0), ValueError, "mixed field"),
+    ]
+    for z2, a, error, match in cases:
+        for m in (1, -2, 1):
+            with pytest.raises(error, match=match):
+                z1.ratio_power(z2, a, m)
+    assert not z1._ratios
+    # an exponent that is not an int is refused even where the int is stored
+    z2 = SymmetricSpacePoint([one, pi + pi**3])
+    z1.ratio_power(z2, (1, 1), 1)
+    for m in (True, 1.0):
+        with pytest.raises(TypeError):
+            z1.ratio_power(z2, (1, 1), m)
+    assert len(z1._ratios) == 1
