@@ -105,13 +105,13 @@ class Lattice:
         return self._at_scale(0)
 
     def _at_scale(self, scale):
-        """The same rows at another scale.  The determinant exponent and
-        the adjugate depend only on the rows, so those already computed
-        carry over."""
+        """The same rows at another scale.  The determinant exponent, the
+        adjugate and the scale-free valuations depend only on the rows, so
+        those already computed carry over."""
         if scale == self.scale:
             return self
         lat = Lattice(self.p, self.rows, scale)
-        for name in ("det_exponent", "_adj_data", "_adj_cols"):
+        for name in ("det_exponent", "_adj_data", "_adj_cols", "_valuations"):
             if name in self.__dict__:
                 lat.__dict__[name] = self.__dict__[name]
         return lat
@@ -136,14 +136,25 @@ class Lattice:
         membership test."""
         return tuple(zip(*self._adj_data[0]))
 
+    @cached_property
+    def _valuations(self):
+        """valuation(a) + scale per covector tuple(a), filled by valuation:
+        it depends on the rows only, so rescaled copies share it."""
+        return {}
+
     def valuation(self, a):
         """Largest m with the integer covector a in p^m self: a times the
         adjugate, over p^k, is a in the coordinates of the basis of self,
-        before the scale."""
-        g = gcd(*[sum(map(mul, a, col)) for col in self._adj_cols])
-        if not g:
-            raise ValueError("zero covector")
-        return pval(g, self.p) - self.det_exponent - self.scale
+        before the scale.  ValueError for the zero covector, which is never
+        stored."""
+        key = tuple(a)
+        v = self._valuations.get(key)
+        if v is None:
+            g = gcd(*[sum(map(mul, key, col)) for col in self._adj_cols])
+            if not g:
+                raise ValueError("zero covector")
+            v = self._valuations[key] = pval(g, self.p) - self.det_exponent
+        return v - self.scale
 
     def holds(self, a, m=0):
         """Whether the integer covector a lies in p^m self: a times the
@@ -432,8 +443,11 @@ class Ball:
         self.vertices = order
         for lat in frontier:  # the outer shell, never expanded
             nbrs[lat] = lat.neighbors()
+        # neighbors() returns fresh instances: map each to the ball's own
+        # vertex, so every edge shares its vertices' cached data
+        own = {lat: lat for lat in order}
         self.adjacency = {
-            lat: [nb for nb in nbrs[lat] if nb in dist] for lat in order
+            lat: [own[nb] for nb in nbrs[lat] if nb in own] for lat in order
         }
 
     def edges(self):

@@ -94,6 +94,10 @@ class FieldDesc:
     N: int = 24
 
     def __post_init__(self):
+        for value, what in ((self.p, "the prime"), (self.e, "the ramification"),
+                            (self.f, "the residue degree"),
+                            (self.N, "the precision")):
+            require_int(value, what)
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if not (1 <= self.e <= MAX_E):

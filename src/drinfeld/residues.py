@@ -16,13 +16,14 @@ combinatorial rule.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .building import PointedSimplex
 from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
 from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
-from .intlinalg import require_ints
+from .intlinalg import require_int, require_ints
 from .padic import FieldDesc, PrecisionError, linear_forms
 from .projpoints import ProjPoint, enumerate_points, lift_covector
 
@@ -71,10 +72,17 @@ def required_level(sigma):
     return sigma.lattices[0].det_exponent + 1
 
 
+# One field per oracle shape (p, e, f, N), so its modulus, working precision
+# and product tables are built once, not once per edge.  The key is not
+# typed, so oracle_slope_table checks e_oracle before it; a field that is not
+# an int fails FieldDesc's own check and is never stored.
+_oracle_field = lru_cache(maxsize=None)(FieldDesc)
+
+
 def _oracle_desc(p, sigma, e_oracle):
     k0 = sigma.lattices[0].det_exponent
     f = max(sigma.type_vector())
-    return FieldDesc(p=p, e=e_oracle, f=f, N=e_oracle * (8 + 3 * k0))
+    return _oracle_field(p, e_oracle, f, e_oracle * (8 + 3 * k0))
 
 
 def _oracle_points(sigma, desc, rng):
@@ -101,8 +109,9 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
     """Map covector -> integer slope, measured from section valuations at two
     sampled points; independent of the combinatorial rule."""
     _require_edge(sigma)
-    if e_oracle < 3:
-        raise ValueError("need at least two interior parameters: e_oracle >= 3")
+    # two interior parameters 1/e and 2/e need e >= 3; checked before the
+    # field memo, whose key would take 3.0 or True for an int
+    require_int(e_oracle, "the oracle ramification e_oracle", least=3)
     rng = rng if rng is not None else random.Random(2718)
     desc = _oracle_desc(sigma.p, sigma, e_oracle)
     raw1, raw2 = _oracle_points(sigma, desc, rng)

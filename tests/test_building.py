@@ -1,5 +1,6 @@
 """Lattice building: canonical forms, simplices, adapted bases, balls."""
 
+import copy
 import random
 
 import pytest
@@ -311,6 +312,44 @@ def test_valuation_reads_the_adjugate_columns(p, d, seed):
     st.integers(1, 3),
     st.integers(min_value=0, max_value=10**6),
 )
+def test_memoized_valuation_matches_the_reference(p, d, seed):
+    """valuation keeps one scale-free int per covector, which rescaled
+    copies share: repeated calls, list and tuple covectors, and copies asked
+    before and after the original all read reference_valuation.  The zero
+    covector raises on every call and is never stored."""
+    rng = random.Random(seed)
+    lat = random_scaled_vertex(p, d + 1, rng)
+    early = lat.scaled(rng.randint(1, 3))  # made before anything is cached
+    covectors = []
+    for _ in range(6):
+        a = [rng.randint(-p**3, p**3) for _ in range(d + 1)]
+        if rng.random() < 0.5:
+            a = [c * p ** rng.randint(1, 3) for c in a]
+        if any(a):
+            covectors.append(a)
+    for a in covectors:
+        assert early.valuation(a) == reference_valuation(early, a)
+    for _ in range(2):
+        for a in covectors:
+            want = reference_valuation(lat, a)
+            assert lat.valuation(a) == lat.valuation(tuple(a)) == want
+    for other in (lat.scaled(rng.randint(-2, 2)), lat.homothety_rep(), early,
+                  early.homothety_rep()):
+        for a in covectors:
+            assert other.valuation(tuple(a)) == reference_valuation(other, a)
+    zero = (0,) * (d + 1)
+    for target in (lat, lat.scaled(-1)):
+        for a in (zero, list(zero), zero):
+            with pytest.raises(ValueError, match="zero covector"):
+                target.valuation(a)
+        assert zero not in target.__dict__["_valuations"]
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(min_value=0, max_value=10**6),
+)
 def test_holds_is_the_valuation_bound(p, d, seed):
     """holds(a, m) is reference_valuation(lat, a) >= m, on covectors scaled
     by powers of p and at m low enough that the exponent k + scale + m is
@@ -563,6 +602,27 @@ def test_from_homothety_chain_refuses_what_is_no_simplex(p):
         with pytest.raises(ValueError,
                            match="classes do not form a pointed simplex"):
             PointedSimplex.from_homothety_chain(classes)
+
+
+@pytest.mark.parametrize("p, d, radius", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_ball_edges_start_at_the_ball_vertices(p, d, radius):
+    """Every adjacency entry is one of the ball's own vertex objects, so
+    every pointed edge starts at one; the ball keeps the to_json, edges and
+    pointed edges of one that keeps the fresh neighbors() instances."""
+    ball = Ball(Lattice.standard(p, d), radius)
+    own = {id(lat) for lat in ball.vertices}
+    assert all(id(nb) in own for nbs in ball.adjacency.values() for nb in nbs)
+    assert all(id(edge.lattices[0]) in own for edge in ball.pointed_edges())
+    fresh = copy.copy(ball)
+    fresh.adjacency = {
+        lat: [nb for nb in lat.neighbors() if nb in ball.distance]
+        for lat in ball.vertices
+    }
+    assert not any(id(nb) in own for nbs in fresh.adjacency.values()
+                   for nb in nbs)
+    assert ball.to_json() == fresh.to_json()
+    assert ball.edges() == fresh.edges()
+    assert ball.pointed_edges() == fresh.pointed_edges()
 
 
 def test_pointed_edges_both_orientations():

@@ -152,6 +152,20 @@ def test_caps_and_validation():
         FieldDesc(p=2, e=2, N=2)
 
 
+@pytest.mark.parametrize("field, name", [
+    (dict(p=2, e=2, f=1, N=40.0), "precision"),
+    (dict(p=2.0, e=2, f=1, N=40), "prime"),
+    (dict(p=2, e=True, f=1, N=24), "ramification"),
+    (dict(p=2, e=2, f=Fraction(1), N=24), "residue degree"),
+    (dict(p=True, e=1, f=1, N=24), "prime"),
+], ids=["float-N", "float-p", "bool-e", "Fraction-f", "bool-p"])
+def test_field_refuses_fields_that_are_not_ints(field, name):
+    # N = 40.0 used to build a field whose one had the float digit 1.0, and
+    # e = True used to equal and hash as e = 1
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        FieldDesc(**field)
+
+
 def test_serialization():
     d = FieldDesc(p=3, e=2, f=1, N=6)
     assert d.to_json() == {"p": 3, "e": 2, "f": 1, "N": 6}

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from drinfeld import residues
 from drinfeld.building import Ball, Lattice, PointedSimplex, standard_simplex
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
-from drinfeld.padic import PrecisionError
+from drinfeld.padic import FieldDesc, PrecisionError
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from drinfeld.residues import (
     GLOBAL_SIGN,
@@ -415,6 +415,56 @@ def test_oracle_table_does_not_depend_on_its_ramification(p, d):
 def test_oracle_validates_field_shape():
     with pytest.raises(ValueError):
         oracle_slope_table(std_edge(), [(1, 0)], e_oracle=1)
+
+
+def test_oracle_ramification_must_be_an_int():
+    # checked before the untyped field memo, which would otherwise answer
+    # 3.0 with the e = 3 field; True used to raise ValueError (below 3)
+    edge = std_edge()
+    oracle_slope_table(edge, [(1, 0)], e_oracle=3)
+    for e in (3.0, 4.0, True):
+        with pytest.raises(TypeError, match="e_oracle must be an int"):
+            oracle_slope_table(edge, [(1, 0)], e_oracle=e)
+
+
+def test_oracle_field_is_one_per_shape():
+    """Edges of one shape (p, e_oracle, f, k0) share one field instance;
+    another k0, f or e_oracle gets another."""
+    edges = Ball(Lattice.standard(2, 1), 1).pointed_edges()
+    at_std = [e for e in edges if e.lattices[0].det_exponent == 0]
+    at_nb = [e for e in edges if e.lattices[0].det_exponent == 1]
+    assert len(at_std) == 3 and len(at_nb) == 3
+    desc = residues._oracle_desc(2, at_std[0], 3)
+    assert desc == FieldDesc(p=2, e=3, f=1, N=24)
+    assert residues._oracle_desc(2, at_std[1], 3) is desc
+    assert residues._oracle_desc(2, std_edge(), 3) is desc
+    others = [
+        residues._oracle_desc(2, at_nb[0], 3),  # k0 = 1
+        residues._oracle_desc(2, standard_simplex(2, (1, 2)), 3),  # f = 2
+        residues._oracle_desc(2, at_std[0], 4),  # e_oracle = 4
+    ]
+    assert [(d.e, d.f, d.N) for d in others] == [(3, 1, 33), (3, 2, 24),
+                                                 (4, 1, 32)]
+    assert len({id(d) for d in [desc, *others]}) == 4
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
+def test_oracle_sweeps_across_field_shapes_match_fresh_fields(monkeypatch, p, d):
+    # sweeps at e_oracle 3, then 4, then 3 in one process read the memoized
+    # fields; the reference builds a fresh field for every edge
+    classes = enumerate_points(p, 1, d)
+    edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
+
+    def sweep(e_oracle):
+        rng = random.Random(11)
+        return [oracle_slope_table(edge, classes, e_oracle=e_oracle, rng=rng,
+                                   check_membership=False) for edge in edges]
+
+    tables = [sweep(e) for e in (3, 4, 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(residues, "_oracle_field", FieldDesc)
+        fresh = [sweep(e) for e in (3, 4)]
+    assert tables == [fresh[0], fresh[1], fresh[0]]
 
 
 @pytest.mark.parametrize(
