@@ -6,10 +6,17 @@ with a p-power determinant plus a scale exponent; saturation at
 construction removes prime-to-p content, which makes the Hermite rows a
 complete invariant of the Z_p-row-span.  Pointed simplices are literal
 chains M_0 > M_1 > ... > M_k > p M_0 with M_0 primitive at scale 0.
+
+PointedSimplex.from_chain keeps one live object per pointed-chain value:
+while a simplex built by it is alive, a chain equal to its lattices, after
+re-pointing, returns that same object, already validated and holding its
+cached tube tests and frames.  The table holds its simplices weakly, so it
+keeps nothing alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
@@ -281,9 +288,20 @@ class PointedSimplex:
 
     @staticmethod
     def from_chain(lattices):
-        """The chain shifted so that its first lattice sits at scale 0."""
+        """The chain shifted so that its first lattice sits at scale 0.
+
+        One live object per pointed-chain value: when a simplex with the
+        re-pointed lattices (equal rows and scales) is still alive, it is
+        returned itself, already validated and with its derived data
+        cached; otherwise the chain is validated and the new simplex
+        registered.  The table holds values weakly, so it keeps nothing
+        alive, and a chain that fails validation stores nothing."""
         shift = lattices[0].scale
-        return PointedSimplex(tuple(lat.scaled(-shift) for lat in lattices))
+        chain = tuple(lat.scaled(-shift) for lat in lattices)
+        sigma = _LIVE_SIMPLICES.get(chain)
+        if sigma is None:
+            sigma = _LIVE_SIMPLICES[chain] = PointedSimplex(chain)
+        return sigma
 
     @staticmethod
     def from_homothety_chain(classes):
@@ -403,6 +421,11 @@ class PointedSimplex:
 
     def to_json(self):
         return {"chain": [lat.to_json() for lat in self.lattices]}
+
+
+# from_chain's table: re-pointed lattice tuple -> the live simplex of that
+# chain.  An entry goes when its simplex dies.
+_LIVE_SIMPLICES = weakref.WeakValueDictionary()
 
 
 def standard_simplex(p, type_vector):

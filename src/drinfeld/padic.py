@@ -165,6 +165,14 @@ class FieldDesc:
         return {"p": self.p, "e": self.e, "f": self.f, "N": self.N}
 
 
+# One field per shape (p, e, f, N) for the callers that build a field per
+# simplex or edge, so its modulus, working precision and product tables are
+# built once.  The key is not typed, so a caller checks its ints before it
+# (3.0 or True would find the field of 3 or 1); a field that is not an int
+# fails FieldDesc's own check and is never stored.
+shared_field = lru_cache(maxsize=None)(FieldDesc)
+
+
 _OMEGA_POWERS = {}
 
 

@@ -16,7 +16,6 @@ combinatorial rule.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .building import PointedSimplex
 from .covers import SymmetricSpacePoint, member_tube, random_unit, tube_sample
@@ -24,7 +23,7 @@ from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
 from .intlinalg import require_int, require_ints
-from .padic import FieldDesc, PrecisionError, linear_forms
+from .padic import PrecisionError, linear_forms, shared_field
 from .projpoints import ProjPoint, enumerate_points, lift_covector
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
@@ -72,17 +71,11 @@ def required_level(sigma):
     return sigma.lattices[0].det_exponent + 1
 
 
-# One field per oracle shape (p, e, f, N), so its modulus, working precision
-# and product tables are built once, not once per edge.  The key is not
-# typed, so oracle_slope_table checks e_oracle before it; a field that is not
-# an int fails FieldDesc's own check and is never stored.
-_oracle_field = lru_cache(maxsize=None)(FieldDesc)
-
-
 def _oracle_desc(p, sigma, e_oracle):
+    """The oracle field of an edge, one per shape (padic.shared_field)."""
     k0 = sigma.lattices[0].det_exponent
     f = max(sigma.type_vector())
-    return _oracle_field(p, e_oracle, f, e_oracle * (8 + 3 * k0))
+    return shared_field(p, e_oracle, f, e_oracle * (8 + 3 * k0))
 
 
 def _oracle_points(sigma, desc, rng):

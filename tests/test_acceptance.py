@@ -12,6 +12,7 @@ import pytest
 import drinfeld.certify as certify
 from drinfeld.building import PointedSimplex
 from drinfeld.cli import main
+from helpers import reference_from_chain
 
 _CAPSYS = None
 
@@ -151,6 +152,43 @@ def test_criterion_10_reduction_cross_validation():
     for check in result["checks"]:
         assert check["points"] == 100
         assert check["failures"] == 0
+
+
+def _smallest_reduction_records():
+    """Criterion 10 on its d = 1 grid points and criterion 11 on its point
+    with the fewest translates, as JSON."""
+    reduction = [certify.check_reduction(0, *pt)
+                 for pt in certify.TAU_CONFIGS if pt[1] == 1]
+    smallest = min(certify.CRITERIA[10].grid, key=lambda pt: pt[2])
+    equivariance = certify.check_equivariance(0, *smallest)
+    return json.dumps([reduction, equivariance], sort_keys=True)
+
+
+def test_live_simplex_table_keeps_the_reduction_records(monkeypatch):
+    """from_chain's table of live simplices changes no record: the
+    smallest criterion 10 and 11 points give the same bytes when every
+    from_chain call validates and builds a new simplex."""
+    shipped = _smallest_reduction_records()
+    monkeypatch.setattr(PointedSimplex, "from_chain",
+                        staticmethod(reference_from_chain))
+    assert _smallest_reduction_records() == shipped
+
+
+def test_criterion_10_builds_one_field_per_shape(monkeypatch):
+    """The simplices of one shape share one field object."""
+    seen = []
+    sample = certify.point_in_tube
+
+    def recording(desc, sigma, rng):
+        seen.append(desc)
+        return sample(desc, sigma, rng)
+
+    monkeypatch.setattr(certify, "point_in_tube", recording)
+    for pt in certify.TAU_CONFIGS[:3]:
+        certify.check_reduction(0, *pt)
+    shapes = {(d.p, d.e, d.f, d.N) for d in seen}
+    assert len(seen) == 3 * certify.POINTS_PER_CONFIG
+    assert len({id(d) for d in seen}) == len(shapes) < len(seen) // 10
 
 
 def test_criterion_11_equivariance():

@@ -1,11 +1,14 @@
 """Lattice building: canonical forms, simplices, adapted bases, balls."""
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drinfeld import building
 from drinfeld.building import (
     Ball,
     Lattice,
@@ -14,6 +17,8 @@ from drinfeld.building import (
     standard_simplex,
     tree_ball_size,
 )
+from drinfeld.certify import TAU_CONFIGS, _random_simplex_for
+from drinfeld.covers import point_in_tube, reduce_to_building
 from drinfeld.intlinalg import (
     gaussian_binomial,
     hnf_adjugate,
@@ -24,6 +29,7 @@ from drinfeld.intlinalg import (
     rref_modp,
     subspaces_modp,
 )
+from drinfeld.padic import FieldDesc
 from helpers import (
     covector_coordinates,
     in_span_modp,
@@ -244,6 +250,85 @@ def test_rotation_cycles_and_type():
         assert r == s
 
 
+# --- from_chain's table: one live object per pointed-chain value -----------
+
+
+def test_from_chain_returns_the_live_simplex_of_its_chain():
+    sigma = random_pointed_simplex(3, 2, random.Random(5), type_vector=(1, 1, 1))
+    assert PointedSimplex.from_chain(sigma.lattices) is sigma
+    # the same chain at another scale re-points to the same value
+    shifted = [lat.scaled(2) for lat in sigma.lattices]
+    assert PointedSimplex.from_chain(shifted) is sigma
+    # fresh lattice objects of equal value find it too
+    bare = [Lattice(lat.p, lat.rows, lat.scale) for lat in sigma.lattices]
+    assert PointedSimplex.from_chain(bare) is sigma
+    assert building._LIVE_SIMPLICES[sigma.lattices] is sigma
+
+
+@pytest.mark.parametrize("tv", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+def test_rotating_all_the_way_round_returns_the_simplex_itself(tv):
+    sigma = random_pointed_simplex(2, sum(tv) - 1, random.Random(len(tv)),
+                                   type_vector=tv)
+    cur = sigma
+    for _ in range(sigma.k + 1):
+        cur = cur.rotate()
+    assert cur is sigma
+    assert sigma.rotations()[0] is sigma
+    assert all(r.rotate() is nxt for r, nxt in
+               zip(sigma.rotations(), sigma.rotations()[1:]))
+
+
+def test_reduction_returns_the_simplex_the_caller_holds():
+    """A tube sample keeps its pointing, so its reduction is the sampled
+    simplex itself, with its tube tests already cached: on two simplices
+    of every criterion 10 shape."""
+    rng = random.Random(31)
+    for p, d, e, f in TAU_CONFIGS:
+        for _ in range(2):
+            sigma = _random_simplex_for(p, d, e, f, rng)
+            k0 = sigma.lattices[0].det_exponent
+            desc = FieldDesc(p=p, e=e, f=f, N=max(e * (10 + 3 * k0), 2 * e))
+            assert reduce_to_building(point_in_tube(desc, sigma, rng)).simplex is sigma
+
+
+def test_the_table_keeps_nothing_alive():
+    sigma = random_pointed_simplex(2, 2, random.Random(8), type_vector=(2, 1))
+    key = sigma.lattices
+    assert building._LIVE_SIMPLICES.get(key) is sigma
+    del sigma
+    gc.collect()
+    assert key not in building._LIVE_SIMPLICES
+    # a reduced simplex that nobody else holds dies with its caller's hold
+    rng = random.Random(4)
+    desc = FieldDesc(p=2, e=2, f=2, N=40)
+    z = point_in_tube(desc, random_pointed_simplex(2, 2, rng, type_vector=(2, 1)),
+                      rng)
+    gc.collect()
+    bp = reduce_to_building(z)
+    ref = weakref.ref(bp.simplex)
+    assert building._LIVE_SIMPLICES.get(bp.simplex.lattices) is bp.simplex
+    del bp
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_chain_that_fails_validation_raises_every_time_and_stores_nothing():
+    sigma = PointedSimplex.from_chain(standard_simplex(2, (1, 1)).lattices)
+    m0, m1 = sigma.lattices
+    gc.collect()
+    before = len(building._LIVE_SIMPLICES)
+    # the same rows as the live simplex at other scales, and a repeated
+    # lattice: none is a pointed chain
+    for bad in ([m0, m1.scaled(1)], [m0, m1.scaled(-1)], [m0, m0], [m1, m0]):
+        key = tuple(lat.scaled(-bad[0].scale) for lat in bad)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="chain"):
+                PointedSimplex.from_chain(bad)
+            assert key not in building._LIVE_SIMPLICES
+    assert len(building._LIVE_SIMPLICES) == before
+    assert PointedSimplex.from_chain([m0, m1]) is sigma
+
+
 def frozen(value):
     """Whether a cached value is built of tuples and integers only."""
     if isinstance(value, tuple):
@@ -267,6 +352,9 @@ def test_cached_derived_data_is_invisible_to_the_value(p, d):
     assert not any(name in copy.__dict__ for name in cached)
     assert sigma == copy and hash(sigma) == hash(copy)
     assert sigma.to_json() == copy.to_json()
+    # a directly built copy is no live simplex of from_chain's table, which
+    # still resolves the chain to sigma
+    assert copy is not sigma and PointedSimplex.from_chain(copy.lattices) is sigma
     for lat in sigma.lattices:
         bare = Lattice(lat.p, lat.rows, lat.scale)
         assert frozen(lat.__dict__["_adj_data"]) and "_adj_data" not in bare.__dict__

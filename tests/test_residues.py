@@ -462,7 +462,7 @@ def test_oracle_sweeps_across_field_shapes_match_fresh_fields(monkeypatch, p, d)
 
     tables = [sweep(e) for e in (3, 4, 3)]
     with monkeypatch.context() as patch:
-        patch.setattr(residues, "_oracle_field", FieldDesc)
+        patch.setattr(residues, "shared_field", FieldDesc)
         fresh = [sweep(e) for e in (3, 4)]
     assert tables == [fresh[0], fresh[1], fresh[0]]
 
