@@ -297,10 +297,10 @@ class PointedSimplex:
         registered.  The table holds values weakly, so it keeps nothing
         alive, and a chain that fails validation stores nothing."""
         shift = lattices[0].scale
-        chain = tuple(lat.scaled(-shift) for lat in lattices)
-        sigma = _LIVE_SIMPLICES.get(chain)
+        repointed = tuple(lat.scaled(-shift) for lat in lattices)
+        sigma = _LIVE_SIMPLICES.get(repointed)
         if sigma is None:
-            sigma = _LIVE_SIMPLICES[chain] = PointedSimplex(chain)
+            sigma = _LIVE_SIMPLICES[repointed] = PointedSimplex(repointed)
         return sigma
 
     @staticmethod

@@ -356,27 +356,20 @@ def tube_coordinates(z, sigma):
     In an adapted frame f with section values w_j = <f_j, z>: inside a
     block each coordinate is the ratio to the block leader, each block
     leader is the ratio to the previous leader, and X_0 = p w_{lead 0} /
-    w_{lead k}, so the leader coordinates multiply exactly to p.
-
-    Every divisor is a block leader, so each leader is inverted once and
-    x / y is x * (1 / y), which has the shift, digits and prec of the
-    division: 1 / y is y's unit inverse at prec min(work_prec, unit prec),
-    and the product with x keeps x's prec where it is smaller."""
+    w_{lead k}, so the leader coordinates multiply exactly to p."""
     basis = sigma.adapted_basis()
     ds = list(sigma.boundary_indices())
     w = [z.section(f) for f in basis]
     k = sigma.k
-    one = FieldElem.one(z.desc)
-    inv = [one / w[d] for d in ds]
     coords = [None] * len(basis)
     p_elem = FieldElem.from_int(z.desc, sigma.p)
-    coords[0] = p_elem * w[ds[0]] * inv[k]
+    coords[0] = p_elem * w[ds[0]] / w[ds[k]]
     for i in range(1, k + 1):
-        coords[ds[i]] = w[ds[i]] * inv[i - 1]
+        coords[ds[i]] = w[ds[i]] / w[ds[i - 1]]
     bounds = ds + [len(basis)]
     for i in range(k + 1):
         for j in range(bounds[i] + 1, bounds[i + 1]):
-            coords[j] = w[j] * inv[i]
+            coords[j] = w[j] / w[ds[i]]
     return tuple(coords)
 
 

@@ -746,33 +746,6 @@ def reference_from_chain(lattices):
     return PointedSimplex(tuple(lat.scaled(-shift) for lat in lattices))
 
 
-# Tube coordinates with one field division per coordinate, before
-# tube_coordinates inverted each block leader once and multiplied.
-
-
-def reference_tube_coordinates(z, sigma):
-    """Coordinates (X_0, ..., X_d) of a point on the tube of sigma.
-
-    In an adapted frame f with section values w_j = <f_j, z>: inside a
-    block each coordinate is the ratio to the block leader, each block
-    leader is the ratio to the previous leader, and X_0 = p w_{lead 0} /
-    w_{lead k}, so the leader coordinates multiply exactly to p."""
-    basis = sigma.adapted_basis()
-    ds = list(sigma.boundary_indices())
-    w = [z.section(f) for f in basis]
-    k = sigma.k
-    coords = [None] * len(basis)
-    p_elem = FieldElem.from_int(z.desc, sigma.p)
-    coords[0] = p_elem * w[ds[0]] / w[ds[k]]
-    for i in range(1, k + 1):
-        coords[ds[i]] = w[ds[i]] / w[ds[i - 1]]
-    bounds = ds + [len(basis)]
-    for i in range(k + 1):
-        for j in range(bounds[i] + 1, bounds[i + 1]):
-            coords[j] = w[j] / w[ds[i]]
-    return tuple(coords)
-
-
 # Tube-test covectors as computed on every member_tube call, scanning all
 # p^size residue vectors, before they became cached derived data of the
 # pointed simplex.

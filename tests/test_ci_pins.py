@@ -6,9 +6,7 @@ The workflow writes each pinned output with a `drinfeld ... > file`,
 of line from the workflow itself, so each hash has one copy, runs the
 commands in order through cli.main in a temporary directory and checks
 every pin but the full certification bundle's: that run takes 6-8 s and
-is left to the workflow.  A run may carry one environment assignment, as
-the bundle's run under a second PYTHONHASHSEED does; an environment cannot
-be applied in-process, so only a skipped run may carry one."""
+is left to the workflow."""
 
 import contextlib
 import hashlib
@@ -20,23 +18,22 @@ from pathlib import Path
 from drinfeld.cli import main
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-ENV = r"(?:(\w+=\S+) )?"
-REDIRECT = re.compile(ENV + r"drinfeld (.+?) (>>?) (\S+)")
-OUT = re.compile(ENV + r"drinfeld (.* --out (\S+))")
+REDIRECT = re.compile(r"drinfeld (.+?) (>>?) (\S+)")
+OUT = re.compile(r"drinfeld (.* --out (\S+))")
 PIN = re.compile(r'echo "([0-9a-f]{64})  (\S+)" \| sha256sum -c -')
 FULL_BUNDLE = ["certify-all", "--out"]
 
 
 def workflow_steps():
-    """("run", argv, stdout file or None, append, environment assignment
-    or None) and ("pin", sha256, file) in workflow order."""
+    """("run", argv, stdout file or None, append) and ("pin", sha256, file)
+    in workflow order."""
     steps = []
     for line in WORKFLOW.read_text().splitlines():
         line = line.strip()
         if m := REDIRECT.fullmatch(line):
-            steps.append(("run", shlex.split(m[2]), m[4], m[3] == ">>", m[1]))
+            steps.append(("run", shlex.split(m[1]), m[3], m[2] == ">>"))
         elif m := OUT.fullmatch(line):
-            steps.append(("run", shlex.split(m[2]), None, False, m[1]))
+            steps.append(("run", shlex.split(m[1]), None, False))
         elif m := PIN.fullmatch(line):
             steps.append(("pin", m[1], m[2]))
     return steps
@@ -51,11 +48,10 @@ def test_workflow_byte_pins_hold(tmp_path, monkeypatch, capsys):
     checked = 0
     for step in steps:
         if step[0] == "run":
-            _, argv, stdout_file, append, env = step
+            _, argv, stdout_file, append = step
             if argv[:2] == FULL_BUNDLE and len(argv) == 3:
                 skipped.add(argv[2])
                 continue
-            assert env is None, f"{env} cannot be applied in-process"
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)

@@ -43,7 +43,6 @@ from helpers import (
     reference_point_in_tube,
     reference_random_unit,
     reference_reduce_to_building,
-    reference_tube_coordinates,
     reference_tube_test_covectors,
 )
 
@@ -698,23 +697,6 @@ def test_a_point_too_deep_for_the_question_raises_no_new_precision_error():
     z = point(FieldDesc(p=3, e=1, N=3), 1, 3)
     assert _cover_outcome(reduce_to_building, z, 3) == (ValueError, TOO_DEEP)
     assert not member_open_cover(z, 3)
-
-
-def test_tube_coordinates_match_the_division_reference():
-    """One inversion per block leader gives each coordinate the shift,
-    digits and prec of the division, or the same error: on tube points of
-    every criterion 10 shape and the other cover cases, at every pointing."""
-    cases = 0
-    for z, sigma in _cover_cases():
-        for tau in sigma.rotations():
-            got = _cover_outcome(tube_coordinates, z, tau)
-            want = _cover_outcome(reference_tube_coordinates, z, tau)
-            if isinstance(want, tuple) and want and isinstance(want[0], FieldElem):
-                got, want = ([_elem_bytes(x) for x in got],
-                             [_elem_bytes(x) for x in want])
-                cases += 1
-            assert got == want
-    assert cases >= len(TAU_CONFIGS) * 2
 
 
 def test_reduction_lattices_take_d_plus_one_rows(monkeypatch):
