@@ -15,14 +15,14 @@ Comparisons that the stored digits cannot resolve raise PrecisionError
 rather than guessing.
 
 Division extracts the unit part of the divisor (its polynomial part over
-pi^v, one slice of rows) and inverts it.  A rational-integer unit is
-inverted by pow().  At even e, pi -> -pi is a ring automorphism, so
-u^-1 = conj(u) * (u conj(u))^-1, where the norm u conj(u) lies in the
-subring of pi^2, a field of ramification e/2 with the same modulus; the
-norm is inverted there the same way (norm descent).  Only at odd e, where
-the descent ends, does a unit that is not a rational integer take one
-linear solve mod p^coeff_exponent against its e*f x e*f multiplication
-matrix; at f = 1 and e in {2, 4} the descent ends in a rational integer.
+pi^v, one slice of rows) and inverts it in closed form, with no linear
+solve.  A rational-integer unit is inverted by pow().  Any other unit u is
+multiplied by an adjugate w (a - b pi at e = 2, the cofactors of the norm
+form at e = 3, the conjugate under pi -> -pi and then the e = 2 form at
+e = 4) so that u*w lies in the unramified ring Z_p[omega]/p^k; there the
+first adjugate column of the multiplication matrix takes it to a rational
+integer, inverted by pow().  At f >= 2 the rows of u are packed into ints,
+one omega-digit a slot, so the closed forms are int arithmetic at every f.
 A power x**k is taken by binary powering from x itself, after one
 inversion 1/x when k < 0; products are exact in the ring, so its digits
 are those of |k| repeated products.
@@ -43,9 +43,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import lshift, mul
 
-from .intlinalg import require_int, solve_mod
+from .intlinalg import require_int
 
 MAX_E = 4
 MAX_F = 3
@@ -132,11 +132,25 @@ class FieldDesc:
         return bits, (1 << bits) - 1
 
     @cached_property
-    def _norm_desc(self):
-        """The subring of pi^2 at even e: ramification e/2, residue degree
-        f and the same coefficient modulus, with pi^2 as its uniformizer."""
-        half = self.e // 2
-        return FieldDesc(self.p, half, self.f, half * self.coeff_exponent)
+    def _omega_packing(self):
+        """(bits, offset, shifts, columns) of _pack_omega at e >= 2 and
+        f >= 2.  The closed forms of _unit_inverse take rows of f digits
+        below the modulus m to integer polynomials in omega of degree at
+        most e(f-1), so e(f-1)+1 slots.  Each is a form of degree e in the
+        rows (an adjugate row times a packed inverse norm too) whose
+        coefficients sum in size to at most 4(p+1)^3, which bounds the
+        e = 4 norm's (1+3p)^2 + p(3+p)^2; the digits of a row sum to less
+        than f m.  So every coefficient is below 4(p+1)^3 (f m)^e in size,
+        and a slot of bits bits holds it with its sign.  offset puts half a
+        slot in each slot, at the given shifts; columns[j] pairs the
+        omega^j digits of each omega^t with the offset's share of them."""
+        p, e, f, m = self.p, self.e, self.f, self.coeff_modulus
+        bits = (4 * (p + 1) ** 3 * (f * m) ** e).bit_length() + 1
+        half, top = 1 << (bits - 1), e * (f - 1)
+        shifts = tuple(range(0, (top + 1) * bits, bits))
+        powers = _omega_powers(p, f, top)[: top + 1]
+        columns = tuple((col, half * sum(col)) for col in zip(*powers))
+        return bits, sum(half << s for s in shifts), shifts, columns
 
     @cached_property
     def _schoolbook(self):
@@ -566,45 +580,115 @@ def _omega_step(block, low):
 
 def _unit_inverse(desc, unit_coeffs):
     """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
-    with u*x = 1.  A rational integer is inverted by pow(); at even e by
-    norm descent, x = conj(u) * (u conj(u))^-1 with conj: pi -> -pi and the
-    norm inverted in the subring of pi^2; at odd e by one linear solve mod
-    p^coeff_exponent whose column t is u*pi^i*omega^j (t = i*f + j)."""
+    with u*x = 1, in closed form, with no linear solve.
+
+    A rational integer is inverted by pow().  Otherwise u is multiplied by
+    an adjugate w whose product n = u*w lies in the unramified ring
+    R = Z_p[omega]/p^k (k = coeff_exponent), and x = w * n^-1.  Write
+    u = a + b pi + c pi^2 + d pi^3 with a, b, c, d in R (as many rows as
+    e) and use pi^e = p:
+
+    - e = 2: w = a - b pi, so u*w = a^2 - b^2 pi^2 and n = a^2 - p b^2.
+    - e = 3: w = A + B pi + C pi^2 with A = a^2 - p b c, B = p c^2 - a b
+      and C = b^2 - a c.  The pi-digit of u*w is a B + b A + p c C = 0 and
+      its pi^2-digit a C + b B + c A = 0, so n = a A + p (b C + c B), the
+      norm a^3 + p b^3 + p^2 c^3 - 3 p a b c.
+    - e = 4: with s = pi^2 (s^2 = p), u = X + pi Y for X = a + c s and
+      Y = b + d s.  pi -> -pi is a ring automorphism, and
+      (X + pi Y)(X - pi Y) = X^2 - s Y^2 = n0 + n1 s with
+      n0 = a^2 + p (c^2 - 2 b d) and n1 = 2 a c - b^2 - p d^2 (norm
+      descent to the ring of s, of ramification 2).  The e = 2 form in s
+      then gives (n0 + n1 s)(n0 - n1 s) = n = n0^2 - p n1^2, so
+      w = (X - pi Y)(n0 - n1 s), whose pi-rows are a n0 - p c n1,
+      p d n1 - b n0, c n0 - a n1 and b n1 - d n0.
+    - e = 1: u lies in R itself, and _ring_inverse inverts it.
+
+    n is a unit exactly when u is, so at f = 1 n^-1 is pow(n, -1) and at
+    f >= 2 it is _ring_inverse(n).  At f >= 2 the rows of u,
+    integer polynomials in omega, are packed into ints (_pack_omega), so
+    that every closed form above is int arithmetic at every f; the results
+    are reduced by omega's minimal polynomial on unpacking.  A unit has one
+    inverse modulo p^k, so the digits are those of any other method."""
     p, e, f = desc.p, desc.e, desc.f
     if not any(c % p for c in unit_coeffs[:f]):
         raise PrecisionError("inverse of a non-unit")
+    mod = desc.coeff_modulus
     if not any(unit_coeffs[1:]):
-        # a rational integer unit needs no solve
-        inv = pow(unit_coeffs[0], -1, desc.coeff_modulus)
+        # a rational integer unit needs no adjugate
+        inv = pow(unit_coeffs[0], -1, mod)
         return (inv,) + (0,) * (e * f - 1)
-    if e % 2 == 0:
-        mod = desc.coeff_modulus
-        conj = list(unit_coeffs)
-        for t in range(f, e * f, 2 * f):
-            conj[t : t + f] = [-c % mod for c in conj[t : t + f]]
-        conj = tuple(conj)
-        # u * conj(u) is fixed by pi -> -pi: its odd pi-rows vanish and its
-        # even rows are the digits of the norm in the subring of pi^2
-        norm = _poly_mul(desc, unit_coeffs, conj)
-        even = tuple(c for t in range(0, e * f, 2 * f) for c in norm[t : t + f])
-        inner = _unit_inverse(desc._norm_desc, even)
-        if not any(inner[1:]):
-            # a rational-integer inverse norm just scales conj(u)
-            return tuple([c * inner[0] % mod for c in conj])
-        spread = [0] * (e * f)
-        for t in range(0, e * f, 2 * f):
-            spread[t : t + f] = inner[t // 2 : t // 2 + f]
-        return _poly_mul(desc, conj, tuple(spread))
-    # column i*f + j is u*omega^j, the product by the basis vector omega^j,
-    # moved up i pi-powers
-    omegas = [unit_coeffs] + [
-        _poly_mul(desc, unit_coeffs, tuple(int(t == j) for t in range(e * f)))
-        for j in range(1, f)
-    ]
-    columns = [_shift_poly(desc, c, i) for i in range(e) for c in omegas]
-    rhs = [(1,)] + [(0,)] * (e * f - 1)
-    x = solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
-    return tuple(row[0] for row in x)
+    if e == 1:
+        return _ring_inverse(desc, unit_coeffs)
+    # the rows of u: its digits at f = 1, omega-packed polynomials at f >= 2
+    if f == 1:
+        rows = unit_coeffs
+    else:
+        rows = _pack_omega(desc, unit_coeffs)
+    if e == 2:
+        a, b = rows
+        adj, norm = (a, -b), a * a - p * b * b
+    elif e == 3:
+        a, b, c = rows
+        A, B, C = a * a - p * b * c, p * c * c - a * b, b * b - a * c
+        adj, norm = (A, B, C), a * A + p * (b * C + c * B)
+    else:
+        a, b, c, d = rows
+        n0, n1 = a * a + p * (c * c - 2 * b * d), 2 * a * c - b * b - p * d * d
+        adj = (a * n0 - p * c * n1, p * d * n1 - b * n0, c * n0 - a * n1, b * n1 - d * n0)
+        norm = n0 * n0 - p * n1 * n1
+    if f == 1:
+        inv = pow(norm, -1, mod)
+        return tuple([x * inv % mod for x in adj])
+    (inv,) = _pack_omega(desc, _ring_inverse(desc, _unpack_omega(desc, (norm,))))
+    return _unpack_omega(desc, [x * inv for x in adj])
+
+
+def _ring_inverse(desc, digits):
+    """Inverse of a unit u of the unramified ring R = Z_p[omega]/p^k at
+    f >= 2, given by its f digits.  The matrix M of multiplication by u on
+    the basis omega^j has columns u, u omega, u omega^2, and M x = e_0 is
+    solved by Cramer's rule: x is the first column of the adjugate of M
+    over det M, a rational integer and a unit exactly when u is.  At
+    f = 2, with omega^2 = -c_1 omega - c_0 and u = a + b omega, that column
+    is the conjugate a - c_1 b - b omega and det M = a^2 - c_1 a b + c_0 b^2."""
+    p, f, mod = desc.p, desc.f, desc.coeff_modulus
+    # the columns u*omega^j, unreduced
+    cols = [digits]
+    for _ in range(f - 1):
+        cols.append(_omega_step(cols[-1], unramified_min_poly(p, f)))
+    if f == 2:
+        (_, a1), (_, b1) = cols
+        adj = (b1, -a1)
+    else:
+        (_, a1, a2), (_, b1, b2), (_, c1, c2) = cols
+        adj = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+    inv = pow(sum(map(mul, [col[0] for col in cols], adj)), -1, mod)
+    return tuple([c * inv % mod for c in adj])
+
+
+def _pack_omega(desc, digits):
+    """The rows of f digits of a digit vector, each an element of the
+    unramified ring, as ints: the digit of omega^j in slot j of
+    desc._omega_packing.  Sums and products of packed rows are the packed
+    sums and products of the rows as integer polynomials in omega, not yet
+    reduced by its minimal polynomial."""
+    f, shifts = desc.f, desc._omega_packing[2][: desc.f]
+    return [sum(map(lshift, digits[t : t + f], shifts)) for t in range(0, len(digits), f)]
+
+
+def _unpack_omega(desc, rows):
+    """The digits in the unramified ring of packed polynomials, reduced,
+    row after row: a row plus the offset that lifts every signed slot by
+    half a slot has slots >= 0, and slot t folds onto the basis by
+    omega^t, less its share of the offset."""
+    bits, offset, shifts, columns = desc._omega_packing
+    mask, mod = (1 << bits) - 1, desc.coeff_modulus
+    digits = []
+    for x in rows:
+        x += offset
+        slots = [x >> s & mask for s in shifts]
+        digits += [(sum(map(mul, slots, col)) - lift) % mod for col, lift in columns]
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_workflow_byte_pins_hold(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     steps = workflow_steps()
     pins = [step for step in steps if step[0] == "pin"]
-    assert len(pins) >= 31, "the workflow pins fewer outputs than expected"
+    assert len(pins) >= 32, "the workflow pins fewer outputs than expected"
     skipped = set()
     checked = 0
     for step in steps:

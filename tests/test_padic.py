@@ -1,12 +1,14 @@
 """Truncated extension-field arithmetic: frozen examples and invariants."""
 
+import itertools
 import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from drinfeld import intlinalg
 from drinfeld.padic import (
     FieldDesc,
     FieldElem,
@@ -328,13 +330,14 @@ def test_unit_inverse_matches_newton(case):
 @st.composite
 def division_cases(draw):
     """Digit vectors at five field shapes: two with the same f, one over
-    p in {2,3,5,7} and e <= 4 and one at p = 2 with even e, so that norm
-    descent at p = 2 is drawn in every example; and three that reach the
-    linear solve of the general path with f >= 2 in every example: odd e
-    at f >= 2, e = 1 at f = 3, and e = 2 at f >= 2, whose descent ends
-    at e = 1.  Each case holds a unit (a nonzero residue in row 0, the
-    other digits arbitrary or sparse) and a vector divisible by pi^w for
-    a drawn w."""
+    p in {2,3,5,7} and e <= 4 and one at p = 2 with even e, so that the
+    e = 2 and e = 4 closed forms at p = 2 are drawn in every example; and
+    three that reach a unit inverse over the unramified ring with f >= 2
+    in every example: odd e at f >= 2, e = 1 at f = 3, and e = 2 at
+    f >= 2.  Each case holds a unit (a nonzero residue in row 0, the other
+    digits arbitrary or sparse) and a vector divisible by pi^w for a drawn
+    w.  Hypothesis draws the shapes, precisions and w; the digits come
+    from a seeded Random, which is much cheaper than drawing each digit."""
     f = draw(st.integers(min_value=1, max_value=3))
     wide = st.integers(2, 3)
     primes = st.sampled_from([2, 3, 5, 7])
@@ -346,22 +349,52 @@ def division_cases(draw):
         (draw(primes), 1, 3, 24),
         (draw(primes), 2, draw(wide), 24),
     )
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
     cases = []
     for p, e, f, extra in shapes:
         desc = FieldDesc(p=p, e=e, f=f, N=2 * e + draw(st.integers(0, extra)))
         size, mod = e * f, desc.coeff_modulus
-        digits = st.lists(st.integers(0, mod - 1), min_size=size, max_size=size)
-        unit = draw(digits)
+        unit = [rng.randrange(mod) for _ in range(size)]
         if draw(st.booleans()):
-            keep = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-            unit = [c if k or t < f else 0 for t, (c, k) in enumerate(zip(unit, keep))]
-        residue = st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
-        for j, r in enumerate(draw(residue.filter(any))):
+            unit = [c if t < f or rng.random() < 0.5 else 0 for t, c in enumerate(unit)]
+        residue = [0] * f
+        while not any(residue):
+            residue = [rng.randrange(p) for _ in range(f)]
+        for j, r in enumerate(residue):
             unit[j] += r - unit[j] % p
         w = draw(st.integers(0, desc.work_prec))
-        multiple = reference_shift_poly(desc, draw(digits), w)
+        multiple = reference_shift_poly(desc, [rng.randrange(mod) for _ in range(size)], w)
         prec = draw(st.integers(1, desc.work_prec))
         cases.append((desc, tuple(unit), multiple, prec))
+    return cases
+
+
+def _boundary_cases(top):
+    """division_cases at five fixed shapes whose digits all take one
+    boundary value: mod - 1 when top is true, else 0 (the unit keeping a
+    1 in its constant digit)."""
+    cases = []
+    for p, e, f, N in ((7, 4, 3, 60), (2, 4, 3, 8), (5, 3, 2, 24), (3, 1, 3, 2), (2, 2, 3, 4)):
+        desc = FieldDesc(p=p, e=e, f=f, N=N)
+        size, digit = e * f, desc.coeff_modulus - 1 if top else 0
+        unit = (digit or 1,) + (digit,) * (size - 1)
+        multiple = reference_shift_poly(desc, [digit] * size, e + 1)
+        cases.append((desc, unit, multiple, desc.work_prec))
+    return cases
+
+
+def _least_precision_cases():
+    """Deterministic units at N = 2e, the least precision, at every p in
+    {2, 3, 5, 7}, e <= 4 and f <= 3: every digit mod - 1, and mod - 1 on
+    alternate digits with 0 between.  So p = 2 at f = 2 and 3 meets its
+    minimal polynomials x^2 + x + 1 and x^3 + x + 1, whose low
+    coefficients are nonzero, and p in {3, 5, 7} meet theirs."""
+    cases = []
+    for p, e, f in itertools.product((2, 3, 5, 7), range(1, 5), range(1, 4)):
+        desc = FieldDesc(p=p, e=e, f=f, N=2 * e)
+        top = desc.coeff_modulus - 1
+        for unit in ((top,) * (e * f), tuple(top if t % 2 == 0 else 0 for t in range(e * f))):
+            cases.append((desc, unit, unit, desc.work_prec))
     return cases
 
 
@@ -373,6 +406,9 @@ def _result(fn, *args):
 
 
 @settings(max_examples=150, deadline=None)
+@example(_boundary_cases(False))
+@example(_boundary_cases(True))
+@example(_least_precision_cases())
 @given(division_cases())
 def test_unit_inverse_matches_reference(cases):
     for desc, unit, _, _ in cases:
@@ -384,12 +420,44 @@ def test_unit_inverse_matches_reference(cases):
 
 
 @settings(max_examples=150, deadline=None)
+@example(_boundary_cases(False))
+@example(_boundary_cases(True))
 @given(division_cases())
 def test_extract_unit_matches_reference(cases):
     for desc, _, multiple, prec in cases:
         for v in range(prec + 1):
             expected = _result(reference_extract_unit, desc, multiple, prec, v)
             assert _result(_extract_unit, desc, multiple, prec, v) == expected
+
+
+def test_division_takes_no_elimination(monkeypatch):
+    """Every unit inverse is a closed form: with the linear solves of
+    intlinalg made to raise, generic units (not rational integers) at
+    every p in {2, 3}, e <= 4, f <= 3 and N in {2e, 60} still invert,
+    through _unit_inverse and through FieldElem division."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a unit inverse called a linear solve")
+
+    monkeypatch.setattr(intlinalg, "solve_mod", refuse)
+    monkeypatch.setattr(intlinalg, "rref_modp", refuse)
+    rng = random.Random(0)
+    for p, e, f in itertools.product((2, 3), range(1, 5), range(1, 4)):
+        for N in (2 * e, 60):
+            desc = FieldDesc(p=p, e=e, f=f, N=N)
+            mod, size = desc.coeff_modulus, e * f
+            one = (1,) + (0,) * (size - 1)
+            for _ in range(10):
+                unit = [rng.randrange(mod) for _ in range(size)]
+                if not any(c % p for c in unit[:f]):
+                    unit[rng.randrange(f)] += 1
+                if size > 1 and not any(unit[1:]):
+                    unit[-1] = 1
+                unit = tuple(unit)
+                inv = _unit_inverse(desc, unit)
+                assert _poly_mul(desc, unit, inv) == one
+                quotient = FieldElem.one(desc) / FieldElem.from_coeffs(desc, unit)
+                assert quotient.coeffs == inv
 
 
 def _normalize_by_division(vec):
