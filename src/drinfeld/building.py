@@ -25,7 +25,7 @@ from operator import mul
 
 from .intlinalg import (
     complete_basis_modp,
-    hnf_adjugate,
+    hnf_adjugate_columns,
     hnf_det,
     hnf_rows,
     identity,
@@ -43,9 +43,11 @@ from .projpoints import canonical_reps
 
 
 def _primitive(p, rows):
-    """The rows over the gcd g of all their entries, and v_p(g): g^n divides
-    the determinant, so g is a p-power when the determinant is."""
-    g = gcd(*(x for row in rows for x in row))
+    """The rows over the gcd g of all their entries, as tuples, and v_p(g):
+    g^n divides the determinant, so g is a p-power when the determinant is."""
+    g = gcd(*chain.from_iterable(rows))
+    if g == 1:
+        return tuple(map(tuple, rows)), 0
     return tuple(tuple(x // g for x in row) for row in rows), pval(g, p)
 
 
@@ -132,16 +134,15 @@ class Lattice:
     # it lives exactly as long as the value.
     @cached_property
     def _adj_data(self):
-        n, det = hnf_adjugate(self.rows)
-        k = self.det_exponent
-        assert det == self.p**k
-        return n, k
+        return tuple(zip(*self._adj_cols)), self.det_exponent
 
     @cached_property
     def _adj_cols(self):
-        """The columns of the adjugate, read by every valuation and
-        membership test."""
-        return tuple(zip(*self._adj_data[0]))
+        """The columns of the adjugate, as back substitution gives them,
+        read by every valuation and membership test."""
+        cols, det = hnf_adjugate_columns(self.rows)
+        assert det == self.p**self.det_exponent
+        return cols
 
     @cached_property
     def _valuations(self):
@@ -164,19 +165,27 @@ class Lattice:
         return v - self.scale
 
     def holds(self, a, m=0):
-        """Whether the integer covector a lies in p^m self: a times the
-        adjugate, over p^k, is a in the coordinates of the basis of self,
-        before the scale, so a lies there exactly when every entry of a
-        times the adjugate is divisible by p^(k + scale + m).  Since
-        p^k Z^n <= the row span, that holds for every a once the exponent
-        is <= 0.  The zero covector lies in every p^m self."""
-        e = self.det_exponent + self.scale + m
+        """Whether the integer covector a lies in p^m self, that is
+        p^(-m) a in self.  The zero covector lies in every p^m self."""
+        return self._holds_all((a,), -m)
+
+    def _holds_all(self, rows, scale):
+        """Whether p^scale times each integer covector of rows lies in self:
+        the divisibility kernel of holds, contains and the chain check.  A
+        covector times the adjugate, over p^k, is that covector in the
+        coordinates of the basis of self, before the scales, so it lies
+        there exactly when every entry of it times the adjugate is divisible
+        by p^(k + self.scale - scale).  Since p^k Z^n <= the row span, that
+        holds for every covector once the exponent is <= 0."""
+        e = self.det_exponent + self.scale - scale
         if e <= 0:
             return True
         q = self.p**e
-        for col in self._adj_cols:
-            if sum(map(mul, a, col)) % q:
-                return False
+        cols = self._adj_cols
+        for a in rows:
+            for col in cols:
+                if sum(map(mul, a, col)) % q:
+                    return False
         return True
 
     def image_mod_p(self, other):
@@ -198,10 +207,9 @@ class Lattice:
         other, before other's scale, lies in p^(-other.scale) self."""
         if self.p != other.p:
             raise ValueError("mixed primes")
-        for r in other.rows:
-            if not self.holds(r, -other.scale):
-                return False
-        return not (strict and self.index_exponent(other) == 0)
+        return self._holds_all(other.rows, other.scale) and not (
+            strict and self.index_exponent(other) == 0
+        )
 
     def index_exponent(self, other):
         """log_p of the lattice index [self : other] for other <= self."""
@@ -271,7 +279,11 @@ class PointedSimplex:
             if not prev.contains(lat, strict=True):
                 raise ValueError("chain inclusions must be strict")
             prev = lat
-        if not lats[-1].contains(m0.scaled(1), strict=True):
+        # p M_0 < M_k: the rows of M_0 at scale 1 lie in M_k, and
+        # [M_k : p M_0] = p^(n (1 - M_k.scale) + M_0.det_exponent
+        # - M_k.det_exponent) is not 1
+        if not (prev._holds_all(m0.rows, 1) and prev.dim * (1 - prev.scale)
+                + m0.det_exponent != prev.det_exponent):
             raise ValueError("chain must stay strictly above p M_0")
 
     @property
@@ -443,11 +455,12 @@ def standard_simplex(p, type_vector):
 
 
 class Ball:
-    """Vertices within a graph radius of a center, with adjacency."""
+    """Vertices within a graph radius of a center, with adjacency.  The
+    radius is an int >= 0: TypeError or ValueError otherwise."""
 
     def __init__(self, center, radius):
+        self.radius = require_int(radius, "a ball radius", least=0)
         self.center = center.homothety_rep()
-        self.radius = radius
         dist = {self.center: 0}
         order = [self.center]
         frontier = [self.center]
@@ -507,7 +520,8 @@ class Ball:
 
 
 def tree_ball_size(p, radius):
-    """Vertex count of a radius-r ball in the (p+1)-regular tree."""
-    if radius == 0:
+    """Vertex count of a radius-r ball in the (p+1)-regular tree, for an int
+    radius >= 0: TypeError or ValueError otherwise."""
+    if require_int(radius, "a ball radius", least=0) == 0:
         return 1
     return 1 + (p + 1) * (p**radius - 1) // (p - 1)

@@ -125,24 +125,36 @@ def hnf_det(rows):
 
 def hnf_adjugate(rows):
     """(adj, det) of an upper triangular matrix with nonzero diagonal, such
-    as a full-rank Hermite basis, by back substitution.  Column j of adj
-    solves rows . x = det e_j from the bottom up; every division is exact
-    because adj is an integer matrix."""
+    as a full-rank Hermite basis: adj as rows, the transpose of
+    hnf_adjugate_columns."""
+    cols, det = hnf_adjugate_columns(rows)
+    return tuple(zip(*cols)), det
+
+
+def hnf_adjugate_columns(rows):
+    """(columns of adj, det) of an upper triangular matrix with nonzero
+    diagonal, by back substitution.  Column j of adj solves
+    rows . x = det e_j from the bottom up and is zero below j; every
+    division is exact because adj is an integer matrix."""
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    if any(rows[i][j] for i in range(n) for j in range(i)):
-        raise ValueError("matrix is not upper triangular")
-    det = hnf_det(rows)
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    for i, row in enumerate(rows):
+        if any(row[:i]):
+            raise ValueError("matrix is not upper triangular")
+    diag = [row[i] for i, row in enumerate(rows)]
+    det = prod(diag)
     if det == 0:
         raise ValueError("matrix is singular")
-    adj = [[0] * n for _ in range(n)]
+    cols = []
     for j in range(n):
-        adj[j][j] = det // rows[j][j]
+        x = [0] * n
+        x[j] = det // diag[j]
         for i in range(j - 1, -1, -1):
-            row = rows[i]
-            adj[i][j] = -sum(row[k] * adj[k][j] for k in range(i + 1, j + 1)) // row[i]
-    return tuple(map(tuple, adj)), det
+            x[i] = -sum(map(mul, rows[i][i + 1 : j + 1], x[i + 1 : j + 1])) // diag[i]
+        cols.append(tuple(x))
+    return tuple(cols), det
 
 
 def inv_scaled(mat):

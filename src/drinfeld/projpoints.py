@@ -66,10 +66,10 @@ class ProjPoint:
         "revlex": last unit coordinate scaled to 1, entries lifted to the
         centered residues in (-p^n/2, p^n/2].
         """
-        mod = self.p**self.level
         if system == "lex":
-            return tuple(self.rep)
+            return self.rep
         if system == "revlex":
+            mod = self.p**self.level
             raw = canonicalize_last(self.p, self.level, self.rep)
             return tuple(c - mod if 2 * c > mod else c for c in raw)
         raise ValueError(f"unknown representative system {system!r}")

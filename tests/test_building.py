@@ -196,6 +196,19 @@ def test_tree_ball_sizes(p, radius):
     assert len(ball.edges()) == len(ball.vertices) - 1
 
 
+@pytest.mark.parametrize("radius, error", [
+    (-1, ValueError), (1.5, TypeError), (True, TypeError), (2.0, TypeError),
+], ids=["negative", "fraction", "bool", "float"])
+def test_ball_radius_must_be_an_int_at_least_zero(radius, error):
+    # tree_ball_size(2, -1) returned -1.0 and tree_ball_size(2, 1.5) 6.0;
+    # Ball(std, -1) was a one-vertex ball of radius -1, Ball(std, True) was
+    # accepted and Ball(std, 1.5) failed in range() without naming the radius
+    with pytest.raises(error, match="a ball radius"):
+        tree_ball_size(2, radius)
+    with pytest.raises(error, match="a ball radius"):
+        Ball(Lattice.standard(2, 1), radius)
+
+
 def test_ball_distances_and_adjacency():
     ball = Ball(Lattice.standard(2, 1), 2)
     assert ball.distance[ball.center] == 0
@@ -357,7 +370,9 @@ def test_cached_derived_data_is_invisible_to_the_value(p, d):
     assert copy is not sigma and PointedSimplex.from_chain(copy.lattices) is sigma
     for lat in sigma.lattices:
         bare = Lattice(lat.p, lat.rows, lat.scale)
-        assert frozen(lat.__dict__["_adj_data"]) and "_adj_data" not in bare.__dict__
+        lat.adj_data()
+        for name in ("_adj_cols", "_adj_data"):
+            assert frozen(lat.__dict__[name]) and name not in bare.__dict__
         assert lat == bare and hash(lat) == hash(bare)
         assert lat.to_json() == bare.to_json()
 
@@ -366,8 +381,11 @@ def test_rescaled_lattices_carry_their_adjugate():
     lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
     for name in ("_adj_data", "_adj_cols"):  # carried, never computed
         assert name not in lat.scaled(1).__dict__
-    lat.valuation((1, 0, 0))
+    lat.valuation((1, 0, 0))  # back substitution gives the columns alone
     cols = lat.__dict__["_adj_cols"]
+    assert "_adj_data" not in lat.__dict__
+    assert lat.scaled(1).__dict__["_adj_cols"] is cols
+    lat.adj_data()
     for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
                   lat.scaled(2).homothety_rep()):
         assert other.rows == lat.rows and "_adj_data" in other.__dict__
@@ -459,6 +477,27 @@ def test_holds_is_the_valuation_bound(p, d, seed):
             assert lat.holds(a, m) == (v >= m)
     for m in (low - 1, low, low + 1, low + 5):
         assert lat.holds((0,) * (d + 1), m)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_fresh_neighbors_cache_the_cofactor_adjugate_columns(p, d):
+    """The adjugate columns a fresh neighbors() output caches, and those of
+    its scaled and homothety_rep copies, whether made before or after it
+    computed them, are the columns of the cofactor adjugate, over the
+    determinant p^det_exponent."""
+    rng = random.Random(10 * p + d)
+    for vertex in (Lattice.standard(p, d), random_scaled_vertex(p, d + 1, rng)):
+        for nb in vertex.neighbors():
+            n, det = reference_inv_scaled(nb.rows)
+            cols = tuple(zip(*n))
+            before = (nb.scaled(rng.randint(1, 3)), nb.scaled(-1).homothety_rep())
+            assert nb._adj_cols == cols and det == p**nb.det_exponent
+            after = (nb.scaled(rng.randint(1, 3)), nb.homothety_rep(),
+                     nb.scaled(2).homothety_rep())
+            for lat in (nb, *before, *after):
+                assert lat._adj_cols == cols
+                assert lat.adj_data() == (n, nb.det_exponent)
+            assert all(lat._adj_cols is nb._adj_cols for lat in after)
 
 
 def test_rescaled_lattices_carry_their_det_exponent():
@@ -674,6 +713,66 @@ def test_from_homothety_chain_takes_the_least_fitting_scale(p, d, seed):
                 big, lat, strict=strict
             )
         assert big.contains(lat) == (lat.scale >= j)
+
+
+def reference_chain_check(lats):
+    """PointedSimplex's two chain checks by entrywise_contains: the message
+    of the first that fails, or None."""
+    for prev, lat in zip(lats, lats[1:]):
+        if not entrywise_contains(prev, lat, strict=True):
+            return "chain inclusions must be strict"
+    if not entrywise_contains(lats[-1], lats[0].scaled(1), strict=True):
+        return "chain must stay strictly above p M_0"
+    return None
+
+
+def chain_check(lats):
+    """The message PointedSimplex raises on the chain, or None; the lattices
+    are fresh copies, so no adjugate cached by another test is read."""
+    try:
+        PointedSimplex(tuple(Lattice(lat.p, lat.rows, lat.scale) for lat in lats))
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+NOT_STRICT = "chain inclusions must be strict"
+NOT_ABOVE = "chain must stay strictly above p M_0"
+
+
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_chain_checks_match_the_entrywise_reference(p, d, seed):
+    """The chain checks accept and refuse, with the same message, what
+    entrywise_contains does: every pointing of a random simplex, and near
+    misses of each: a last lattice equal to p M_0 or not above it, a middle
+    inclusion that is not strict, an M_1 outside M_0, and an unrelated
+    vertex at scales around the window."""
+    rng = random.Random(seed)
+    sigma = random_pointed_simplex(p, d, rng)
+    other = random_pointed_simplex(p, d, rng).lattices[0]
+    for pointed in sigma.rotations():
+        lats = pointed.lattices
+        m0, last = lats[0], lats[-1]
+        i = rng.randrange(len(lats))
+        cases = [
+            (lats, None),
+            (lats + (m0.scaled(1),), NOT_ABOVE),
+            (lats + (m0.scaled(2),), NOT_ABOVE),
+            ((m0, last.scaled(1)), NOT_ABOVE),
+            (lats[: i + 1] + lats[i:], NOT_STRICT),
+            ((m0, last.scaled(-1)), NOT_STRICT),
+        ]
+        if len(lats) > 1:
+            cases.append(((m0, lats[1].scaled(-1)) + lats[2:], NOT_STRICT))
+        for chain, expected in cases:
+            assert chain_check(chain) == reference_chain_check(chain) == expected
+        for j in range(-1, m0.det_exponent + 3):
+            chain = (m0, other.scaled(j))
+            assert chain_check(chain) == reference_chain_check(chain)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -10,6 +10,7 @@ from drinfeld.intlinalg import (
     complete_basis_modp,
     gaussian_binomial,
     hnf_adjugate,
+    hnf_adjugate_columns,
     hnf_rows,
     inv_scaled,
     matinv_mod,
@@ -137,6 +138,21 @@ def test_hnf_adjugate_refuses_singular_and_non_triangular():
                 [[1, 0, 0], [0, 1, 0], [0, 5, 1]], [[1, 2], [0, 1], [0, 0]]):
         with pytest.raises(ValueError):
             hnf_adjugate(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1, 2]], "matrix is not square"),
+    ([[1, 2], [0, 1], [0, 0]], "matrix is not square"),
+    ([[1, 2], [3]], "matrix is not square"),
+    ([[2, 1], [1, 4]], "matrix is not upper triangular"),
+    ([[1, 0, 0], [0, 1, 0], [0, 5, 1]], "matrix is not upper triangular"),
+    ([[2, 1], [0, 0]], "matrix is singular"),
+    ([[0, 1], [0, 3]], "matrix is singular"),
+])
+def test_hnf_adjugate_names_each_refusal(bad, message):
+    for adjugate in (hnf_adjugate, hnf_adjugate_columns):
+        with pytest.raises(ValueError, match=message):
+            adjugate(bad)
 
 
 # HNF of an already-triangular basis
