@@ -35,6 +35,7 @@ from .intlinalg import (
     reduce_above_pivots,
     require_int,
     require_ints,
+    require_prime,
     rref_modp,
     subspaces_modp,
     vecmat,
@@ -74,7 +75,9 @@ class Lattice:
     def from_rows(p, rows, scale=0):
         """p^scale times the Z_p-span of rows, equal-length rows of ints.
         TypeError for an entry or scale that is not an int (a bool or float
-        is not one), ValueError for no rows, ragged rows or a lower rank."""
+        is not one), ValueError for no rows, ragged rows or a lower rank;
+        p as FieldDesc checks it (require_prime)."""
+        require_prime(p)
         require_int(scale, "a lattice scale")
         if not (isinstance(rows, (list, tuple))
                 and set(map(type, rows)) <= {list, tuple}):
@@ -97,7 +100,7 @@ class Lattice:
 
     @staticmethod
     def standard(p, d):
-        return Lattice(p, identity(d + 1))
+        return Lattice(require_prime(p), identity(d + 1))
 
     @property
     def dim(self):
@@ -120,22 +123,19 @@ class Lattice:
         if scale == self.scale:
             return self
         lat = Lattice(self.p, self.rows, scale)
-        for name in ("det_exponent", "_adj_data", "_adj_cols", "_valuations"):
+        for name in ("det_exponent", "_adj_cols", "_valuations"):
             if name in self.__dict__:
                 lat.__dict__[name] = self.__dict__[name]
         return lat
 
     def adj_data(self):
-        """(adjugate-like N, det exponent k) with rows^{-1} = N / p^k."""
-        return self._adj_data
+        """(adjugate-like N, det exponent k) with rows^{-1} = N / p^k: the
+        transpose of the cached adjugate columns, built on each call."""
+        return tuple(zip(*self._adj_cols)), self.det_exponent
 
     # Derived data is cached on the frozen instance itself, outside the
     # dataclass fields, so equality, hashing and to_json do not see it and
     # it lives exactly as long as the value.
-    @cached_property
-    def _adj_data(self):
-        return tuple(zip(*self._adj_cols)), self.det_exponent
-
     @cached_property
     def _adj_cols(self):
         """The columns of the adjugate, as back substitution gives them,
@@ -194,12 +194,13 @@ class Lattice:
         of self: the rows of other times the adjugate, over p^k, before
         the two scales.  Requires other.scale - self.scale <= k, which
         every lattice of a pointed chain meets in its M_0."""
-        n, k = self.adj_data()
-        exp = k + self.scale - other.scale
+        exp = self.det_exponent + self.scale - other.scale
         if exp < 0:
             raise ValueError("sublattice scale exceeds the determinant exponent")
         den = self.p**exp
-        coords = [[c // den for c in row] for row in matmul(other.rows, n)]
+        cols = self._adj_cols
+        coords = [[sum(map(mul, row, col)) // den for col in cols]
+                  for row in other.rows]
         return rref_modp(coords, self.p)
 
     def contains(self, other, strict=False):
@@ -443,6 +444,7 @@ _LIVE_SIMPLICES = weakref.WeakValueDictionary()
 def standard_simplex(p, type_vector):
     """The pointed simplex whose chain is diagonal in the standard basis:
     M_i = <p e_0, ..., p e_{d_i - 1}, e_{d_i}, ..., e_d>."""
+    require_prime(p)
     n = sum(type_vector)
     lats = []
     for d_i in accumulate(type_vector[:-1], initial=0):

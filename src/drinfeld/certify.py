@@ -34,7 +34,7 @@ from .covers import (
 )
 from .distributions import basis_mass_zero, random_family, random_mass_zero
 from .intlinalg import inv_scaled, snf_divisors
-from .padic import FieldDesc, FieldElem, shared_field
+from .padic import FieldDesc, FieldElem
 from .products import residue_round_trip
 from .projpoints import enumerate_points, point_count
 from .residues import (
@@ -305,7 +305,7 @@ def check_reduction(seed, p, d, e, f):
     for _ in range(POINTS_PER_CONFIG // 2):
         sigma = _random_simplex_for(p, d, e, f, rng)
         k0 = sigma.lattices[0].det_exponent
-        desc = shared_field(p, e, f, max(e * (10 + 3 * k0), 2 * e))
+        desc = FieldDesc(p, e, f, max(e * (10 + 3 * k0), 2 * e))
         rotations = sigma.rotations()
         faces = _proper_faces(sigma)  # shared by both points, with their caches
         offsets = set()

@@ -43,8 +43,8 @@ from .covers import (
     reduce_to_building,
 )
 from .distributions import MassZeroVector, random_family, random_mass_zero
-from .intlinalg import gaussian_binomial
-from .padic import FieldDesc, FieldElem, PrecisionError, is_prime
+from .intlinalg import gaussian_binomial, is_prime
+from .padic import FieldDesc, FieldElem, PrecisionError
 from .products import alpha_level, evaluate_product, residue_round_trip
 from .projpoints import REP_SYSTEMS, enumerate_points, point_count
 from .residues import GLOBAL_SIGN, lambda_edge, oracle_slope_table, sweep_oracle

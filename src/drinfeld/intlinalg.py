@@ -24,6 +24,25 @@ def require_int(x, what, least=None):
     return x
 
 
+def is_prime(p):
+    if p < 2:
+        return False
+    q = 2
+    while q * q <= p:
+        if p % q == 0:
+            return False
+        q += 1
+    return True
+
+
+def require_prime(p):
+    """p, if an int (as require_int has it) that is prime: TypeError or
+    ValueError otherwise."""
+    if not is_prime(require_int(p, "the prime")):
+        raise ValueError(f"p = {p} is not prime")
+    return p
+
+
 def require_ints(values, what, size=None):
     """values, if a list or tuple of ints as require_int has them (`size` of
     them, when given): TypeError or ValueError otherwise.  The classes are

@@ -28,12 +28,13 @@ inversion 1/x when k < 0; products are exact in the ring, so its digits
 are those of |k| repeated products.
 
 The core is kept lean because every criterion spends most of its time
-here: FieldElem is a slotted value class, FieldDesc computes its modulus,
-working precision and product tables once, a pi-shift moves whole rows by
-tuple slices, and at f = 1 a product is one bigint multiplication of
-Kronecker-packed coefficient vectors (D. Harvey, J. Symbolic Comput. 44,
-2009).  At f >= 2 the product stays schoolbook: packing the wider omega
-slots measured slower there.
+here: FieldElem is a slotted value class, FieldDesc is one object per
+shape (p, e, f, N) that computes its modulus, working precision and
+product tables once, a pi-shift moves whole rows by tuple slices, and at
+f = 1 a product is one bigint multiplication of Kronecker-packed
+coefficient vectors (D. Harvey, J. Symbolic Comput. 44, 2009).  At
+f >= 2 the product stays schoolbook: packing the wider omega slots
+measured slower there.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from itertools import product
 from math import gcd
 from operator import lshift, mul
 
-from .intlinalg import require_int
+from .intlinalg import require_int, require_prime
 
 MAX_E = 4
 MAX_F = 3
@@ -53,17 +54,6 @@ MAX_F = 3
 
 class PrecisionError(ArithmeticError):
     """A comparison or valuation could not be resolved at working precision."""
-
-
-def is_prime(p):
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -83,29 +73,47 @@ def unramified_min_poly(p, f):
     )
 
 
-@dataclass(frozen=True)
+_FIELDS = {}
+
+
+@dataclass(frozen=True, init=False)
 class FieldDesc:
     """Finite description of the working field: prime p, ramification e,
-    residue degree f, precision N in pi-units."""
+    residue degree f, precision N in pi-units.
+
+    One object per shape (p, e, f, N): FieldDesc(...) returns the field
+    already built for the shape, copies and pickles included, so its
+    modulus, working precision and product tables are built once and two
+    fields are equal exactly when they are the same object.  The ints are
+    checked before the table is read, since 3.0 and True hash as 3 and 1;
+    a shape the checks refuse is never stored."""
 
     p: int
-    e: int = 1
-    f: int = 1
-    N: int = 24
+    e: int
+    f: int
+    N: int
 
-    def __post_init__(self):
-        for value, what in ((self.p, "the prime"), (self.e, "the ramification"),
-                            (self.f, "the residue degree"),
-                            (self.N, "the precision")):
-            require_int(value, what)
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if not (1 <= self.e <= MAX_E):
-            raise ValueError(f"ramification e = {self.e} outside [1, {MAX_E}]")
-        if not (1 <= self.f <= MAX_F):
-            raise ValueError(f"residue degree f = {self.f} outside [1, {MAX_F}]")
-        if self.N < 2 * self.e:
-            raise ValueError("precision N must be at least 2e")
+    def __new__(cls, p, e=1, f=1, N=24):
+        key = (p, e, f, N)
+        if not (p.__class__ is e.__class__ is f.__class__ is N.__class__ is int):
+            for value, what in zip(key, ("the prime", "the ramification",
+                                         "the residue degree", "the precision")):
+                require_int(value, what)
+        field = _FIELDS.get(key)
+        if field is None:
+            require_prime(p)
+            if not (1 <= e <= MAX_E):
+                raise ValueError(f"ramification e = {e} outside [1, {MAX_E}]")
+            if not (1 <= f <= MAX_F):
+                raise ValueError(f"residue degree f = {f} outside [1, {MAX_F}]")
+            if N < 2 * e:
+                raise ValueError("precision N must be at least 2e")
+            field = _FIELDS[key] = object.__new__(cls)
+            field.__dict__.update(p=p, e=e, f=f, N=N)
+        return field
+
+    def __reduce__(self):
+        return FieldDesc, (self.p, self.e, self.f, self.N)
 
     # derived constants, computed once per instance; cached_property writes
     # the instance __dict__, so equality and hashing still see the fields only
@@ -177,14 +185,6 @@ class FieldDesc:
 
     def to_json(self):
         return {"p": self.p, "e": self.e, "f": self.f, "N": self.N}
-
-
-# One field per shape (p, e, f, N) for the callers that build a field per
-# simplex or edge, so its modulus, working precision and product tables are
-# built once.  The key is not typed, so a caller checks its ints before it
-# (3.0 or True would find the field of 3 or 1); a field that is not an int
-# fails FieldDesc's own check and is never stored.
-shared_field = lru_cache(maxsize=None)(FieldDesc)
 
 
 _OMEGA_POWERS = {}
@@ -485,7 +485,7 @@ class FieldElem:
 
 def _coerce(desc, x):
     if isinstance(x, FieldElem):
-        if x.desc is not desc and x.desc != desc:
+        if x.desc is not desc:
             raise ValueError("mixed field descriptions")
         return x
     return FieldElem.from_int(desc, x)
@@ -716,7 +716,7 @@ def linear_form(a, z, shifted=None):
             )
         if not ai:
             continue
-        if zi.desc is not desc and zi.desc != desc:
+        if zi.desc is not desc:
             raise ValueError("mixed field descriptions")
         if not zi.exact_zero:
             scalars.append(ai)

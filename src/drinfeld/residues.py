@@ -23,7 +23,7 @@ from .distributions import MassZeroVector
 # bench/test_bench.py checks that its tracer rebinds inv_scaled here too
 from .intlinalg import inv_scaled  # noqa: F401
 from .intlinalg import require_int, require_ints
-from .padic import PrecisionError, linear_forms, shared_field
+from .padic import FieldDesc, PrecisionError, linear_forms
 from .projpoints import ProjPoint, enumerate_points, lift_covector
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
@@ -72,10 +72,10 @@ def required_level(sigma):
 
 
 def _oracle_desc(p, sigma, e_oracle):
-    """The oracle field of an edge, one per shape (padic.shared_field)."""
+    """The oracle field of an edge, one object per shape (FieldDesc)."""
     k0 = sigma.lattices[0].det_exponent
     f = max(sigma.type_vector())
-    return shared_field(p, e_oracle, f, e_oracle * (8 + 3 * k0))
+    return FieldDesc(p, e_oracle, f, e_oracle * (8 + 3 * k0))
 
 
 def _oracle_points(sigma, desc, rng):
@@ -102,8 +102,7 @@ def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,
     """Map covector -> integer slope, measured from section valuations at two
     sampled points; independent of the combinatorial rule."""
     _require_edge(sigma)
-    # two interior parameters 1/e and 2/e need e >= 3; checked before the
-    # field memo, whose key would take 3.0 or True for an int
+    # two interior parameters 1/e and 2/e need e >= 3
     require_int(e_oracle, "the oracle ramification e_oracle", least=3)
     rng = rng if rng is not None else random.Random(2718)
     desc = _oracle_desc(sigma.p, sigma, e_oracle)

@@ -370,26 +370,22 @@ def test_cached_derived_data_is_invisible_to_the_value(p, d):
     assert copy is not sigma and PointedSimplex.from_chain(copy.lattices) is sigma
     for lat in sigma.lattices:
         bare = Lattice(lat.p, lat.rows, lat.scale)
-        lat.adj_data()
-        for name in ("_adj_cols", "_adj_data"):
-            assert frozen(lat.__dict__[name]) and name not in bare.__dict__
+        assert frozen(lat._adj_cols) and "_adj_cols" not in bare.__dict__
+        n, det = reference_inv_scaled(lat.rows)
+        assert lat.adj_data() == bare.adj_data() == (n, pval(det, p))
         assert lat == bare and hash(lat) == hash(bare)
         assert lat.to_json() == bare.to_json()
 
 
 def test_rescaled_lattices_carry_their_adjugate():
     lat = Lattice.from_rows(3, [[1, 2, 0], [0, 3, 0], [0, 0, 9]], scale=1)
-    for name in ("_adj_data", "_adj_cols"):  # carried, never computed
-        assert name not in lat.scaled(1).__dict__
-    lat.valuation((1, 0, 0))  # back substitution gives the columns alone
+    assert "_adj_cols" not in lat.scaled(1).__dict__  # carried, never computed
+    lat.valuation((1, 0, 0))  # back substitution gives the columns
     cols = lat.__dict__["_adj_cols"]
-    assert "_adj_data" not in lat.__dict__
     assert lat.scaled(1).__dict__["_adj_cols"] is cols
-    lat.adj_data()
     for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
                   lat.scaled(2).homothety_rep()):
-        assert other.rows == lat.rows and "_adj_data" in other.__dict__
-        assert other.__dict__["_adj_cols"] is cols
+        assert other.rows == lat.rows and other.__dict__["_adj_cols"] is cols
         n, det = reference_inv_scaled(other.rows)
         assert other.adj_data() == (n, pval(det, 3))
         assert cols == tuple(zip(*n))
@@ -507,7 +503,9 @@ def test_rescaled_lattices_carry_their_det_exponent():
     for other in (lat.scaled(2), lat.scaled(-1), lat.homothety_rep(),
                   lat.scaled(2).homothety_rep()):
         assert other.rows == lat.rows and other.__dict__["det_exponent"] == 3
-        assert "_adj_data" not in other.__dict__
+        assert "_adj_cols" not in other.__dict__
+    n, det = reference_inv_scaled(lat.rows)
+    assert lat.scaled(2).adj_data() == (n, pval(det, 3))
 
 
 @given(
@@ -895,14 +893,15 @@ def test_cached_derived_data_is_invisible(pd, seed):
     assert {sigma: 1}[fresh] == 1
     assert fresh.chain_mod_p() == chain
     for lat in sigma.lattices:
-        cached = lat.adj_data()
-        assert lat.adj_data() is cached
-        assert _is_nested_tuple(cached)
+        cols = lat._adj_cols
+        assert lat._adj_cols is cols
+        assert _is_nested_tuple(cols)
         bare = Lattice(lat.p, lat.rows, lat.scale)
-        assert "_adj_data" not in vars(bare)
+        assert "_adj_cols" not in vars(bare)
         assert bare == lat and hash(bare) == hash(lat)
         assert bare.to_json() == lat.to_json()
-        assert bare.adj_data() == cached
+        n, det = reference_inv_scaled(lat.rows)
+        assert bare.adj_data() == lat.adj_data() == (n, pval(det, p))
 
 
 @pytest.mark.parametrize("rows, scale, error, match", [
@@ -919,3 +918,22 @@ def test_from_rows_refuses_values_that_are_not_ints(rows, scale, error, match):
     # or ragged rows raised IndexError
     with pytest.raises(error, match=match):
         Lattice.from_rows(2, rows, scale)
+
+
+@pytest.mark.parametrize("p, error, match", [
+    (0, ValueError, "p = 0 is not prime"),
+    (1, ValueError, "p = 1 is not prime"),
+    (4, ValueError, "p = 4 is not prime"),
+    (True, TypeError, "the prime must be an int"),
+    (2.0, TypeError, "the prime must be an int"),
+], ids=["0", "1", "4", "bool", "float"])
+def test_lattice_entry_points_refuse_a_p_that_is_not_prime(p, error, match):
+    # p = 1 and True used to loop for ever in pval, p = 4 returned the
+    # identity lattice and p = 0 raised ZeroDivisionError; the field
+    # refuses the same p with the same type and message
+    for build in (lambda: Lattice.from_rows(p, [[2, 0], [0, 1]]),
+                  lambda: Lattice.standard(p, 1),
+                  lambda: standard_simplex(p, (1, 1)),
+                  lambda: FieldDesc(p)):
+        with pytest.raises(error, match=match):
+            build()

@@ -1,14 +1,17 @@
 """Truncated extension-field arithmetic: frozen examples and invariants."""
 
+import copy
+import dataclasses
 import itertools
 import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from drinfeld import intlinalg
+from drinfeld import intlinalg, padic
 from drinfeld.padic import (
     FieldDesc,
     FieldElem,
@@ -144,14 +147,17 @@ def test_mixed_extension_roundtrip():
 
 
 def test_caps_and_validation():
-    with pytest.raises(ValueError):
-        FieldDesc(p=4)
-    with pytest.raises(ValueError):
-        FieldDesc(p=2, e=9)
-    with pytest.raises(ValueError):
-        FieldDesc(p=2, f=5)
-    with pytest.raises(ValueError):
-        FieldDesc(p=2, e=2, N=2)
+    # a refused shape raises on every call and is never stored
+    before = dict(padic._FIELDS)
+    for field, match in [
+        (dict(p=4), "p = 4 is not prime"),
+        (dict(p=2, e=5), r"ramification e = 5 outside \[1, 4\]"),
+        (dict(p=2, f=4), r"residue degree f = 4 outside \[1, 3\]"),
+        (dict(p=2, e=2, N=3), "precision N must be at least 2e"),
+    ] * 2:
+        with pytest.raises(ValueError, match=match):
+            FieldDesc(**field)
+    assert padic._FIELDS == before
 
 
 @pytest.mark.parametrize("field, name", [
@@ -163,9 +169,39 @@ def test_caps_and_validation():
 ], ids=["float-N", "float-p", "bool-e", "Fraction-f", "bool-p"])
 def test_field_refuses_fields_that_are_not_ints(field, name):
     # N = 40.0 used to build a field whose one had the float digit 1.0, and
-    # e = True used to equal and hash as e = 1
+    # e = True used to equal and hash as e = 1; the field of the same shape
+    # in ints is built first (there is none at p = 1), since 2.0 and True
+    # hash as 2 and 1
+    ints = {key: int(value) for key, value in field.items()}
+    if ints["p"] != 1:
+        FieldDesc(**ints)
     with pytest.raises(TypeError, match=f"{name} must be an int"):
         FieldDesc(**field)
+
+
+def test_one_field_object_per_shape():
+    d = FieldDesc(3, 2, 1, 8)
+    assert FieldDesc(p=3, e=2, f=1, N=8) is d
+    assert FieldDesc(3, e=2, N=8) is d
+    assert FieldDesc(5) is FieldDesc(5, 1, 1, 24) is FieldDesc(p=5, N=24)
+    copies = [copy.copy(d), copy.deepcopy(d), dataclasses.replace(d)]
+    copies += [pickle.loads(pickle.dumps(d, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin is d for twin in copies)
+    assert dataclasses.replace(d, N=10) is FieldDesc(3, 2, 1, 10)
+    # the dataclass's value equality and hash, the same in every process
+    assert d == FieldDesc(3, 2, 1, 8) and hash(d) == hash((3, 2, 1, 8))
+    assert repr(d) == "FieldDesc(p=3, e=2, f=1, N=8)"
+
+
+def test_a_copied_element_computes_with_the_original():
+    # before interning, a deep copy carried an equal but distinct field
+    d = FieldDesc(p=3, e=2, f=1, N=8)
+    x = FieldElem.from_coeffs(d, [1, 2], shift=1)
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y.desc is d and y == x
+        assert x + y == x + x and x * y == x * x and x / y == x / x
+        assert linear_form([2, 1], (x, y)) == linear_form([3], (x,))
 
 
 def test_serialization():
@@ -600,8 +636,9 @@ def test_core_matches_reference_arithmetic(case):
         (operator.mul, reference_mul),
         (operator.truediv, reference_truediv),
     )
-    # an equal description held by another object is the same field
+    # an equal description is the same object
     twin = FieldDesc(desc.p, desc.e, desc.f, desc.N)
+    assert twin is desc
     y_twin = FieldElem(twin, y.shift, y.coeffs, y.prec, y.exact_zero)
     for op, ref in pairs:
         assert _outcome(op, x, y) == _outcome(ref, x, y)
@@ -703,8 +740,9 @@ def test_linear_form_rejects_mixed_field_descriptions():
         with pytest.raises(ValueError, match="mixed field descriptions"):
             form([1, 1], z)
         assert form([1, 0], z) == FieldElem.pi(d)
-    # an equal description held by another object is the same field
+    # an equal description is the same object
     twin = FieldDesc(p=3, e=2, f=1, N=8)
+    assert twin is d
     z = (FieldElem.pi(d), FieldElem.one(twin))
     assert linear_form([2, 1], z) == reference_linear_form([2, 1], z)
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from drinfeld import residues
+from drinfeld import padic, residues
 from drinfeld.building import Ball, Lattice, PointedSimplex, standard_simplex
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
 from drinfeld.padic import FieldDesc, PrecisionError
@@ -418,8 +418,7 @@ def test_oracle_validates_field_shape():
 
 
 def test_oracle_ramification_must_be_an_int():
-    # checked before the untyped field memo, which would otherwise answer
-    # 3.0 with the e = 3 field; True used to raise ValueError (below 3)
+    # True used to raise ValueError (below 3)
     edge = std_edge()
     oracle_slope_table(edge, [(1, 0)], e_oracle=3)
     for e in (3.0, 4.0, True):
@@ -448,10 +447,16 @@ def test_oracle_field_is_one_per_shape():
     assert len({id(d) for d in [desc, *others]}) == 4
 
 
+class _StoresNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
 @pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
 def test_oracle_sweeps_across_field_shapes_match_fresh_fields(monkeypatch, p, d):
-    # sweeps at e_oracle 3, then 4, then 3 in one process read the memoized
-    # fields; the reference builds a fresh field for every edge
+    # sweeps at e_oracle 3, then 4, then 3 in one process read the interned
+    # fields; the reference builds a fresh field for every edge, through a
+    # field table that stores nothing
     classes = enumerate_points(p, 1, d)
     edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
 
@@ -462,7 +467,9 @@ def test_oracle_sweeps_across_field_shapes_match_fresh_fields(monkeypatch, p, d)
 
     tables = [sweep(e) for e in (3, 4, 3)]
     with monkeypatch.context() as patch:
-        patch.setattr(residues, "shared_field", FieldDesc)
+        patch.setattr(padic, "_FIELDS", _StoresNothing())
+        fields = [residues._oracle_desc(p, edges[0], 3) for _ in range(2)]
+        assert fields[0] == fields[1] and fields[0] is not fields[1]
         fresh = [sweep(e) for e in (3, 4)]
     assert tables == [fresh[0], fresh[1], fresh[0]]
 
