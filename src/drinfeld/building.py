@@ -100,6 +100,7 @@ class Lattice:
 
     @staticmethod
     def standard(p, d):
+        require_int(d, "a dimension", least=0)
         return Lattice(require_prime(p), identity(d + 1))
 
     @property
@@ -443,8 +444,12 @@ _LIVE_SIMPLICES = weakref.WeakValueDictionary()
 
 def standard_simplex(p, type_vector):
     """The pointed simplex whose chain is diagonal in the standard basis:
-    M_i = <p e_0, ..., p e_{d_i - 1}, e_{d_i}, ..., e_d>."""
+    M_i = <p e_0, ..., p e_{d_i - 1}, e_{d_i}, ..., e_d>, for a non-empty
+    type vector of ints >= 1."""
     require_prime(p)
+    if not require_ints(type_vector, "a type vector") or min(type_vector) < 1:
+        raise ValueError(f"a type vector must be non-empty with entries >= 1, "
+                         f"got {type_vector!r}")
     n = sum(type_vector)
     lats = []
     for d_i in accumulate(type_vector[:-1], initial=0):

@@ -64,11 +64,9 @@ class SymmetricSpacePoint:
         self._sections = {}
         self._valuations = {}
         self._ratios = {}
-        # the adapted-basis search, started by the first orthogonal_basis
-        # call: basis, section valuations (None until read), the finished
-        # (T, basis, depths) once the basis is orthogonal, and the largest
-        # cap the depth is known to reach
-        self._basis = self._depths = self._orthogonal = None
+        # the finished (T, basis, depths) of the adapted-basis search, and
+        # the largest cap the depth is known to reach
+        self._orthogonal = None
         self._deep_at = 0
 
     @property
@@ -124,75 +122,71 @@ class SymmetricSpacePoint:
         section whose digits cannot resolve its valuation stops it too when
         valuation_at_least certifies v >= cap, so the search reads no
         valuation deeper than the profile does, and a point deeper than the
-        question gets None, not a PrecisionError.  The search resumes from
-        its memo when a later cap is larger."""
+        question gets None, not a PrecisionError.  A larger cap after such
+        a stop searches again from the standard basis; the sections and
+        their valuations are memoized, so only the cancellation steps rerun."""
         if self._orthogonal is None and cap > self._deep_at:
-            if self._basis is None:
-                if any(c.exact_zero for c in self.coords):
-                    raise ValueError("point lies on a rational hyperplane")
-                n = len(self.coords)
-                self._basis = [tuple(int(i == j) for j in range(n))
-                               for i in range(n)]
-                self._depths = [None] * n
-            self._search(cap)
+            self._orthogonal = self._search(cap)
+            if self._orthogonal is None:
+                self._deep_at = cap
         found = self._orthogonal
         if found is None or found[0] >= cap:
             return None
         return found
 
     def _search(self, cap):
-        """Advance the adapted basis until it is orthogonal (setting
-        _orthogonal) or a section certifiably reaches cap (setting _deep_at);
-        a depth not read, or not resolved, stays None."""
-        basis, depths = self._basis, self._depths
-        pending = [i for i, t in enumerate(depths) if t is None]
+        """(T, basis, depths) once the adapted basis, started from the
+        standard basis, is orthogonal; None as soon as a section certifiably
+        reaches cap."""
+        if any(c.exact_zero for c in self.coords):
+            raise ValueError("point lies on a rational hyperplane")
+        n = len(self.coords)
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        depths = [None] * n
+        pending = range(n)
         while True:
             for i in pending:
-                # an updated vector still holds its old depth here
-                before, depths[i] = depths[i], None
                 try:
                     t = self.section_pi_valuation(basis[i])
                 except PrecisionError:
                     deep = Fraction(cap, self.desc.e)
                     if not self.section(basis[i]).valuation_at_least(deep):
                         raise
-                    t = cap
+                    return None
                 if t >= cap:
-                    self._deep_at = cap
-                    return
-                if before is not None and t <= before:
+                    return None
+                # an updated vector still holds its old depth here
+                if depths[i] is not None and t <= depths[i]:
                     raise AssertionError("a basis update must raise its depth")
                 depths[i] = t
-            move = self._cancel_leads()
+            move = self._cancel_leads(basis, depths)
             if move is None:
-                self._orthogonal = (max(depths), tuple(basis), tuple(depths))
-                return
+                return max(depths), tuple(basis), tuple(depths)
             j, basis[j] = move
-            pending = [j]
+            pending = (j,)
 
-    def _lead(self, i):
-        """The leading digit of the unit pi^-t <b_i, z> in F_q, as f ints
-        mod p: the digits at pi^0 of the section's unit part."""
+    def _lead(self, b, t):
+        """The leading digit of the unit pi^-t <b, z> in F_q, for a basis
+        vector b of depth t, as f ints mod p: the digits at pi^0 of the
+        section's unit part."""
         desc = self.desc
-        x = self.section(self._basis[i])
-        v = self._depths[i] - x.shift
-        unit, _ = _extract_unit(desc, x.coeffs, x.prec, v)
+        x = self.section(b)
+        unit, _ = _extract_unit(desc, x.coeffs, x.prec, t - x.shift)
         return [c % desc.p for c in unit[:desc.f]]
 
-    def _cancel_leads(self):
+    def _cancel_leads(self, basis, depths):
         """(j, b_j') for one class mod e whose leading digits are
         F_p-dependent, with b_j' = b_j + sum_m c_m p^((t_j - t_m)/e) b_m
         of valuation above t_j; None when every class is independent."""
         desc = self.desc
         p, e, f = desc.p, desc.e, desc.f
-        basis, depths = self._basis, self._depths
         classes = {}
         for i, t in enumerate(depths):
             classes.setdefault(t % e, []).append(i)
         for group in classes.values():
             if len(group) < 2:
                 continue
-            rows = [self._lead(i) + [int(i == g) for g in group]
+            rows = [self._lead(basis[i], depths[i]) + [int(i == g) for g in group]
                     for i in group]
             # a row pivoted right of the leads is a dependency among them
             reduced, pivots = rref_modp(rows, p)

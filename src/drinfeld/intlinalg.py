@@ -61,6 +61,8 @@ def pval(x, p):
     """p-adic valuation of a nonzero int or Fraction.  Raises on zero."""
     if x == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"valuation at p = {p!r} is undefined")
     # ints first: the Fraction check is an ABC isinstance, slow on the hot path
     if not isinstance(x, int):
         if isinstance(x, Fraction):
@@ -142,14 +144,6 @@ def hnf_det(rows):
     return prod(row[i] for i, row in enumerate(rows))
 
 
-def hnf_adjugate(rows):
-    """(adj, det) of an upper triangular matrix with nonzero diagonal, such
-    as a full-rank Hermite basis: adj as rows, the transpose of
-    hnf_adjugate_columns."""
-    cols, det = hnf_adjugate_columns(rows)
-    return tuple(zip(*cols)), det
-
-
 def hnf_adjugate_columns(rows):
     """(columns of adj, det) of an upper triangular matrix with nonzero
     diagonal, by back substitution.  Column j of adj solves
@@ -180,16 +174,15 @@ def inv_scaled(mat):
     """Exact inverse as (N, D) with mat^{-1} = N / D, N integer and
     D = |det(mat)|.  The Hermite form of [mat | I] is [H | U] with
     U . mat = H upper triangular and U unimodular (a nonsingular mat puts
-    all n pivots in its own n columns), so mat^{-1} = adj(H) . U / det(H);
-    a singular mat leaves a zero on the diagonal of H."""
+    all n pivots in its own n columns), so mat^{-1} = adj(H) . U / det(H),
+    with adj(H) the transpose of hnf_adjugate_columns(H); a singular mat
+    leaves a zero on the diagonal of H."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    h = hnf_rows(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
-    )
-    adj, det = hnf_adjugate([row[:n] for row in h])
-    return matmul(adj, [row[n:] for row in h]), det
+    h = hnf_rows([[*row, *e] for row, e in zip(mat, identity(n))])
+    cols, det = hnf_adjugate_columns([row[:n] for row in h])
+    return matmul(zip(*cols), [row[n:] for row in h]), det
 
 
 def snf_divisors(rows):
@@ -253,19 +246,14 @@ def rref_modp(rows, p, k=1):
     return tuple(map(tuple, m[:r])), tuple(pivots)
 
 
-def solve_mod(mat, rhs, p, k):
-    """X with mat . X = rhs modulo p^k, an n x m matrix: the right block of
-    rref_modp([mat | rhs]).  Requires det(mat) a unit mod p."""
+def matinv_mod(mat, p, k):
+    """Inverse of an integer matrix modulo p^k: the right block of
+    rref_modp([mat | I]).  Requires det(mat) a unit mod p."""
     n = len(mat)
-    rows, pivots = rref_modp([[*row, *b] for row, b in zip(mat, rhs)], p, k)
+    rows, pivots = rref_modp([[*row, *e] for row, e in zip(mat, identity(n))], p, k)
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is not invertible mod p")
     return tuple(row[n:] for row in rows)
-
-
-def matinv_mod(mat, p, k):
-    """Inverse of an integer matrix modulo p^k.  Requires det(mat) a unit mod p."""
-    return solve_mod(mat, identity(len(mat)), p, k)
 
 
 def complete_basis_modp(current, candidates, p):

@@ -21,7 +21,6 @@ from drinfeld.intlinalg import (
     pval,
     rref_modp,
     snf_divisors,
-    solve_mod,
     subspaces_modp,
     vecmat,
 )
@@ -441,7 +440,7 @@ def _times_omega(desc, coeffs):
 def reference_unit_inverse(desc, unit_coeffs):
     """Inverse of a unit polynomial part modulo pi^work_prec: the vector x
     with u*x = 1, from one linear solve mod p^coeff_exponent whose column t
-    is u*pi^i*omega^j (t = i*f + j)."""
+    is u*pi^i*omega^j (t = i*f + j), by reference_solve_mod."""
     p, e, f = desc.p, desc.e, desc.f
     if not any(c % p for c in unit_coeffs[:f]):
         raise PrecisionError("inverse of a non-unit")
@@ -458,7 +457,7 @@ def reference_unit_inverse(desc, unit_coeffs):
         for _ in range(f - 1):
             columns.append(_times_omega(desc, columns[-1]))
     rhs = [(1,)] + [(0,)] * (e * f - 1)
-    x = solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
+    x = reference_solve_mod(tuple(zip(*columns)), rhs, p, desc.coeff_exponent)
     return tuple(row[0] for row in x)
 
 
@@ -953,9 +952,11 @@ def fiber(pt, n):
     return out
 
 
-# Reference modular elimination: solve_mod with its own Gauss-Jordan loop
-# over Z/p^k and rref_modp over F_p only, as they were before solve_mod
-# became the right block of rref_modp at k > 1, kept verbatim.
+# Reference modular elimination: the modular solve with its own
+# Gauss-Jordan loop over Z/p^k and rref_modp over F_p only, as they were
+# before the solve became the right block of rref_modp at k > 1, kept
+# verbatim.  matinv_mod is that right block against the identity, and the
+# reference unit inverse solves with this loop, not the library's.
 
 
 def reference_solve_mod(mat, rhs, p, k):

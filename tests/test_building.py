@@ -21,7 +21,7 @@ from drinfeld.certify import TAU_CONFIGS, _random_simplex_for
 from drinfeld.covers import point_in_tube, reduce_to_building
 from drinfeld.intlinalg import (
     gaussian_binomial,
-    hnf_adjugate,
+    hnf_adjugate_columns,
     hnf_det,
     hnf_rows,
     matmul,
@@ -83,10 +83,11 @@ def test_back_substituted_adjugate_is_the_cofactor_one(p, d, seed):
     rng = random.Random(seed)
     rows = random_gl_integer(d + 1, rng, bound=2 * p)
     h = hnf_rows(rows)
-    assert hnf_adjugate(h) == reference_inv_scaled(h)
+    cols, det = hnf_adjugate_columns(h)
+    assert (tuple(zip(*cols)), det) == reference_inv_scaled(h)
     lat = Lattice.from_rows(p, rows, scale=rng.randint(-2, 2))
     n, det = reference_inv_scaled(lat.rows)
-    assert hnf_adjugate(lat.rows) == (n, det)
+    assert hnf_adjugate_columns(lat.rows) == (tuple(zip(*n)), det)
     assert lat.adj_data() == (n, lat.det_exponent)
 
 
@@ -937,3 +938,40 @@ def test_lattice_entry_points_refuse_a_p_that_is_not_prime(p, error, match):
                   lambda: FieldDesc(p)):
         with pytest.raises(error, match=match):
             build()
+
+
+@pytest.mark.parametrize("p", [0, 1, True], ids=["0", "1", "bool"])
+def test_a_direct_lattice_refuses_its_p_when_read(p):
+    # Lattice(...) skips from_rows and its prime check; its determinant
+    # exponent reached pval, which looped for ever at p = 1 and True and
+    # raised ZeroDivisionError at p = 0
+    with pytest.raises(ValueError, match=f"valuation at p = {p!r} is undefined"):
+        Lattice(p, ((2, 0), (0, 1))).det_exponent
+
+
+@pytest.mark.parametrize("d, error, match", [
+    (-1, ValueError, "a dimension must be at least 0, got -1"),
+    (True, TypeError, "a dimension must be an int, not bool True"),
+    (1.0, TypeError, "a dimension must be an int, not float 1.0"),
+], ids=["negative", "bool", "float"])
+def test_standard_lattice_refuses_a_bad_dimension(d, error, match):
+    # d = -1 built a zero-dimensional lattice and True the d = 1 lattice
+    with pytest.raises(error, match=match):
+        Lattice.standard(2, d)
+    assert Lattice.standard(2, 0) == Lattice.from_rows(2, [[1]])
+
+
+@pytest.mark.parametrize("type_vector, error, match", [
+    ((True, 1), TypeError, "an entry of a type vector must be an int"),
+    ((1.0, 1), TypeError, "an entry of a type vector must be an int"),
+    ([1, 0], ValueError, "entries >= 1, got \\[1, 0\\]"),
+    ((2, -1), ValueError, "entries >= 1, got \\(2, -1\\)"),
+    ((), ValueError, "must be non-empty"),
+    ("11", TypeError, "a type vector must be a list of ints, not str"),
+], ids=["bool", "float", "zero", "negative", "empty", "str"])
+def test_standard_simplex_refuses_a_bad_type_vector(type_vector, error, match):
+    # (True, 1) built an edge, and the others built a chain of the wrong
+    # dimension or failed inside the construction
+    with pytest.raises(error, match=match):
+        standard_simplex(2, type_vector)
+    assert standard_simplex(2, [1]).lattices == (Lattice.standard(2, 0),)

@@ -646,12 +646,12 @@ def test_adapted_basis_matches_the_profile_references(p, d, seed):
 def test_adapted_basis_is_unimodular_and_orthogonal(p, d, seed):
     cancel = SymmetricSpacePoint._cancel_leads
 
-    def checked(z):
-        move = cancel(z)
+    def checked(z, basis, depths):
+        move = cancel(z, basis, depths)
         if move is not None:
             # each update raises the depth of the vector it replaces
             j, row = move
-            above = Fraction(z._depths[j] + 1, z.desc.e)
+            above = Fraction(depths[j] + 1, z.desc.e)
             assert z.section(row).valuation_at_least(above)
         return move
 
@@ -671,6 +671,59 @@ def test_adapted_basis_is_unimodular_and_orthogonal(p, d, seed):
             a = [sum(xi * b[k] for xi, b in zip(x, basis)) for k in range(d + 1)]
             assert z.section_pi_valuation(a) == min(
                 e * pval(xi, p) + t for xi, t in zip(x, depths) if xi)
+
+
+def _ci_cover_points():
+    """The points of the two CI cover pins whose closed-cover question
+    follows a stopped open-cover search at level 1: the --e 1 --f 2
+    boundary point and the p = 3, d = 2 point."""
+    desc = FieldDesc(p=2, e=1, f=2, N=30)
+    yield SymmetricSpacePoint([FieldElem.from_int(desc, 1),
+                               FieldElem.from_coeffs(desc, [0, 1], 1)])
+    desc = FieldDesc(p=3, e=3, N=39)
+    yield SymmetricSpacePoint([FieldElem.from_coeffs(desc, c) for c in (
+        [1, 0, 0], [1106881, 733602, 1175124], [984323, 150375, 979722])])
+
+
+def test_a_resumed_search_equals_a_fresh_one(monkeypatch):
+    """A point whose search stopped at cap1 answers a larger cap2 with the
+    (T, basis, depths) of a fresh point asked cap2 directly, and a cap no
+    larger than the deepest refused one runs no search."""
+    searches = []
+    search = SymmetricSpacePoint._search
+
+    def counted(z, cap):
+        searches.append(cap)
+        return search(z, cap)
+
+    monkeypatch.setattr(SymmetricSpacePoint, "_search", counted)
+    ci = list(_ci_cover_points())
+    for z in ci:
+        # the CI runs ask the open cover at level 1 first, which stops
+        assert not member_open_cover(z, 1)
+    # seeds whose points reach a depth of at least 2e through at least two
+    # basis updates, so a search can stop at an updated vector; at seed 36
+    # that vector is then alone in its class mod e
+    seeded = [z for p, d, seed in ((2, 1, 26), (5, 1, 5), (2, 2, 23),
+                                   (2, 2, 36), (3, 2, 1), (5, 2, 17))
+              for z in _adapted_basis_case(p, d, seed)]
+    for z in ci + seeded:
+        fresh = {}
+        depth = SymmetricSpacePoint(z.coords).orthogonal_basis(10**6)[0]
+        for cap1 in range(1, depth + 1):
+            for cap2 in (cap1 + 1, depth + 1):
+                if cap2 not in fresh:
+                    fresh[cap2] = SymmetricSpacePoint(z.coords).orthogonal_basis(cap2)
+                resumed = SymmetricSpacePoint(z.coords)
+                assert resumed.orthogonal_basis(cap1) is None
+                searches.clear()
+                assert resumed.orthogonal_basis(cap2) == fresh[cap2]
+                assert searches == [cap2]
+                searches.clear()
+                for cap in range(1, resumed._deep_at + 1):
+                    assert resumed.orthogonal_basis(cap) is None
+                assert searches == []
+        assert fresh[depth + 1][0] == depth
 
 
 def test_a_point_too_deep_for_the_question_raises_no_new_precision_error():
