@@ -109,7 +109,8 @@ class Lattice:
 
     @cached_property
     def det_exponent(self):
-        return pval(hnf_det(self.rows), self.p)
+        # a lattice built directly, not through from_rows, checks its p here
+        return pval(hnf_det(self.rows), require_prime(self.p))
 
     def scaled(self, k):
         return self._at_scale(self.scale + k)

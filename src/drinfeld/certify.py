@@ -39,9 +39,9 @@ from .products import residue_round_trip
 from .projpoints import enumerate_points, point_count
 from .residues import (
     GLOBAL_SIGN,
-    check_kirchhoff,
+    edges_at_vertex,
     pairing_matrix,
-    slope,
+    slope_matrix,
     sweep_oracle,
 )
 
@@ -134,8 +134,8 @@ def check_edge_residues(seed, p, d):
     bad = sum(not agrees for _, _, agrees in sweep_oracle(edges, classes, rng))
     # reversing the edge turns M_0 > M_1 into M_1 > pM_0, and v_{pM_0} is
     # v_{M_0} - 1, so every slope becomes 1 - slope
-    reverse = edges[0].rotate()
-    antisym = all(slope(x, reverse) == 1 - slope(x, edges[0]) for x in classes)
+    forward, reverse = slope_matrix([edges[0], edges[0].rotate()], classes)
+    antisym = all(r == 1 - s for s, r in zip(forward, reverse))
     # around a chamber M_0 > ... > M_d > pM_0 = M_{d+1} the slopes of the
     # d+1 boundary edges [M_i, M_{i+1}] telescope: the sum of
     # 1 + v_{M_{i+1}} - v_{M_i} is d+1 + v_{pM_0} - v_{M_0} = d
@@ -146,9 +146,9 @@ def check_edge_residues(seed, p, d):
         for sigma in (chamber, translate)
     ]
     additive = all(
-        sum(slope(x, edge) for edge in boundary) == d
+        sum(column) == d
         for boundary in boundaries
-        for x in classes
+        for column in zip(*slope_matrix(boundary, classes))
     )
     return {
         "p": p, "d": d,
@@ -166,8 +166,10 @@ def check_flow_conservation(seed, p, d):
     ball = Ball(Lattice.standard(p, d), 3)
     violations = 0
     for vertex in ball.vertices:
-        sums = check_kirchhoff(vertex, classes)
-        violations += sum(sums[a] != sums[b] for a in classes for b in classes)
+        # each class's flow: its column sum over the edges leaving the vertex
+        slopes = slope_matrix(edges_at_vertex(vertex), classes)
+        flows = [sum(column) for column in zip(*slopes)]
+        violations += sum(a != b for a in flows for b in flows)
     return {
         "p": p,
         "vertices": len(ball.vertices),
@@ -243,8 +245,8 @@ def check_residue_round_trip(seed, p, d):
 
 def check_pairing_rank(seed, p, d):
     edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
-    matrix = pairing_matrix(edges, 1, p, d)
-    divisors = snf_divisors([list(r) for r in matrix])
+    matrix = pairing_matrix(slope_matrix(edges, enumerate_points(p, 1, d)))
+    divisors = snf_divisors(matrix)
     rank = sum(1 for x in divisors if x != 0)
     expected = point_count(p, 1, d) - 1
     return {

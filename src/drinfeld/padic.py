@@ -305,12 +305,12 @@ class FieldElem:
         return best
 
     def pi_valuation(self):
-        """Exact valuation in pi-units (an int, e times valuation()), +inf
-        for the exact zero.  Raises PrecisionError when the stored digits
-        cannot resolve it.  Integers of two FieldDescs with different e are
-        on different scales."""
+        """Exact valuation in pi-units (an int, e times valuation()).
+        Raises ValueError for the exact zero, which has none, and
+        PrecisionError when the stored digits cannot resolve it.  Integers
+        of two FieldDescs with different e are on different scales."""
         if self.exact_zero:
-            return float("inf")
+            raise ValueError("valuation of zero is undefined")
         v = self._poly_valuation()
         if v is None:
             raise PrecisionError(
@@ -320,10 +320,9 @@ class FieldElem:
         return self.shift + v
 
     def valuation(self):
-        """Exact valuation as a Fraction, +inf for the exact zero.
-        Raises PrecisionError when the stored digits cannot resolve it."""
-        v = self.pi_valuation()
-        return v if self.exact_zero else Fraction(v, self.desc.e)
+        """Exact valuation as a Fraction.  Raises ValueError for the exact
+        zero and PrecisionError when the stored digits cannot resolve it."""
+        return Fraction(self.pi_valuation(), self.desc.e)
 
     def valuation_at_least(self, q):
         """True if v(self) >= q can be certified (q a Fraction in p-units)."""
@@ -762,12 +761,10 @@ def linear_forms(rows, z):
 def normalize_unimodular(vec):
     """Scale a vector of FieldElems so the minimum valuation is 0 and the
     first coordinate attaining it is exactly 1."""
-    vals = [x.pi_valuation() for x in vec]
-    finite = [v for v in vals if v != float("inf")]
-    if not finite:
+    live = [(x.pi_valuation(), i) for i, x in enumerate(vec) if not x.exact_zero]
+    if not live:
         raise ValueError("cannot normalize the zero vector")
-    vmin = min(finite)
-    idx = vals.index(vmin)
+    _, idx = min(live)
     one = FieldElem.one(vec[idx].desc)
     # x * (1 / pivot) has the shift, digits and prec of x / pivot
     inv = one / vec[idx]

@@ -1,5 +1,6 @@
-"""Residue slopes along edges of the building, their pairing with mass-zero
-vectors, and an independent valuation-sampling oracle.
+"""Residue slopes along edges of the building, the slope matrix S of edges
+by classes and its pairing with mass-zero vectors, and an independent
+valuation-sampling oracle.
 
 For a pointed edge (a chain M_0 > M_1 > pM_0) the valuation of a linear form
 l_a along the open edge tube is affine in the edge parameter with integer
@@ -24,7 +25,7 @@ from .distributions import MassZeroVector
 from .intlinalg import inv_scaled  # noqa: F401
 from .intlinalg import require_int, require_ints
 from .padic import FieldDesc, PrecisionError, linear_forms
-from .projpoints import ProjPoint, enumerate_points, lift_covector
+from .projpoints import ProjPoint, lift_covector
 
 # Calibrated once on the ramified edge at p=2, d=1 and frozen: the residue of
 # dlog of an exponent product equals +1 times the slope pairing of the
@@ -177,25 +178,18 @@ def edges_at_vertex(lattice):
     )
 
 
-def check_kirchhoff(lattice, classes):
-    """Slope sum of each class over all edges leaving a tree vertex.
+def slope_matrix(edges, classes):
+    """The residue matrix S: one row per pointed edge, one column per class,
+    entry slope(class, edge).
 
-    Flow conservation holds at the vertex when all the sums are equal: the
-    edge residues of every pair (a, b) then sum to sums[b] - sums[a] = 0."""
-    if lattice.dim != 2:
-        raise ValueError("the flow condition is a tree (two-coordinate) check")
-    edges = edges_at_vertex(lattice)
-    return {x: sum(slope(x, edge) for edge in edges) for x in classes}
+    A column sum over the edges leaving a vertex is that class's flow there
+    (conserved when every column sums alike), and over a chamber's boundary
+    edges it is d (the slopes telescope)."""
+    return [[slope(x, edge) for x in classes] for edge in edges]
 
 
-def pairing_matrix(edges, level, p, d):
-    """Integer matrix of slope pairings: rows = pointed edges, columns = the
-    dirac-pair basis delta_x - delta_x0 of the mass-zero module at the level
-    (distributions.basis_mass_zero), which pairs to s[x] - s[x0] from one
-    slope per (edge, class)."""
-    x0, *rest = enumerate_points(p, level, d)
-    rows = []
-    for edge in edges:
-        s0 = slope(x0, edge)
-        rows.append([slope(x, edge) - s0 for x in rest])
-    return rows
+def pairing_matrix(slopes):
+    """P = S·B, with B the dirac-pair basis delta_x - delta_x0 of the
+    mass-zero module (distributions.basis_mass_zero): each class's column of
+    S minus that of the first class x0."""
+    return [[s - row[0] for s in row[1:]] for row in slopes]

@@ -100,13 +100,16 @@ def test_criterion_04_additivity_fails_for_slopes_off_the_chamber_cocycle(
         monkeypatch, p, d):
     """The slopes around a chamber's d+1 boundary edges must sum to d.  A
     constant 0 sums to 0; 1 - slope sums to 1, which is d only at d = 1,
-    and it keeps the edge reversal antisymmetric."""
-    slope = certify.slope
-    monkeypatch.setattr(certify, "slope", lambda x, edge: 1 - slope(x, edge))
+    and it keeps the edge reversal antisymmetric.  The oracle sweep keeps
+    the true slopes."""
+    slope_matrix = certify.slope_matrix
+    monkeypatch.setattr(certify, "slope_matrix", lambda edges, classes: [
+        [1 - s for s in row] for row in slope_matrix(edges, classes)])
     record = certify.check_edge_residues(0, p, d)
     assert record["antisymmetric"] is True
     assert record["additive"] is (d == 1)
-    monkeypatch.setattr(certify, "slope", lambda x, edge: 0)
+    monkeypatch.setattr(certify, "slope_matrix", lambda edges, classes: [
+        [0] * len(classes) for _ in edges])
     record = certify.check_edge_residues(0, p, d)
     assert record["additive"] is False
     assert record["pass"] is False

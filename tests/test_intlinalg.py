@@ -23,8 +23,8 @@ from drinfeld.intlinalg import (
 
 from drinfeld.building import Ball, Lattice
 from drinfeld.certify import random_unimodular as group_element
-from drinfeld.projpoints import point_count
-from drinfeld.residues import pairing_matrix
+from drinfeld.projpoints import enumerate_points, point_count
+from drinfeld.residues import pairing_matrix, slope_matrix
 
 from helpers import (
     rank_int,
@@ -249,7 +249,7 @@ def test_snf_divisors_match_the_pivot_search_on_tall_matrices():
 def test_snf_divisors_of_the_pairing_matrices(p, d):
     """Criterion 9's matrices: the image of the pairing is saturated."""
     edges = Ball(Lattice.standard(p, d), 2).pointed_edges()
-    matrix = pairing_matrix(edges, 1, p, d)
+    matrix = pairing_matrix(slope_matrix(edges, enumerate_points(p, 1, d)))
     assert_snf_matches_reference(matrix)
     assert snf_divisors(matrix) == [1] * (point_count(p, 1, d) - 1)
 
