@@ -162,6 +162,8 @@ def check_edge_residues(seed, p, d):
 
 
 def check_flow_conservation(seed, p, d):
+    if d != 1:  # each edge type at a vertex has its own flow at d >= 2
+        raise ValueError("the flow condition is a tree (d = 1) check")
     classes = enumerate_points(p, 1, d)
     ball = Ball(Lattice.standard(p, d), 3)
     violations = 0

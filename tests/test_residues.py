@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from drinfeld import padic, residues
 from drinfeld.building import Ball, Lattice, PointedSimplex, standard_simplex
+from drinfeld.certify import check_flow_conservation
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
 from drinfeld.padic import FieldDesc, PrecisionError
 from drinfeld.projpoints import ProjPoint, enumerate_points
@@ -278,22 +279,22 @@ def test_edges_at_vertex_matches_stepping_on_random_vertices(pd, seed):
     assert edges_at_vertex(vertex) == stepped_edges_at_vertex(vertex)
 
 
-def flows(vertex, classes):
-    """Each class's column sum of the slope matrix over the edges leaving
-    the vertex."""
-    return [sum(column) for column in
-            zip(*slope_matrix(edges_at_vertex(vertex), classes))]
-
-
 def test_kirchhoff_at_standard_and_moved_vertices():
-    for p in (2, 3):
-        sums = flows(Lattice.standard(p, 1), enumerate_points(p, 1, 1))
-        assert sums[1] - sums[0] == 0
+    """Criterion 5 finds every class's flow equal at each vertex of its
+    radius-3 ball, which holds the standard and a moved vertex."""
     moved = Lattice.from_rows(3, [[1, 2], [0, 9]])
-    sums = flows(moved, enumerate_points(3, 1, 1))
-    for a in sums:
-        for b in sums:
-            assert b - a == 0
+    assert moved in Ball(Lattice.standard(3, 1), 3).vertices
+    for p in (2, 3):
+        record = check_flow_conservation(0, p, 1)
+        assert record["pairs"] == (p + 1) ** 2
+        assert record["violations"] == 0
+
+
+def test_flow_conservation_refuses_a_building_above_the_tree():
+    # at d = 2 the edges at a vertex have two types; pooling them could
+    # hide a violation in one type behind the other
+    with pytest.raises(ValueError, match=r"a tree \(d = 1\) check"):
+        check_flow_conservation(0, 2, 2)
 
 
 def test_each_class_slopes_up_on_exactly_one_edge():
