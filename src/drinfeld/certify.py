@@ -138,9 +138,11 @@ def check_edge_residues(seed, p, d):
     antisym = all(r == 1 - s for s, r in zip(forward, reverse))
     # around a chamber M_0 > ... > M_d > pM_0 = M_{d+1} the slopes of the
     # d+1 boundary edges [M_i, M_{i+1}] telescope: the sum of
-    # 1 + v_{M_{i+1}} - v_{M_i} is d+1 + v_{pM_0} - v_{M_0} = d
+    # 1 + v_{M_{i+1}} - v_{M_i} is d+1 + v_{pM_0} - v_{M_0} = d; the translate
+    # has its own Random, so the oracle's draw count cannot choose it
     chamber = standard_simplex(p, (1,) * (d + 1))
-    translate = chamber.transport(random_unimodular(d + 1, rng))
+    translate = chamber.transport(
+        random_unimodular(d + 1, random.Random(seed * 1000 + 504)))
     boundaries = [
         [PointedSimplex.from_chain(r.lattices[:2]) for r in sigma.rotations()]
         for sigma in (chamber, translate)

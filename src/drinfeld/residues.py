@@ -10,8 +10,8 @@ m = v_{M_0}(a), the largest m with a in p^m M_0, which is when the class of
 the normalized covector p^{-m} a in M_0/pM_0 lies in the image of M_1.
 Since pM_0 < M_1 < M_0, this is the valuation jump 1 + v_{M_1}(a) - m.
 The oracle measures the slope by evaluating section valuations at two
-interior points over a ramified cubic extension and never consults the
-combinatorial rule.
+interior points over a ramified cubic extension, one unit vector walked
+to parameters 1/e and 2/e, and never consults the combinatorial rule.
 """
 
 from __future__ import annotations
@@ -80,22 +80,20 @@ def _oracle_desc(p, sigma, e_oracle):
 
 
 def _oracle_points(sigma, desc, rng):
-    """Two interior tube samples at edge parameters 1/e and 2/e: the raw
-    covers.tube_sample of generic units, those of block 1 lifted by pi^step.
+    """Two interior tube samples, one unit vector w walked to edge parameters
+    1/e and 2/e: the raw covers.tube_sample of w, block 1 lifted by pi^step.
 
-    A sample stays raw, N·w for (N, D) = sigma.frame_adjugate: projective
-    normalization would shift its section valuations by a
-    parameter-dependent constant, and the integer D that a solve divides
-    out shifts those of both samples by v(D), which cancels in the slope.
-    The oracle reads the adapted frame only, never the combinatorial slope
-    rule."""
+    On the open tube v(<a,z>) depends only on the edge parameter, so one
+    draw serves both samples.  A sample stays raw, N·w for (N, D) =
+    sigma.frame_adjugate: projective normalization would shift its section
+    valuations by a parameter-dependent constant, and the integer D that a
+    solve divides out shifts those of both samples by v(D), which cancels
+    in the slope.  The oracle reads the adapted frame only, never the
+    combinatorial slope rule."""
     d1 = sigma.boundary_indices()[1]
-    samples = []
-    for step in (1, 2):
-        w = [random_unit(desc, rng, j) for j in range(sigma.dim + 1)]
-        w[d1:] = [u.times_pi_power(step) for u in w[d1:]]
-        samples.append(tube_sample(sigma, w))
-    return samples
+    w = [random_unit(desc, rng, j) for j in range(sigma.dim + 1)]
+    return [tube_sample(sigma, w[:d1] + [u.times_pi_power(step) for u in w[d1:]])
+            for step in (1, 2)]
 
 
 def oracle_slope_table(sigma, covectors, e_oracle=3, rng=None,

@@ -517,9 +517,10 @@ def reference_oracle_points(sigma, desc, rng):
 
 # Reference unit and oracle samples: covers.random_unit as it was when it
 # added 1 to pi*b as FieldElems, and residues._oracle_points as it was when
-# it multiplied by a pi-power and built each sample coordinate with its own
-# linear_form, kept verbatim but for the names: the sampler draws from
-# reference_random_unit, and tube_sample is written out.
+# it drew fresh units for each sample, multiplied by a pi-power and built
+# each sample coordinate with its own linear_form, kept verbatim but for the
+# names: the sampler draws from reference_random_unit, and tube_sample is
+# written out.
 
 
 def reference_random_unit(desc, rng, j=0):

@@ -10,7 +10,7 @@ from drinfeld import padic, residues
 from drinfeld.building import Ball, Lattice, PointedSimplex, standard_simplex
 from drinfeld.certify import check_flow_conservation
 from drinfeld.distributions import MassZeroVector, basis_mass_zero, random_mass_zero
-from drinfeld.padic import FieldDesc, PrecisionError
+from drinfeld.padic import FieldDesc, FieldElem, PrecisionError, linear_form
 from drinfeld.projpoints import ProjPoint, enumerate_points
 from drinfeld.residues import (
     GLOBAL_SIGN,
@@ -31,6 +31,7 @@ from helpers import (
     random_unimodular_integer,
     reference_oracle_points,
     reference_oracle_samples,
+    reference_random_unit,
     reference_class_slope,
     reference_slope,
 )
@@ -366,13 +367,27 @@ def _table_or_error(edge, classes, rng, check_membership):
         return str(exc)
 
 
+def _rng_after_unit_draws(seed, descs, units):
+    """A fresh Random(seed) after `units` unit draws in each field of descs,
+    one field per edge: e*f randrange(coeff_modulus) digits a unit."""
+    rng = random.Random(seed)
+    for desc in descs:
+        for _ in range(units * desc.e * desc.f):
+            rng.randrange(desc.coeff_modulus)
+    return rng
+
+
 @pytest.mark.parametrize("check_membership", [True, False])
 def test_oracle_without_det_division_matches_reference(monkeypatch, check_membership):
-    # the samples skip the division by det(frame); both samples of an edge
-    # share it, so every slope table (and every refusal) stays the same
+    # the samples skip the division by det(frame), and both come from one
+    # draw of units where the reference draws twice: both samples of an
+    # edge share det(frame), and the valuations on the open tube depend
+    # only on the edge parameter, so every slope table (and every refusal)
+    # stays the same
     for p, d in ((2, 1), (3, 1), (2, 2)):
         classes = enumerate_points(p, 1, d)
         edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
+        descs = [residues._oracle_desc(p, edge, 3) for edge in edges]
         rng = random.Random(31)
         tables = [_table_or_error(edge, classes, rng, check_membership)
                   for edge in edges]
@@ -382,25 +397,39 @@ def test_oracle_without_det_division_matches_reference(monkeypatch, check_member
             expected = [_table_or_error(edge, classes, ref_rng, check_membership)
                         for edge in edges]
         assert tables == expected
-        assert rng.getstate() == ref_rng.getstate()
+        assert rng.getstate() == _rng_after_unit_draws(31, descs, d + 1).getstate()
+        assert ref_rng.getstate() == _rng_after_unit_draws(
+            31, descs, 2 * (d + 1)).getstate()
+
+
+def _digits(sample):
+    return [(x.shift, x.coeffs, x.prec, x.exact_zero) for x in sample]
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_oracle_samples_keep_the_reference_bytes(p, d):
-    # criterion 4's grid on the radius-1 balls: the same sample digits,
-    # drawn from one rng edge after edge, leave it in the same state
+    # criterion 4's grid on the radius-1 balls, drawn from one rng edge
+    # after edge: the first sample makes the reference's first d + 1 unit
+    # draws and keeps its bytes; the second walks the same units to edge
+    # parameter 2/e, block 1 times pi^2, with no draw of its own
     edges = Ball(Lattice.standard(p, d), 1).pointed_edges()
-    rng, ref_rng = random.Random(4), random.Random(4)
-    for edge in edges:
-        desc = residues._oracle_desc(p, edge, 3)
+    descs = [residues._oracle_desc(p, edge, 3) for edge in edges]
+    rng = random.Random(4)
+    for edge, desc in zip(edges, descs):
+        state = rng.getstate()
         got = residues._oracle_points(edge, desc, rng)
-        ref = reference_oracle_samples(edge, desc, ref_rng)
-        assert [[(x.shift, x.coeffs, x.prec, x.exact_zero) for x in sample]
-                for sample in got] == [
-            [(x.shift, x.coeffs, x.prec, x.exact_zero) for x in sample]
-            for sample in ref
-        ]
-    assert rng.getstate() == ref_rng.getstate()
+        ref_rng, unit_rng = random.Random(), random.Random()
+        ref_rng.setstate(state)
+        unit_rng.setstate(state)
+        first, _ = reference_oracle_samples(edge, desc, ref_rng)
+        units = [reference_random_unit(desc, unit_rng, j) for j in range(d + 1)]
+        d1 = edge.boundary_indices()[1]
+        lift = FieldElem.pi_power(desc, 2)
+        w2 = units[:d1] + [lift * u for u in units[d1:]]
+        n, _ = edge.frame_adjugate
+        assert _digits(got[0]) == _digits(first)
+        assert _digits(got[1]) == _digits([linear_form(row, w2) for row in n])
+    assert rng.getstate() == _rng_after_unit_draws(4, descs, d + 1).getstate()
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2)])
