@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .intlinalg import identity, matmul
 from .padic import FieldElem, PrecisionError
 from .products import alpha_level, evaluate_ratio, require_certified_points
 
@@ -131,15 +132,31 @@ def restriction_certificate(fam, z1, z2, i, n, nprime):
 
 def equivariance_certificate(g, g_inverse, mu, z1, z2, i):
     """Moving the vector by g and the points by g^{-1} integrates to the
-    same function up to a constant and a 1-unit of order n - i."""
+    same function up to a constant and a 1-unit of order n - i.
+
+    g_inverse must be a scaled inverse of g in GL_{d+1}(Z_p), g g_inverse =
+    D I with p not dividing D, as inv_scaled gives for any g in
+    GL_{d+1}(Z_p); anything else is a ValueError.  Such an h = g_inverse
+    certifies the moved points through z1 and z2: h preserves the minimum
+    coordinate valuation, so normalizing h z scales it by a unit, and
+    <a, h z> = <a h, z> with a -> a h a bijection of the primitive
+    covectors, so the depth of h z is that of z and h z lies in every
+    cover that z does.  The moved points therefore run no depth search."""
     n = mu.level
     if not i < n:
         raise ValueError("need i < level")
     moved = alpha_level(mu.transport(g))
     still = alpha_level(mu)
     q_moved = evaluate_ratio(moved, z1, z2, i)
+    product = matmul(g, g_inverse)
+    scale = product[0][0]
+    scaled_identity = tuple(
+        tuple(scale * x for x in row) for row in identity(z1.dim + 1)
+    )
+    if scale % z1.desc.p == 0 or product != scaled_identity:
+        raise ValueError("g_inverse is not a scaled inverse of g in GL(Z_p)")
     q_still = evaluate_ratio(
-        still, z1.apply_matrix(g_inverse), z2.apply_matrix(g_inverse), i
+        still, z1.apply_matrix(g_inverse), z2.apply_matrix(g_inverse)
     )
     inputs = {
         "g": [list(r) for r in g],

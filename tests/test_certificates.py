@@ -235,6 +235,56 @@ def test_equivariance_deep_transport_keeps_digits():
         assert Fraction(rec["measured_margin"]) >= 1
 
 
+def test_equivariance_refuses_a_g_inverse_outside_gl_zp():
+    """The moved points are certified through the group, so g_inverse must
+    be a scaled inverse of g with a unit scale: diag(p, 1) for g = I, a
+    unimodular matrix that is no inverse of g, and p g^-1, whose scale p is
+    no unit, are refused."""
+    for p in (2, 3):
+        desc, z1, z2 = _dual_pair(p)
+        mu = random_mass_zero(p, 2, 1, random.Random(5))
+        eye = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="scaled inverse"):
+            equivariance_certificate(eye, [[p, 0], [0, 1]], mu, z1, z2, 1)
+        g = [[1, 1], [0, 1]]
+        with pytest.raises(ValueError, match="scaled inverse"):
+            equivariance_certificate(g, g, mu, z1, z2, 1)
+        with pytest.raises(ValueError, match="scaled inverse"):
+            equivariance_certificate(g, [[p, -p], [0, p]], mu, z1, z2, 1)
+
+
+def test_equivariance_accepts_a_unit_scaled_inverse():
+    """g in GL_2(Z_p) that is not unimodular over Z: inv_scaled gives its
+    inverse scaled by det g, a unit at p, which the certificate accepts."""
+    for p in (2, 3):
+        desc, z1, z2 = _dual_pair(p)
+        mu = random_mass_zero(p, 2, 1, random.Random(6))
+        g = [[5, 1], [0, 1]]
+        ginv, det = inv_scaled(g)
+        assert det == 5 and ginv == ((1, -1), (0, 5))
+        assert equivariance_certificate(g, ginv, mu, z1, z2, 1)["pass"]
+
+
+def test_equivariance_searches_only_the_pair(monkeypatch):
+    """The depth search runs on z1 and z2 and never on the moved points."""
+    searched = []
+    search = SymmetricSpacePoint._search
+
+    def counted(self, cap):
+        searched.append(self)
+        return search(self, cap)
+
+    monkeypatch.setattr(SymmetricSpacePoint, "_search", counted)
+    desc, z1, z2 = _dual_pair(3)
+    rng = random.Random(9)
+    for _ in range(4):
+        g = random_unimodular(2, rng)
+        ginv, _ = inv_scaled(g)
+        mu = random_mass_zero(3, 2, 1, rng)
+        assert equivariance_certificate(g, ginv, mu, z1, z2, 1)["pass"]
+    assert searched == [z1, z2]
+
+
 def test_random_unimodular_has_unit_determinant():
     rng = random.Random(1)
     for size in (2, 3):

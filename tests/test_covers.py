@@ -641,6 +641,27 @@ def test_adapted_basis_matches_the_profile_references(p, d, seed):
                 _cover_outcome(reference_reduce_to_building, z, None)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([1, 2]), st.integers(0, 2**32),
+       st.booleans())
+def test_gl_zp_moves_keep_the_depth_and_the_covers(p, d, seed, scaled):
+    """For h in GL_{d+1}(Z_p), h z normalizes to a unit multiple and a -> a h
+    permutes the primitive covectors, so h z has the depth of z and lies in
+    the same level-n open covers: the premise on which the equivariance
+    certificate skips the search on its moved points.  h is unimodular,
+    or unimodular times diag(u, 1, ...) with p not dividing u."""
+    z, _ = _adapted_basis_case(p, d, seed)
+    rng = random.Random(seed + 1)
+    h = random_unimodular_integer(d + 1, rng)
+    if scaled:
+        u = rng.choice([u for u in range(-2 * p - 1, 2 * p + 2) if u % p])
+        h = [[u * x if j == 0 else x for j, x in enumerate(row)] for row in h]
+    moved = z.apply_matrix(h)
+    for n in (1, 2, 3):
+        assert member_open_cover(moved, n) == member_open_cover(z, n)
+    assert moved.orthogonal_basis(10**6)[0] == z.orthogonal_basis(10**6)[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]), st.integers(0, 2**32))
 def test_adapted_basis_is_unimodular_and_orthogonal(p, d, seed):
